@@ -556,7 +556,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     scored = list(zip(finals, (p.label for p in pairs)))
     if not all(np.isfinite(s) for s, _ in scored):
         raise NumericError("non-finite similarity while scoring pairs")
-    reports = evaluation.evaluate_detector(det, pairs)
+    reports = evaluation.reports_from_scores(pairs, finals, det.threshold)
     evaluation.write_reports(reports, out_dir / "reports.json")
     sweep = evaluation.threshold_sweep(scored, detector.GRIDS[opts["grid"]]())
     evaluation.write_sweep_csv(sweep, out_dir / "sweep.csv")

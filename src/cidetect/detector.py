@@ -5,6 +5,13 @@ is scored by every model, similarity = 1 / (1 + distance), and the ensemble
 keeps the maximum. The pair is flagged as inlined when that maximum reaches
 the decision threshold. A single mixed model trained on all patterns at once
 is supported as an ablation configuration.
+
+Scoring prepares each distinct graph once, packs the graphs into the
+engine's node-budget chunks (gnn.chunk_graphs), embeds every chunk once per
+model, and takes all pair distances of a model in one vectorised step.
+detect is the same path for a single pair. An eval scores its pair file
+once with score_pairs and builds every report from those scores
+(evaluation.reports_from_scores).
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -29,9 +37,10 @@ from .evaluation import Scored, confusion, precision_recall_f1
 from .gnn import (
     ModelConfig,
     ModelParams,
+    PreparedBatch,
+    chunk_graphs,
     config_to_json,
-    embed_prepared,
-    euclidean_distance,
+    embed_batch,
     load_checkpoint,
     prepare_graph,
     save_checkpoint,
@@ -40,6 +49,7 @@ from .pairgen import FunctionPair
 
 PATTERN_KEYS = ("leaf", "root", "internal")
 MIXED_KEY = "mixed"
+_PAIR_BLOCK = 128  # pairs per distance step; bounds the gathered rows
 
 
 def similarity(distance: float) -> float:
@@ -92,16 +102,17 @@ def detect(
     query: AttributedCFG, target: AttributedCFG, detector: EnsembleDetector
 ) -> Verdict:
     """Score one pair with every model and keep the maximum similarity."""
-    query_prep = prepare_graph(query, detector.vocab, detector.config)
-    target_prep = prepare_graph(target, detector.vocab, detector.config)
-    sims: dict[str, float] = {}
-    for key in sorted(detector.models):
-        params = detector.models[key]
-        d = euclidean_distance(
-            embed_prepared(query_prep, params, detector.config),
-            embed_prepared(target_prep, params, detector.config),
-        )
-        sims[key] = similarity(d)
+    # an identical target shares the query's row, so it scores exactly 1
+    graphs = [query] if target == query else [query, target]
+    batches = chunk_graphs(
+        prepare_graph(graph, detector.vocab, detector.config) for graph in graphs
+    )
+    sims = {
+        key: float(values[0])
+        for key, values in _similarities(
+            detector, batches, [0], [len(graphs) - 1]
+        ).items()
+    }
     final = max(sims.values())
     return Verdict(similarities=sims, final=final, label=final >= detector.threshold)
 
@@ -110,31 +121,64 @@ def score_pairs(
     detector: EnsembleDetector, pairs: Sequence[FunctionPair], jobs: int = 1
 ) -> list[float]:
     """Ensemble similarity per pair; each distinct graph embeds once per
-    model. jobs > 1 fans the embedding work over threads."""
-    prep_cache: dict = {}
+    model. jobs > 1 fans the embedding chunks over threads."""
+    graphs: dict = {}
     for pair in pairs:
-        for ref, graph in ((pair.query_ref, pair.query), (pair.target_ref, pair.target)):
-            if ref not in prep_cache:
-                prep_cache[ref] = prepare_graph(graph, detector.vocab, detector.config)
-    refs = sorted(prep_cache)
+        graphs.setdefault(pair.query_ref, pair.query)
+        graphs.setdefault(pair.target_ref, pair.target)
+    refs = sorted(graphs)
+    row = {ref: i for i, ref in enumerate(refs)}
+    batches = chunk_graphs(
+        prepare_graph(graphs[ref], detector.vocab, detector.config) for ref in refs
+    )
+    sims = _similarities(
+        detector,
+        batches,
+        [row[p.query_ref] for p in pairs],
+        [row[p.target_ref] for p in pairs],
+        jobs,
+    )
     finals = np.full(len(pairs), -np.inf)
-    for key in sorted(detector.models):
-        params = detector.models[key]
+    for values in sims.values():
+        np.maximum(finals, values, out=finals)
+    return finals.tolist()
 
-        def embed_ref(ref, params=params):
-            return embed_prepared(prep_cache[ref], params, detector.config)
 
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                embeddings = dict(zip(refs, pool.map(embed_ref, refs)))
-        else:
-            embeddings = {ref: embed_ref(ref) for ref in refs}
-        for i, pair in enumerate(pairs):
-            d = euclidean_distance(
-                embeddings[pair.query_ref], embeddings[pair.target_ref]
-            )
-            finals[i] = max(finals[i], similarity(d))
-    return [float(v) for v in finals]
+def _similarities(
+    detector: EnsembleDetector,
+    batches: Sequence[PreparedBatch],
+    query_rows: Sequence[int],
+    target_rows: Sequence[int],
+    jobs: int = 1,
+) -> dict[str, np.ndarray]:
+    """Similarity per pair under each model; a pair is two graph rows of
+    the batches taken in order.
+
+    Every graph embeds once per model. The batches are the chunks of
+    gnn.chunk_graphs, whose bounds do not depend on jobs, so threading
+    leaves every score unchanged.
+    """
+    config = detector.config
+    n_rows = sum(batch.n_graphs for batch in batches)
+    query_rows = np.asarray(query_rows, dtype=np.intp)
+    target_rows = np.asarray(target_rows, dtype=np.intp)
+    sims = {}
+    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        for key in sorted(detector.models):
+            params = detector.models[key]
+            emb = np.empty((n_rows, config.graph_embedding_dim))
+            start = 0
+            for rows in run(lambda b: embed_batch(b, params, config), batches):
+                emb[start : start + len(rows)] = rows
+                start += len(rows)
+            distance = np.empty(len(query_rows))
+            for start in range(0, len(query_rows), _PAIR_BLOCK):
+                block = slice(start, start + _PAIR_BLOCK)
+                diff = emb[query_rows[block]] - emb[target_rows[block]]
+                distance[block] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            sims[key] = 1.0 / (1.0 + distance)
+    return sims
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ threshold sweeps, and per-pattern evaluation reports.
 Scores are (similarity, label) with labels in {-1, +1}; a pair predicts
 positive when its similarity is >= the threshold. Degenerate denominators
 resolve to 0 (precision with no positive predictions, F1 with p + r = 0).
+A report on rows of a single label has no AUC (None, shown as n/a).
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class EvalReport:
     precision: float
     recall: float
     f1: float
-    auc: float
+    auc: float | None
     tp: int
     fp: int
     tn: int
@@ -110,7 +111,18 @@ class EvalReport:
         return payload
 
 
+def _auc_or_none(scores: Sequence[Scored]) -> float | None:
+    labels = {label for _, label in scores}
+    return auc(scores) if labels == {-1, 1} else None
+
+
 def report_at(scores: Sequence[Scored], threshold: float, pattern: str) -> EvalReport:
+    return _report(scores, threshold, pattern, _auc_or_none(scores))
+
+
+def _report(
+    scores: Sequence[Scored], threshold: float, pattern: str, area: float | None
+) -> EvalReport:
     tp, fp, tn, fn = confusion(scores, threshold)
     precision, recall, f1 = precision_recall_f1(tp, fp, tn, fn)
     return EvalReport(
@@ -120,7 +132,7 @@ def report_at(scores: Sequence[Scored], threshold: float, pattern: str) -> EvalR
         precision=precision,
         recall=recall,
         f1=f1,
-        auc=auc(scores),
+        auc=area,
         tp=tp,
         fp=fp,
         tn=tn,
@@ -145,7 +157,8 @@ def threshold_sweep(
     smallest threshold."""
     if not grid:
         raise ValueError("empty threshold grid")
-    reports = tuple(report_at(scores, t, pattern) for t in sorted(grid))
+    area = _auc_or_none(scores)  # the same at every threshold
+    reports = tuple(_report(scores, t, pattern, area) for t in sorted(grid))
     best_index = 0
     for i, report in enumerate(reports):
         if report.f1 > reports[best_index].f1:
@@ -167,34 +180,46 @@ def write_sweep_csv(sweep: SweepResult, path: Path | str) -> None:
                     f"{report.precision:.6f}",
                     f"{report.recall:.6f}",
                     f"{report.f1:.6f}",
-                    f"{report.auc:.6f}",
+                    _format_auc(report.auc, 6),
                     int(i == sweep.best_index),
                 ]
             )
+
+
+def reports_from_scores(
+    pairs: Sequence["FunctionPair"], scores: Sequence[float], threshold: float
+) -> dict[str, EvalReport]:
+    """Per-pattern reports plus an overall row at the given threshold.
+
+    Pairs group by their pattern tag (negatives carry the tag of the pattern
+    run they were generated for); scores[i] belongs to pairs[i].
+    """
+    if len(scores) != len(pairs):
+        raise ValueError(f"{len(scores)} scores for {len(pairs)} pairs")
+    overall = [(score, pair.label) for pair, score in zip(pairs, scores)]
+    by_pattern: dict[str, list[Scored]] = {}
+    for pair, row in zip(pairs, overall):
+        by_pattern.setdefault(pair.pattern.value, []).append(row)
+    reports = {
+        pattern: report_at(rows, threshold, pattern)
+        for pattern, rows in sorted(by_pattern.items())
+    }
+    reports["overall"] = report_at(overall, threshold, "overall")
+    return reports
 
 
 def evaluate_detector(
     detector: "EnsembleDetector",
     pairs: Sequence["FunctionPair"],
 ) -> dict[str, EvalReport]:
-    """Per-pattern reports plus an overall row at the detector threshold.
-
-    Pairs group by their pattern tag (negatives carry the tag of the pattern
-    run they were generated for).
-    """
+    """Score the pairs, then report them at the detector threshold."""
     from .detector import score_pairs  # local import, keeps deps one-way
 
-    scored = score_pairs(detector, pairs)
-    by_pattern: dict[str, list[Scored]] = {}
-    for pair, final in zip(pairs, scored):
-        by_pattern.setdefault(pair.pattern.value, []).append((final, pair.label))
-    reports = {
-        pattern: report_at(rows, detector.threshold, pattern)
-        for pattern, rows in sorted(by_pattern.items())
-    }
-    overall = [(final, pair.label) for pair, final in zip(pairs, scored)]
-    reports["overall"] = report_at(overall, detector.threshold, "overall")
-    return reports
+    return reports_from_scores(pairs, score_pairs(detector, pairs), detector.threshold)
+
+
+def _format_auc(value: float | None, digits: int) -> str:
+    return "n/a" if value is None else f"{value:.{digits}f}"
 
 
 def format_report_table(reports: Mapping[str, EvalReport]) -> str:
@@ -208,7 +233,7 @@ def format_report_table(reports: Mapping[str, EvalReport]) -> str:
                 f"{report.precision:.3f}",
                 f"{report.recall:.3f}",
                 f"{report.f1:.3f}",
-                f"{report.auc:.3f}",
+                _format_auc(report.auc, 3),
             )
         )
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]

@@ -10,6 +10,17 @@ Training minimizes a margin loss on pair distances,
 loss = max(0, margin - label * (1 - distance)), with Adam on analytic
 gradients. The backward pass is written out by hand so it can be checked
 against finite differences; no autograd framework is involved.
+
+One engine runs every embedding. It works on a PreparedBatch, the disjoint
+union of graphs used for batched graph networks (the GraphsTuple layout):
+stacked node features, edge endpoints offset into the stacked rows, and a
+node-to-graph segment id. The forward and backward passes are written once
+over that layout. A PreparedGraph is a batch of one and goes in as it is.
+Training (gradient steps and validation AUC) feeds the engine one graph at
+a time, so its float summation order, and with it every checkpoint, stays
+fixed. Inference batches many graphs per call: chunk_graphs packs
+consecutive graphs up to CHUNK_NODES nodes, and embed_batch returns one row
+per graph and keeps no backward tape.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ import json
 import struct
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -172,19 +183,36 @@ def _mlp_backward(
 
 
 # ---------------------------------------------------------------------------
-# Graph preparation
+# Graph preparation and batching
+
+# Node budget of one inference chunk: large enough that per-call overhead is
+# shared by about ten typical graphs, small enough to keep activations tiny.
+CHUNK_NODES = 128
+
 
 @dataclass(frozen=True)
-class PreparedGraph:
-    """Featurized graph: node feature matrix plus positional edge arrays."""
+class PreparedBatch:
+    """Featurized graphs as one disjoint union (the GraphsTuple layout).
+
+    Node feature rows of every graph are stacked, edge endpoints index the
+    stacked rows, and ``segment`` maps each row to its graph. A batch of one
+    graph has no segment array.
+    """
 
     features: np.ndarray
     src: np.ndarray
     dst: np.ndarray
+    segment: np.ndarray | None = None
+    n_graphs: int = 1
 
     @property
     def n_nodes(self) -> int:
         return self.features.shape[0]
+
+
+class PreparedGraph(PreparedBatch):
+    """One featurized graph: node feature matrix plus positional edge arrays.
+    It is a batch of one and goes through the engine as it is."""
 
 
 def prepare_graph(
@@ -205,36 +233,103 @@ def prepare_graph(
     return PreparedGraph(features=features, src=src, dst=dst)
 
 
+def batch_graphs(graphs: Sequence[PreparedGraph]) -> PreparedBatch:
+    """Stack graphs into one batch; graph i owns the rows where segment == i.
+    A single graph comes back as it is."""
+    if len(graphs) == 1:
+        return graphs[0]
+    sizes = np.array([g.n_nodes for g in graphs], dtype=np.intp)
+    offsets = np.cumsum(sizes) - sizes
+    return PreparedBatch(
+        features=np.concatenate([g.features for g in graphs]),
+        src=np.concatenate([g.src + off for g, off in zip(graphs, offsets)]),
+        dst=np.concatenate([g.dst + off for g, off in zip(graphs, offsets)]),
+        segment=np.repeat(np.arange(len(graphs), dtype=np.intp), sizes),
+        n_graphs=len(graphs),
+    )
+
+
+def chunk_graphs(graphs: Iterable[PreparedGraph]) -> list[PreparedBatch]:
+    """Consecutive graphs batched up to CHUNK_NODES nodes per batch; every
+    batch holds at least one graph, so a larger graph forms its own.
+
+    Each batch is stacked as soon as it closes, so graphs drawn from a
+    generator are never all held twice, once alone and once stacked.
+    """
+    batches: list[PreparedBatch] = []
+    chunk: list[PreparedGraph] = []
+    nodes = 0
+    for graph in graphs:
+        if chunk and nodes + graph.n_nodes > CHUNK_NODES:
+            batches.append(batch_graphs(chunk))
+            chunk, nodes = [], 0
+        chunk.append(graph)
+        nodes += graph.n_nodes
+    if chunk:
+        batches.append(batch_graphs(chunk))
+    return batches
+
+
 # ---------------------------------------------------------------------------
-# Forward pass (with tape) and public single-stage ops
+# The engine: forward pass (with tape) and backward pass over a batch
+
+def _segment_sum(rows: np.ndarray, index: np.ndarray, n_out: int) -> np.ndarray:
+    """out[index[k]] += rows[k], k ascending, from zeros.
+
+    Every output element gets its additions one at a time in row order, so
+    the result equals np.add.at and a one-segment .sum(axis=0) bit for bit;
+    bincount over a flat index is just the fastest way numpy has to do it.
+    """
+    width = rows.shape[1]
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(flat, weights=rows.ravel(), minlength=n_out * width)
+    # bincount of nothing comes back as int64 zeros
+    return out.reshape(n_out, width).astype(rows.dtype, copy=False)
+
+
+def _pool(rows: np.ndarray, batch: PreparedBatch) -> np.ndarray:
+    """Per-graph row sums, (n_graphs, width). Several graphs pool through
+    a one-hot product, whose operands are a fraction of the rows' size."""
+    if batch.segment is None:
+        return rows.sum(axis=0, keepdims=True)
+    members = np.zeros((batch.n_graphs, batch.n_nodes))
+    members[batch.segment, np.arange(batch.n_nodes)] = 1.0
+    return members @ rows
+
+
+def _unpool(graph_rows: np.ndarray, batch: PreparedBatch) -> np.ndarray:
+    """Per-graph rows broadcast back to the nodes of each graph."""
+    if batch.segment is None:
+        return graph_rows
+    return graph_rows[batch.segment]
+
 
 def _prop_forward(
     h: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
+    batch: PreparedBatch,
     params: ModelParams,
     config: ModelConfig,
     layer: int,
-) -> tuple[np.ndarray, tuple]:
-    sum_in = np.zeros_like(h)
-    sum_out = np.zeros_like(h)
-    if src.size:
-        np.add.at(sum_in, dst, h[src])
-        np.add.at(sum_out, src, h[dst])
+    tape: list | None,
+) -> np.ndarray:
+    n = h.shape[0]
+    sum_in = _segment_sum(h[batch.src], batch.dst, n)
+    sum_out = _segment_sum(h[batch.dst], batch.src, n)
     m_in = sum_in @ params[f"prop.{layer}.in.w"].T
     m_out = sum_out @ params[f"prop.{layer}.out.w"].T
     z = np.concatenate([h, m_in, m_out], axis=1)
     h_next, acts = _mlp_forward(
         z, params, f"prop.{layer}.update", len(config.update_sizes)
     )
-    return h_next, (sum_in, sum_out, acts)
+    if tape is not None:
+        tape.append((sum_in, sum_out, acts))
+    return h_next
 
 
 def _prop_backward(
     dh_next: np.ndarray,
     tape: tuple,
-    src: np.ndarray,
-    dst: np.ndarray,
+    batch: PreparedBatch,
     params: ModelParams,
     config: ModelConfig,
     layer: int,
@@ -251,35 +346,43 @@ def _prop_backward(
     dm_out = dz[:, 2 * d :]
     grads[f"prop.{layer}.in.w"] += dm_in.T @ sum_in
     grads[f"prop.{layer}.out.w"] += dm_out.T @ sum_out
-    if src.size:
+    if batch.src.size:
         dsum_in = dm_in @ params[f"prop.{layer}.in.w"]
         dsum_out = dm_out @ params[f"prop.{layer}.out.w"]
-        np.add.at(dh, src, dsum_in[dst])
-        np.add.at(dh, dst, dsum_out[src])
+        np.add.at(dh, batch.src, dsum_in[batch.dst])
+        np.add.at(dh, batch.dst, dsum_out[batch.src])
     return dh
 
 
 def _agg_forward(
-    h: np.ndarray, params: ModelParams, config: ModelConfig
-) -> tuple[np.ndarray, tuple]:
+    h: np.ndarray,
+    batch: PreparedBatch,
+    params: ModelParams,
+    config: ModelConfig,
+    tape: list | None,
+) -> np.ndarray:
     gate_lin = h @ params["agg.gate.w"].T + params["agg.gate.b"]
     gate = 1.0 / (1.0 + np.exp(-gate_lin))
     proj = h @ params["agg.proj.w"].T + params["agg.proj.b"]
-    pooled = (gate * proj).sum(axis=0, keepdims=True)
+    pooled = _pool(gate * proj, batch)
     out, acts = _mlp_forward(pooled, params, "agg.out", len(config.output_sizes))
-    return out[0], (h, gate, proj, acts)
+    if tape is not None:
+        tape.append((h, gate, proj, acts))
+    return out
 
 
 def _agg_backward(
     demb: np.ndarray,
     tape: tuple,
+    batch: PreparedBatch,
     params: ModelParams,
     config: ModelConfig,
     grads: ModelParams,
 ) -> np.ndarray:
     h, gate, proj, acts = tape
-    dpooled = _mlp_backward(
-        demb[None, :], acts, params, "agg.out", len(config.output_sizes), grads
+    dpooled = _unpool(
+        _mlp_backward(demb, acts, params, "agg.out", len(config.output_sizes), grads),
+        batch,
     )
     dgate = dpooled * proj
     dproj = dpooled * gate
@@ -291,90 +394,52 @@ def _agg_backward(
     return dgate_lin @ params["agg.gate.w"] + dproj @ params["agg.proj.w"]
 
 
-def _forward_graph(
-    prep: PreparedGraph, params: ModelParams, config: ModelConfig
-) -> tuple[np.ndarray, dict]:
-    h, enc_acts = _mlp_forward(
-        prep.features, params, "encoder", len(config.encoder_sizes)
+def _forward(
+    batch: PreparedBatch,
+    params: ModelParams,
+    config: ModelConfig,
+    tape: list | None = None,
+) -> np.ndarray:
+    """(n_graphs, embedding) rows. Given a tape list, every stage appends
+    what its backward pass reads (encoder, each layer, aggregator); without
+    one, each stage's activations are freed when it returns."""
+    h, acts = _mlp_forward(
+        batch.features, params, "encoder", len(config.encoder_sizes)
     )
-    layer_tapes = []
+    if tape is not None:
+        tape.append(acts)
     for t in range(config.propagation_layers):
-        h, tape = _prop_forward(h, prep.src, prep.dst, params, config, t)
-        layer_tapes.append(tape)
-    emb, agg_tape = _agg_forward(h, params, config)
-    return emb, {"enc": enc_acts, "layers": layer_tapes, "agg": agg_tape}
+        h = _prop_forward(h, batch, params, config, t, tape)
+    return _agg_forward(h, batch, params, config, tape)
 
 
-def _backward_graph(
+def _backward(
     demb: np.ndarray,
-    tape: dict,
-    prep: PreparedGraph,
+    tape: list,
+    batch: PreparedBatch,
     params: ModelParams,
     config: ModelConfig,
     grads: ModelParams,
 ) -> None:
-    dh = _agg_backward(demb, tape["agg"], params, config, grads)
+    """Accumulate into grads the gradients of sum(demb * embeddings)."""
+    enc_acts, *layer_tapes, agg_tape = tape
+    dh = _agg_backward(demb, agg_tape, batch, params, config, grads)
     for t in reversed(range(config.propagation_layers)):
-        dh = _prop_backward(
-            dh, tape["layers"][t], prep.src, prep.dst, params, config, t, grads
-        )
-    _mlp_backward(dh, tape["enc"], params, "encoder", len(config.encoder_sizes), grads)
+        dh = _prop_backward(dh, layer_tapes[t], batch, params, config, t, grads)
+    _mlp_backward(dh, enc_acts, params, "encoder", len(config.encoder_sizes), grads)
 
 
-def encode(
-    features: np.ndarray, params: ModelParams, config: ModelConfig
+def embed_batch(
+    batch: PreparedBatch, params: ModelParams, config: ModelConfig
 ) -> np.ndarray:
-    """Lift node feature rows to initial node states."""
-    if features.ndim != 2 or features.shape[1] != config.feature_dim:
-        raise ShapeMismatch(
-            f"expected (n, {config.feature_dim}) features, got {features.shape}"
-        )
-    out, _ = _mlp_forward(
-        np.asarray(features, dtype=np.float64), params, "encoder",
-        len(config.encoder_sizes),
-    )
-    return out
-
-
-def propagate(
-    states: np.ndarray,
-    edges: Sequence[tuple[int, int]],
-    params: ModelParams,
-    config: ModelConfig,
-    layer: int,
-) -> np.ndarray:
-    """One propagation layer over positional edges (row indices)."""
-    if states.ndim != 2 or states.shape[1] != config.node_state_dim:
-        raise ShapeMismatch(
-            f"expected (n, {config.node_state_dim}) states, got {states.shape}"
-        )
-    if not 0 <= layer < config.propagation_layers:
-        raise ValueError(f"layer {layer} out of range")
-    edge_array = np.asarray(list(edges), dtype=np.intp).reshape(-1, 2)
-    out, _ = _prop_forward(
-        np.asarray(states, dtype=np.float64),
-        edge_array[:, 0], edge_array[:, 1], params, config, layer,
-    )
-    return out
-
-
-def aggregate(
-    states: np.ndarray, params: ModelParams, config: ModelConfig
-) -> np.ndarray:
-    """Gated sum over node states followed by the output MLP."""
-    if states.ndim != 2 or states.shape[1] != config.node_state_dim:
-        raise ShapeMismatch(
-            f"expected (n, {config.node_state_dim}) states, got {states.shape}"
-        )
-    emb, _ = _agg_forward(np.asarray(states, dtype=np.float64), params, config)
-    return emb
+    """Embeddings of every graph in the batch, one row per graph."""
+    return _forward(batch, params, config)
 
 
 def embed_prepared(
     prep: PreparedGraph, params: ModelParams, config: ModelConfig
 ) -> np.ndarray:
-    emb, _ = _forward_graph(prep, params, config)
-    return emb
+    return embed_batch(prep, params, config)[0]
 
 
 def embed(
@@ -419,9 +484,11 @@ def pair_loss_and_grads(
     if label not in (-1, 1):
         raise InvalidLabel(f"label must be -1 or +1, got {label!r}")
     grads = {name: np.zeros_like(tensor) for name, tensor in params.items()}
-    e1, tape1 = _forward_graph(query, params, config)
-    e2, tape2 = _forward_graph(target, params, config)
-    diff = e1 - e2
+    tape1: list = []
+    tape2: list = []
+    e1 = _forward(query, params, config, tape1)
+    e2 = _forward(target, params, config, tape2)
+    diff = e1[0] - e2[0]
     distance = float(np.sqrt(np.sum(diff**2)))
     if not np.isfinite(distance):
         # a NaN distance would otherwise read as an inactive hinge
@@ -430,9 +497,9 @@ def pair_loss_and_grads(
     loss = max(0.0, active)
     if active > 0.0 and distance > 0.0:
         dd = float(label)
-        de1 = dd * diff / distance
-        _backward_graph(de1, tape1, query, params, config, grads)
-        _backward_graph(-de1, tape2, target, params, config, grads)
+        de1 = (dd * diff / distance)[None, :]
+        _backward(de1, tape1, query, params, config, grads)
+        _backward(-de1, tape2, target, params, config, grads)
     return loss, grads
 
 
@@ -511,32 +578,21 @@ def _adam_update(
 
 
 def grad_step(
-    batch: Sequence[FunctionPair | PreparedPair],
-    state: TrainState,
-    config: ModelConfig,
-    vocab: OpcodeVocabulary | None = None,
+    batch: Sequence[PreparedPair], state: TrainState, config: ModelConfig
 ) -> tuple[TrainState, float]:
     """One Adam update on the mean pair loss of the batch."""
     if not batch:
         raise ValueError("empty batch")
-    prepared: list[PreparedPair] = []
-    for item in batch:
-        if isinstance(item, PreparedPair):
-            prepared.append(item)
-        else:
-            if vocab is None:
-                raise ValueError("vocab required to featurize FunctionPair batches")
-            prepared.extend(prepare_pairs([item], vocab, config))
     total = {name: np.zeros_like(t) for name, t in state.params.items()}
     loss_sum = 0.0
-    for pair in prepared:
+    for pair in batch:
         loss, grads = pair_loss_and_grads(
             pair.query, pair.target, pair.label, state.params, config
         )
         loss_sum += loss
         for name, grad in grads.items():
             total[name] += grad
-    scale = 1.0 / len(prepared)
+    scale = 1.0 / len(batch)
     for name in total:
         total[name] *= scale
     new_state = _adam_update(state, total, config)

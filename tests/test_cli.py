@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from cidetect import detector, evaluation, pairgen, synth
 from cidetect.cli import main
 
 _SYNTH_ARGS = [
@@ -124,6 +125,97 @@ def test_eval_and_sweep(pipeline, tmp_path):
     ])
     assert rc == 0
     assert len(out_csv.read_text().strip().splitlines()) == 1 + 10
+
+
+def _eval(pipeline, pairs, out):
+    return main([
+        "eval", "--bundle", str(pipeline["bundle"]),
+        "--corpus", str(pipeline["corpus"]), "--pairs", str(pairs),
+        "--out", str(out),
+    ])
+
+
+def test_eval_scores_once(pipeline, tmp_path, monkeypatch):
+    """eval scores every pair once; its files equal those built from a
+    separate score_pairs call plus evaluate_detector, which scores again."""
+    det = detector.load_bundle(pipeline["bundle"])
+    pairs = pairgen.read_pairs(
+        pipeline["pairs"], synth.load_corpus(pipeline["corpus"]).graphs
+    )
+    finals = detector.score_pairs(det, pairs)
+    reference = tmp_path / "reference.json"
+    evaluation.write_reports(evaluation.evaluate_detector(det, pairs), reference)
+
+    calls = []
+    original = detector.score_pairs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(detector, "score_pairs", counting)
+    assert _eval(pipeline, pipeline["pairs"], tmp_path / "report") == 0
+    assert len(calls) == 1
+    report_dir = tmp_path / "report"
+    assert (report_dir / "reports.json").read_bytes() == reference.read_bytes()
+    lines = (report_dir / "scores.jsonl").read_text().splitlines()
+    rows = [json.loads(line) for line in lines]
+    assert [row["score"] for row in rows] == finals
+    assert [row["label"] for row in rows] == [p.label for p in pairs]
+
+
+def _filtered_pairs(pipeline, path, keep):
+    lines = pipeline["pairs"].read_text().splitlines()
+    kept = [line for line in lines if keep(json.loads(line))]
+    path.write_text("\n".join(kept) + "\n")
+    return [json.loads(line) for line in kept]
+
+
+def _assert_single_label_eval(pipeline, tmp_path, pairs, capsys, degenerate):
+    report_dir = tmp_path / "report"
+    capsys.readouterr()
+    assert _eval(pipeline, pairs, report_dir) == 0
+    table = capsys.readouterr().out
+    reports = json.loads((report_dir / "reports.json").read_text())
+    for name, report in reports.items():
+        if name in degenerate:
+            assert report["auc"] is None, name
+        else:
+            assert 0.0 <= report["auc"] <= 1.0, name
+    for name in degenerate:
+        row = next(line for line in table.splitlines() if line.startswith(name))
+        assert row.split()[-1] == "n/a"
+    assert (report_dir / "sweep.csv").is_file()
+    assert (report_dir / "scores.jsonl").is_file()
+    return reports
+
+
+def test_eval_positives_only(pipeline, tmp_path, capsys):
+    pairs = tmp_path / "positives.jsonl"
+    kept = _filtered_pairs(pipeline, pairs, lambda rec: rec["label"] == 1)
+    patterns = {rec["pattern"] for rec in kept}
+    reports = _assert_single_label_eval(
+        pipeline, tmp_path, pairs, capsys, patterns | {"overall"}
+    )
+    assert set(reports) == patterns | {"overall"}
+    sweep = (tmp_path / "report" / "sweep.csv").read_text().splitlines()
+    assert all(row.split(",")[5] == "n/a" for row in sweep[1:])
+
+
+def test_eval_group_without_negatives(pipeline, tmp_path, capsys):
+    records = [json.loads(line) for line in pipeline["pairs"].read_text().splitlines()]
+    both = [
+        pattern for pattern in sorted({rec["pattern"] for rec in records})
+        if {rec["label"] for rec in records if rec["pattern"] == pattern} == {-1, 1}
+    ]
+    assert both, "the shared pair file needs a group with both labels"
+    dropped = both[0]
+    pairs = tmp_path / "no-negatives.jsonl"
+    _filtered_pairs(
+        pipeline, pairs, lambda rec: rec["pattern"] != dropped or rec["label"] == 1
+    )
+    reports = _assert_single_label_eval(pipeline, tmp_path, pairs, capsys, {dropped})
+    assert reports[dropped]["counts"]["tn"] + reports[dropped]["counts"]["fp"] == 0
 
 
 def test_synth_rerun_is_byte_identical(tmp_path):

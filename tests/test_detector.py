@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cidetect import gnn
 from cidetect.acfg import build_vocabulary
 from cidetect.detector import (
     GRIDS,
@@ -173,6 +174,17 @@ def test_score_pairs_threaded_matches_serial():
     graphs, det = _tiny_detector(seed=4, keys=("mixed",))
     pairs = _pairs_from(graphs)
     assert score_pairs(det, pairs, jobs=2) == score_pairs(det, pairs, jobs=1)
+
+
+def test_score_pairs_chunking_changes_no_score(monkeypatch):
+    graphs, det = _tiny_detector(seed=5)
+    pairs = _pairs_from(graphs)
+    default = score_pairs(det, pairs)
+    for budget in (1, 7, 10_000):
+        monkeypatch.setattr(gnn, "CHUNK_NODES", budget)
+        np.testing.assert_allclose(
+            score_pairs(det, pairs), default, rtol=0, atol=1e-12
+        )
 
 
 # ---------------------------------------------------------------------------

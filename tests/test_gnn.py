@@ -8,12 +8,17 @@ from cidetect.errors import (
     InvalidLabel,
     ShapeMismatch,
 )
+from cidetect import gnn
 from cidetect.gnn import (
     ModelConfig,
+    PreparedGraph,
+    batch_graphs,
+    chunk_graphs,
     clone_params,
     config_from_json,
     config_to_json,
     embed,
+    embed_batch,
     embed_prepared,
     euclidean_distance,
     grad_step,
@@ -195,6 +200,80 @@ def test_embedding_matches_independent_forward():
         want = _oracle_embed(prep, params, config)
         assert got.shape == (config.graph_embedding_dim,)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _random_prep(rng, n_nodes, n_edges, feature_dim):
+    return PreparedGraph(
+        features=rng.integers(0, 4, size=(n_nodes, feature_dim)).astype(np.float64),
+        src=rng.integers(n_nodes, size=n_edges).astype(np.intp),
+        dst=rng.integers(n_nodes, size=n_edges).astype(np.intp),
+    )
+
+
+def _mixed_graphs(config):
+    """A one-node graph without edges, one graph twice, and a graph larger
+    than the inference chunk budget."""
+    rng = np.random.default_rng(12)
+    lone = _random_prep(rng, 1, 0, config.feature_dim)
+    small = _random_prep(rng, 5, 7, config.feature_dim)
+    large = _random_prep(
+        rng, gnn.CHUNK_NODES + 9, 2 * gnn.CHUNK_NODES, config.feature_dim
+    )
+    return [small, lone, small, large, _random_prep(rng, 3, 2, config.feature_dim)]
+
+
+def test_batched_forward_matches_oracle_per_graph():
+    _, vocab, config = _tiny_setup()
+    params = init_params(config)
+    graphs = _mixed_graphs(config)
+    want = [_oracle_embed(g, params, config) for g in graphs]
+    batch = batch_graphs(graphs)
+    assert batch.n_graphs == len(graphs)
+    assert batch.n_nodes == sum(g.n_nodes for g in graphs)
+    got = embed_batch(batch, params, config)
+    assert got.shape == (len(graphs), config.graph_embedding_dim)
+    np.testing.assert_allclose(got, np.stack(want), rtol=0, atol=1e-12)
+    chunks = chunk_graphs(graphs)
+    assert all(c.n_nodes <= gnn.CHUNK_NODES or c.n_graphs == 1 for c in chunks)
+    assert sum(c.n_graphs for c in chunks) == len(graphs)
+    chunked = np.concatenate([embed_batch(c, params, config) for c in chunks])
+    np.testing.assert_allclose(chunked, np.stack(want), rtol=0, atol=1e-12)
+
+
+def test_batch_of_one_is_the_graph_itself():
+    _, vocab, config = _tiny_setup()
+    graph = _mixed_graphs(config)[0]
+    assert batch_graphs([graph]) is graph
+    params = init_params(config)
+    np.testing.assert_array_equal(
+        embed_batch(graph, params, config)[0], embed_prepared(graph, params, config)
+    )
+
+
+def test_batched_backward_sums_per_graph_gradients():
+    """Backward over a multi-graph batch equals the per-graph backward
+    passes summed."""
+    _, vocab, config = _tiny_setup()
+    params = init_params(config)
+    graphs = _mixed_graphs(config)
+    rng = np.random.default_rng(13)
+    demb = rng.standard_normal((len(graphs), config.graph_embedding_dim))
+
+    def zeros():
+        return {name: np.zeros_like(t) for name, t in params.items()}
+
+    batch = batch_graphs(graphs)
+    batched = zeros()
+    tape = []
+    gnn._forward(batch, params, config, tape)
+    gnn._backward(demb, tape, batch, params, config, batched)
+    separate = zeros()
+    for row, graph in zip(demb, graphs):
+        tape = []
+        gnn._forward(graph, params, config, tape)
+        gnn._backward(row[None, :], tape, graph, params, config, separate)
+    for name in params:
+        np.testing.assert_allclose(batched[name], separate[name], rtol=0, atol=1e-12)
 
 
 def test_embed_convenience_wrapper():
