@@ -4,6 +4,10 @@ A function is an attributed CFG: basic blocks carrying instruction sequences,
 directed edges for control flow, a single entry block. Node features are
 opcode count vectors over a corpus-level vocabulary with a trailing
 out-of-vocabulary slot.
+
+A basic block is columnar: three equal-length tuples hold, per instruction,
+its lowercased opcode, its address and its operand tuple. There is no object
+per instruction; the model reads only the opcode column and the edges.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter, itemgetter, lt
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -23,21 +29,15 @@ from .errors import EmptyCorpus, MalformedGraph
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class Instruction:
-    address: int
-    opcode: str
-    operands: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BasicBlock:
-    id: int
-    instructions: tuple[Instruction, ...]
+    """One block as columns: instruction i is (opcodes[i], addresses[i],
+    operands[i])."""
 
-    @property
-    def opcodes(self) -> tuple[str, ...]:
-        return tuple(ins.opcode for ins in self.instructions)
+    id: int
+    opcodes: tuple[str, ...]
+    addresses: tuple[int, ...]
+    operands: tuple[tuple[str, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class AttributedCFG:
 
     @property
     def instruction_count(self) -> int:
-        return sum(len(block.instructions) for block in self.nodes)
+        return sum(len(block.opcodes) for block in self.nodes)
 
     def opcode_counts(self) -> Counter[str]:
         counts: Counter[str] = Counter()
@@ -72,51 +72,60 @@ class AttributedCFG:
 
     def validate(self) -> None:
         """Raise MalformedGraph unless every structural invariant holds."""
-        if not self.nodes:
-            raise MalformedGraph(f"{self.function_name!r}: no basic blocks")
-        ids = [block.id for block in self.nodes]
-        if len(set(ids)) != len(ids):
-            raise MalformedGraph(f"{self.function_name!r}: duplicate block ids")
-        if ids != sorted(ids):
-            raise MalformedGraph(f"{self.function_name!r}: nodes not sorted by id")
-        id_set = set(ids)
-        if self.entry not in id_set:
-            raise MalformedGraph(
-                f"{self.function_name!r}: entry {self.entry} is not a block"
-            )
-        seen_addrs: set[int] = set()
-        for block in self.nodes:
-            if not block.instructions:
-                raise MalformedGraph(
-                    f"{self.function_name!r}: block {block.id} is empty"
-                )
-            prev = None
-            for ins in block.instructions:
-                if not ins.opcode:
-                    raise MalformedGraph(
-                        f"{self.function_name!r}: empty opcode in block {block.id}"
-                    )
-                if prev is not None and ins.address <= prev:
-                    raise MalformedGraph(
-                        f"{self.function_name!r}: addresses not strictly "
-                        f"increasing in block {block.id}"
-                    )
-                if ins.address in seen_addrs:
-                    raise MalformedGraph(
-                        f"{self.function_name!r}: duplicate address "
-                        f"{ins.address:#x}"
-                    )
-                seen_addrs.add(ins.address)
-                prev = ins.address
-        for src, dst in self.edges:
-            if src not in id_set or dst not in id_set:
-                raise MalformedGraph(
-                    f"{self.function_name!r}: dangling edge ({src}, {dst})"
-                )
-        if not _reachable(id_set, self.edges, self.entry) == id_set:
+        ids = self.node_ids
+        _check_topology(self.function_name, ids, self.edges, self.entry)
+        _check_blocks(self.function_name, self.nodes)
+        if _reachable(set(ids), self.edges, self.entry) != set(ids):
             raise MalformedGraph(
                 f"{self.function_name!r}: unreachable blocks present"
             )
+
+
+def _check_topology(
+    name: str,
+    ids: tuple[int, ...],
+    edges: Iterable[tuple[int, int]],
+    entry: int,
+) -> None:
+    """Block ids present, unique and sorted; entry and edge ends are blocks."""
+    if not ids:
+        raise MalformedGraph(f"{name!r}: no basic blocks")
+    id_set = set(ids)
+    if len(id_set) != len(ids):
+        raise MalformedGraph(f"{name!r}: duplicate block ids")
+    if list(ids) != sorted(ids):
+        raise MalformedGraph(f"{name!r}: nodes not sorted by id")
+    if entry not in id_set:
+        raise MalformedGraph(f"{name!r}: entry {entry} is not a block")
+    for src, dst in edges:
+        if src not in id_set or dst not in id_set:
+            raise MalformedGraph(f"{name!r}: dangling edge ({src}, {dst})")
+
+
+def _check_blocks(name: str, blocks: Iterable[BasicBlock]) -> None:
+    """Non-empty equal-length columns, no empty opcode, addresses strictly
+    increasing within a block and unique within the function."""
+    all_addrs: list[int] = []
+    for block in blocks:
+        n = len(block.opcodes)
+        if not n:
+            raise MalformedGraph(f"{name!r}: block {block.id} is empty")
+        if len(block.addresses) != n or len(block.operands) != n:
+            raise MalformedGraph(
+                f"{name!r}: block {block.id} has columns of unequal length"
+            )
+        if "" in block.opcodes:
+            raise MalformedGraph(f"{name!r}: empty opcode in block {block.id}")
+        addrs = block.addresses
+        if not all(map(lt, addrs, addrs[1:])):
+            raise MalformedGraph(
+                f"{name!r}: addresses not strictly increasing in block {block.id}"
+            )
+        all_addrs.extend(addrs)
+    if len(set(all_addrs)) != len(all_addrs):
+        seen: set[int] = set()
+        dup = next(a for a in all_addrs if a in seen or seen.add(a))
+        raise MalformedGraph(f"{name!r}: duplicate address {dup:#x}")
 
 
 def _reachable(
@@ -136,63 +145,112 @@ def _reachable(
     return seen
 
 
+def _only(values: Iterable, *kinds: type) -> bool:
+    """True when every value's exact type is one of `kinds` (so a bool is
+    no int)."""
+    return set(map(type, values)) <= set(kinds)
+
+
+_OP_ADDR = itemgetter("op", "addr")
+
+
+def _columns(insns: list) -> tuple[tuple, tuple, tuple]:
+    """Raw (opcodes, addresses, args) columns of one block's instructions."""
+    if type(insns) is not list:
+        raise TypeError("insns must be a list")
+    if not insns:
+        return (), (), ()
+    ops, addrs = zip(*map(_OP_ADDR, insns))
+    return ops, addrs, tuple([ins.get("args", ()) for ins in insns])
+
+
 def build_acfg(record: dict) -> AttributedCFG:
     """Construct a validated graph from one ingestion record.
 
-    Record shape:
+    Record shape, with the types enforced:
       {"name": str, "entry": int,
-       "blocks": [{"id": int, "insns": [{"addr": int, "op": str, "args": [...]}]}],
+       "blocks": [{"id": int, "insns": [{"addr": int, "op": str,
+                                          "args": [str, ...]}]}],
        "edges": [[int, int], ...]}
 
-    Opcodes are lowercased, operands kept verbatim. Blocks unreachable from
-    the entry are dropped (with a warning); an entry or edge referencing a
-    missing block is an error.
+    "args" may be left out. Opcodes are lowercased, operands kept verbatim,
+    duplicate edges merged. Blocks unreachable from the entry are dropped
+    (with a warning); an entry or edge referencing a missing block is an
+    error. Any defect raises MalformedGraph.
     """
     try:
-        name = str(record["name"])
+        name = record["name"]
         raw_blocks = record["blocks"]
         raw_edges = record["edges"]
-        entry = int(record["entry"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedGraph(f"bad record: {exc}") from exc
-    if not raw_blocks:
-        raise MalformedGraph(f"{name!r}: no basic blocks")
+        entry = record["entry"]
+    except KeyError as exc:
+        raise MalformedGraph(f"bad record: missing key {exc}") from None
+    except TypeError:
+        raise MalformedGraph("bad record: not a JSON object") from None
+    if type(name) is not str:
+        raise MalformedGraph("bad record: name must be a string")
+    if type(entry) is not int:
+        raise MalformedGraph(f"{name!r}: entry must be an integer")
+    if type(raw_blocks) is not list or type(raw_edges) is not list:
+        raise MalformedGraph(f"{name!r}: blocks and edges must be lists")
 
-    blocks: dict[int, BasicBlock] = {}
-    for raw in raw_blocks:
-        block_id = int(raw["id"])
-        if block_id in blocks:
-            raise MalformedGraph(f"{name!r}: duplicate block id {block_id}")
-        insns = tuple(
-            Instruction(
-                address=int(ins["addr"]),
-                opcode=str(ins["op"]).lower(),
-                operands=tuple(str(a) for a in ins.get("args", ())),
-            )
-            for ins in raw["insns"]
+    try:
+        ids = [raw["id"] for raw in raw_blocks]
+        columns = [_columns(raw["insns"]) for raw in raw_blocks]
+    except KeyError as exc:
+        raise MalformedGraph(
+            f"{name!r}: block or instruction lacks {exc}"
+        ) from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise MalformedGraph(f"{name!r}: bad block: {exc}") from None
+    try:
+        edge_set = {(src, dst) for src, dst in raw_edges}
+    except (TypeError, ValueError) as exc:
+        raise MalformedGraph(
+            f"{name!r}: edges must be [src, dst] pairs: {exc}"
+        ) from None
+    if not (
+        _only(ids, int)
+        and _only(chain.from_iterable(addrs for _, addrs, _ in columns), int)
+        and _only(chain.from_iterable(edge_set), int)
+    ):
+        raise MalformedGraph(
+            f"{name!r}: block ids, addresses and edge ends must be integers"
         )
-        if not insns:
-            raise MalformedGraph(f"{name!r}: block {block_id} is empty")
-        blocks[block_id] = BasicBlock(id=block_id, instructions=insns)
+    if not _only(chain.from_iterable(ops for ops, _, _ in columns), str):
+        raise MalformedGraph(f"{name!r}: opcodes must be strings")
+    all_args = list(chain.from_iterable(args for _, _, args in columns))
+    if not (
+        _only(all_args, list, tuple) and _only(chain.from_iterable(all_args), str)
+    ):
+        raise MalformedGraph(f"{name!r}: args must be lists of strings")
 
-    if entry not in blocks:
-        raise MalformedGraph(f"{name!r}: entry {entry} is not a block")
-    edge_set: set[tuple[int, int]] = set()
-    for raw_edge in raw_edges:
-        src, dst = int(raw_edge[0]), int(raw_edge[1])
-        if src not in blocks or dst not in blocks:
-            raise MalformedGraph(f"{name!r}: dangling edge ({src}, {dst})")
-        edge_set.add((src, dst))
-
-    keep = _reachable(set(blocks), edge_set, entry)
-    dropped = len(blocks) - len(keep)
-    if dropped:
-        logger.warning("%s: dropped %d unreachable block(s)", name, dropped)
-    nodes = tuple(blocks[i] for i in sorted(keep))
-    edges = tuple(sorted(e for e in edge_set if e[0] in keep and e[1] in keep))
-    graph = AttributedCFG(function_name=name, nodes=nodes, edges=edges, entry=entry)
-    graph.validate()
-    return graph
+    blocks = sorted(
+        (
+            BasicBlock(
+                id=block_id,
+                opcodes=tuple(map(str.lower, ops)),
+                addresses=addrs,
+                operands=tuple(map(tuple, args)),
+            )
+            for block_id, (ops, addrs, args) in zip(ids, columns)
+        ),
+        key=attrgetter("id"),
+    )
+    edges = sorted(edge_set)
+    _check_topology(name, tuple(block.id for block in blocks), edges, entry)
+    _check_blocks(name, blocks)
+    keep = _reachable({block.id for block in blocks}, edges, entry)
+    if len(keep) < len(blocks):
+        logger.warning(
+            "%s: dropped %d unreachable block(s)", name, len(blocks) - len(keep)
+        )
+        blocks = [block for block in blocks if block.id in keep]
+        edges = [e for e in edges if e[0] in keep and e[1] in keep]
+    # every invariant validate() checks holds by construction from here
+    return AttributedCFG(
+        function_name=name, nodes=tuple(blocks), edges=tuple(edges), entry=entry
+    )
 
 
 def acfg_to_record(graph: AttributedCFG) -> dict:
@@ -203,8 +261,10 @@ def acfg_to_record(graph: AttributedCFG) -> dict:
             {
                 "id": block.id,
                 "insns": [
-                    {"addr": ins.address, "op": ins.opcode, "args": list(ins.operands)}
-                    for ins in block.instructions
+                    {"addr": addr, "op": op, "args": list(args)}
+                    for op, addr, args in zip(
+                        block.opcodes, block.addresses, block.operands
+                    )
                 ],
             }
             for block in graph.nodes
@@ -218,12 +278,36 @@ def strip_name(graph: AttributedCFG) -> AttributedCFG:
     return replace(graph, function_name="")
 
 
-def iter_function_records(path: Path | str) -> Iterator[dict]:
+def _numbered_records(path: Path | str) -> Iterator[tuple[int, dict]]:
+    """(line number, decoded JSON) per non-blank line; a line that is not
+    JSON raises MalformedGraph naming path:line."""
     with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, 1):
             line = line.strip()
-            if line:
-                yield json.loads(line)
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedGraph(f"{path}:{lineno}: not JSON: {exc}") from None
+            yield lineno, record
+
+
+def iter_function_records(path: Path | str) -> Iterator[dict]:
+    """The raw function records of a JSONL file, one dict per line."""
+    for _, record in _numbered_records(path):
+        yield record
+
+
+def read_graphs(path: Path | str) -> Iterator[AttributedCFG]:
+    """The graphs of a JSONL file; a bad record raises MalformedGraph
+    naming path:line."""
+    for lineno, record in _numbered_records(path):
+        try:
+            graph = build_acfg(record)
+        except MalformedGraph as exc:
+            raise MalformedGraph(f"{path}:{lineno}: {exc}") from None
+        yield graph
 
 
 def write_function_records(path: Path | str, graphs: Iterable[AttributedCFG]) -> None:
@@ -267,27 +351,29 @@ def build_vocabulary(
         raise ValueError("max_size must be >= 1")
     counts: Counter[str] = Counter()
     for graph in corpus:
-        counts.update(graph.opcode_counts())
+        for block in graph.nodes:
+            counts.update(block.opcodes)
     if not counts:
         raise EmptyCorpus("no opcodes in corpus")
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     return OpcodeVocabulary(key_sequence=tuple(op for op, _ in ranked[:max_size]))
 
 
-def featurize_node(block: BasicBlock, vocab: OpcodeVocabulary) -> np.ndarray:
-    """Opcode count vector of length len(vocab)+1 (last slot collects UNK)."""
-    vec = np.zeros(vocab.feature_dim, dtype=np.int64)
-    for opcode in block.opcodes:
-        vec[vocab.slot(opcode)] += 1
-    return vec
-
-
 def featurize_graph(graph: AttributedCFG, vocab: OpcodeVocabulary) -> np.ndarray:
-    """Node feature matrix (n_nodes, feature_dim), rows in node-id order."""
-    out = np.zeros((len(graph.nodes), vocab.feature_dim), dtype=np.float64)
-    for row, block in enumerate(graph.nodes):
-        out[row] = featurize_node(block, vocab)
-    return out
+    """Node feature matrix (n_nodes, feature_dim), rows in node-id order:
+    row i counts block i's opcodes per vocabulary slot, the last slot
+    collecting out-of-vocabulary opcodes."""
+    dim = vocab.feature_dim
+    slot = vocab.index.get
+    unk = vocab.unk_index
+    flat = [
+        row * dim + slot(op, unk)
+        for row, block in enumerate(graph.nodes)
+        for op in block.opcodes
+    ]
+    n = len(graph.nodes)
+    counts = np.bincount(np.asarray(flat, dtype=np.intp), minlength=n * dim)
+    return counts.reshape(n, dim).astype(np.float64)
 
 
 def vocabulary_to_json(vocab: OpcodeVocabulary) -> dict:

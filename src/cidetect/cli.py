@@ -33,6 +33,7 @@ _SEED_VOCAB_SPLIT = 5  # split tag; one --seed drives every derived stream
 _SEED_PAIRS = {"leaf": 101, "root": 102, "internal": 103, "mixed": 104}
 _SEED_VAL = 211
 _SEED_THRESH = 223
+_EXAMPLES = 3  # unresolved line-table rows quoted per kind in the label log
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -210,8 +211,14 @@ def build_index_from_corpus(corpus_dir: Path) -> labeling.BridgeIndex:
     results = {}
     for dataset, (addr_rows, bin_rows) in split.items():
         result = labeling.construct_mapping(addr_rows, bin_rows, srcfuncs)
-        for message in result.inconsistencies:
-            logger.warning("%s: %s", dataset, message)
+        by_kind: dict[str, list[str]] = {}
+        for kind, detail in result.inconsistencies:
+            by_kind.setdefault(kind, []).append(detail)
+        for kind, details in sorted(by_kind.items()):
+            logger.warning(
+                "%s: %d line-table rows with %s, e.g. %s",
+                dataset, len(details), kind, ", ".join(details[:_EXAMPLES]),
+            )
         results[dataset] = result.mappings
     fcg = labeling.build_fcg(fcg_edges)
     return labeling.build_bridge_index(
@@ -493,7 +500,7 @@ _DETECT_OPTS = [
 def _load_single_graph(path: Path, name: str):
     if not path.is_file():
         raise ValidationError(f"graph file not found: {path}")
-    graphs = [acfg.build_acfg(r) for r in acfg.iter_function_records(path)]
+    graphs = list(acfg.read_graphs(path))
     if name:
         matches = [g for g in graphs if g.function_name == name]
         if not matches:

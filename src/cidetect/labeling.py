@@ -167,10 +167,16 @@ def read_fcg(path: Path | str) -> list[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 # Mapping construction
 
+# kinds of line-table rows that construct_mapping cannot resolve
+UNMAPPED_ADDRESS = "an address in no binary function"
+UNMAPPED_LINE = "a line in no source function"
+
+
 @dataclass
 class MappingResult:
     mappings: list[Binary2Source]
-    inconsistencies: list[str] = field(default_factory=list)
+    # one (kind, row detail) per unresolved line-table row
+    inconsistencies: list[tuple[str, str]] = field(default_factory=list)
 
 
 class _IntervalIndex:
@@ -220,21 +226,17 @@ def construct_mapping(
         src_index[file] = _IntervalIndex(items)
 
     sets: dict[tuple[str, str], set[str]] = {}
-    problems: list[str] = []
+    problems: list[tuple[str, str]] = []
     for bid, addr, file, line in addr2line:
         index = bin_index.get(bid)
         ref = index.find(addr) if index is not None else None
         if ref is None:
-            problems.append(
-                f"address {addr:#x} in binary {bid!r} belongs to no function"
-            )
+            problems.append((UNMAPPED_ADDRESS, f"{bid}@{addr:#x}"))
             continue
         file_index = src_index.get(file)
         src_name = file_index.find(line) if file_index is not None else None
         if src_name is None:
-            problems.append(
-                f"line {file}:{line} belongs to no source function"
-            )
+            problems.append((UNMAPPED_LINE, f"{file}:{line}"))
             continue
         sets.setdefault((bid, ref.name), set()).add(src_name)
 
@@ -242,8 +244,8 @@ def construct_mapping(
         Binary2Source(function=refs[key], source_functions=frozenset(srcs))
         for key, srcs in sorted(sets.items())
     ]
-    for message in problems:
-        logger.debug("mapping inconsistency: %s", message)
+    for kind, detail in problems:
+        logger.debug("mapping inconsistency: %s: %s", kind, detail)
     return MappingResult(mappings=mappings, inconsistencies=problems)
 
 

@@ -10,6 +10,7 @@ names before they reach a model.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -107,31 +108,36 @@ def generate_negative_pairs(
     minus the ones on the query bridge's own list. The pattern argument only
     tags the produced pairs (negatives accompany a per-pattern training run).
     """
-    universe: set[tuple[str, str]] = set()
-    for entry in index.entries.values():
-        for ref, _ in entry.cross_inlining:
-            universe.add((ref.binary_id, ref.name))
     ref_by_key = {
         (ref.binary_id, ref.name): ref
         for entry in index.entries.values()
         for ref, _ in entry.cross_inlining
     }
-    eligible: list[tuple[str, tuple, list]] = []
-    for bridge, entry in sorted(index.entries.items()):
+    universe = sorted(ref_by_key)
+    position = {key: i for i, key in enumerate(universe)}
+    # Per bridge: its query pool, its complement size, and the shifted sorted
+    # positions of its own targets, own[j] - j. Complement element k is then
+    # universe[k + bisect_right(shifted, k)]: the same element as index k of
+    # the sorted complement, without building the complement.
+    eligible: list[tuple[tuple, int, list[int]]] = []
+    for _, entry in sorted(index.entries.items()):
         if not entry.equal:
             continue
-        own = {(ref.binary_id, ref.name) for ref, _ in entry.cross_inlining}
-        complement = sorted(universe - own)
-        if complement:
-            eligible.append((bridge, entry.equal, complement))
+        own = sorted(
+            {position[(ref.binary_id, ref.name)] for ref, _ in entry.cross_inlining}
+        )
+        if len(own) < len(universe):
+            shifted = [pos - j for j, pos in enumerate(own)]
+            eligible.append((entry.equal, len(universe) - len(own), shifted))
     if not eligible:
         raise Exhausted("no bridge has out-of-bridge targets for negatives")
     rng = np.random.default_rng(seed)
     pairs: list[FunctionPair] = []
     for _ in range(count):
-        _, equal_pool, complement = eligible[rng.integers(len(eligible))]
+        equal_pool, n_complement, shifted = eligible[rng.integers(len(eligible))]
         query = equal_pool[rng.integers(len(equal_pool))]
-        target = ref_by_key[complement[rng.integers(len(complement))]]
+        k = int(rng.integers(n_complement))
+        target = ref_by_key[universe[k + bisect_right(shifted, k)]]
         query_ref = (DATASET_NOINLINE, query.binary_id, query.name)
         target_ref = (DATASET_INLINE, target.binary_id, target.name)
         pairs.append(

@@ -22,9 +22,7 @@ import numpy as np
 from .acfg import (
     AttributedCFG,
     BasicBlock,
-    Instruction,
-    build_acfg,
-    iter_function_records,
+    read_graphs,
     write_function_records,
 )
 from .errors import MalformedGraph, PatternStarvation, SiteNotFound
@@ -151,16 +149,17 @@ def _materialize(
     prov: Prov = {}
     cursor = 0
     for block_id, ops in enumerate(block_ops):
-        insns = []
-        tags = []
-        for opcode, args in ops:
-            insns.append(
-                Instruction(address=4 * cursor, opcode=opcode, operands=args)
+        span = range(cursor, cursor + len(ops))
+        nodes.append(
+            BasicBlock(
+                id=block_id,
+                opcodes=tuple(op for op, _ in ops),
+                addresses=tuple(range(4 * span.start, 4 * span.stop, 4)),
+                operands=tuple(args for _, args in ops),
             )
-            tags.append((name, line_start + cursor))
-            cursor += 1
-        nodes.append(BasicBlock(id=block_id, instructions=tuple(insns)))
-        prov[block_id] = tuple(tags)
+        )
+        prov[block_id] = tuple((name, line_start + i) for i in span)
+        cursor += len(ops)
     graph = AttributedCFG(
         function_name=name,
         nodes=tuple(nodes),
@@ -274,7 +273,7 @@ def gen_source_world(config: SynthConfig) -> SourceWorld:
 
 def _default_prov(graph: AttributedCFG) -> Prov:
     return {
-        block.id: tuple(graph.function_name for _ in block.instructions)
+        block.id: (graph.function_name,) * len(block.opcodes)
         for block in graph.nodes
     }
 
@@ -299,15 +298,15 @@ def inline_transform(
     if call_site not in caller.node_index:
         raise SiteNotFound(f"no block {call_site} in {caller.function_name!r}")
     site_block = caller.block(call_site)
-    last = site_block.instructions[-1]
-    if last.opcode != CALL_OPCODE or not last.operands or (
-        last.operands[0] != callee.function_name
+    last_args = site_block.operands[-1]
+    if site_block.opcodes[-1] != CALL_OPCODE or not last_args or (
+        last_args[0] != callee.function_name
     ):
         raise SiteNotFound(
             f"block {call_site} of {caller.function_name!r} does not end "
             f"with a call to {callee.function_name!r}"
         )
-    if len(site_block.instructions) < 2:
+    if len(site_block.opcodes) < 2:
         raise MalformedGraph(
             f"call site {call_site} has no instructions besides the call"
         )
@@ -323,19 +322,19 @@ def inline_transform(
         dst for src, dst in caller.edges if src == call_site
     )
 
-    blocks: dict[int, tuple[tuple[str, tuple[str, ...]], ...]] = {}
+    # block id -> (opcodes, operands); addresses are reassigned below
+    blocks: dict[int, tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]] = {}
     prov: Prov = {}
     for block in caller.nodes:
-        ops = tuple((i.opcode, i.operands) for i in block.instructions)
+        ops, args = block.opcodes, block.operands
         tags = tuple(caller_prov[block.id])
         if block.id == call_site:
-            ops = ops[:-1]
-            tags = tags[:-1]
-        blocks[block.id] = ops
+            ops, args, tags = ops[:-1], args[:-1], tags[:-1]
+        blocks[block.id] = (ops, args)
         prov[block.id] = tags
     for block in callee.nodes:
         new_id = remap[block.id]
-        blocks[new_id] = tuple((i.opcode, i.operands) for i in block.instructions)
+        blocks[new_id] = (block.opcodes, block.operands)
         prov[new_id] = tuple(callee_prov[block.id])
 
     edges: set[tuple[int, int]] = set()
@@ -352,12 +351,16 @@ def inline_transform(
     nodes = []
     cursor = 0
     for block_id in sorted(blocks):
-        insns = tuple(
-            Instruction(address=4 * (cursor + i), opcode=op, operands=args)
-            for i, (op, args) in enumerate(blocks[block_id])
+        ops, args = blocks[block_id]
+        nodes.append(
+            BasicBlock(
+                id=block_id,
+                opcodes=ops,
+                addresses=tuple(range(4 * cursor, 4 * (cursor + len(ops)), 4)),
+                operands=args,
+            )
         )
-        cursor += len(insns)
-        nodes.append(BasicBlock(id=block_id, instructions=insns))
+        cursor += len(ops)
     graph = AttributedCFG(
         function_name=caller.function_name,
         nodes=tuple(nodes),
@@ -405,13 +408,12 @@ def apply_inlining_policy(
             graph, prov = bodies[name]
             new_nodes = []
             for block in graph.nodes:
-                insns = []
-                for ins in block.instructions:
-                    opcode = ins.opcode
+                ops = []
+                for opcode in block.opcodes:
                     if opcode != CALL_OPCODE and mrng.random() < config.mutation_rate:
                         opcode = alphabet[int(mrng.integers(len(alphabet)))]
-                    insns.append(replace(ins, opcode=opcode))
-                new_nodes.append(replace(block, instructions=tuple(insns)))
+                    ops.append(opcode)
+                new_nodes.append(replace(block, opcodes=tuple(ops)))
             bodies[name] = (replace(graph, nodes=tuple(new_nodes)), prov)
     return bodies
 
@@ -466,14 +468,11 @@ def _layout_binary(
         corpus.binfuncs.append((binary_id, name, base, base + length))
         rebased_nodes = []
         for block in graph.nodes:
-            insns = tuple(
-                replace(ins, address=ins.address + base)
-                for ins in block.instructions
-            )
-            rebased_nodes.append(replace(block, instructions=tuple(insns)))
-            for ins, (src, line) in zip(insns, prov[block.id]):
+            addrs = tuple(addr + base for addr in block.addresses)
+            rebased_nodes.append(replace(block, addresses=addrs))
+            for addr, (src, line) in zip(addrs, prov[block.id]):
                 corpus.addr2line.append(
-                    (binary_id, ins.address, world.functions[src].file, line)
+                    (binary_id, addr, world.functions[src].file, line)
                 )
         corpus.graphs[(dataset, binary_id, name)] = replace(
             graph, nodes=tuple(rebased_nodes)
@@ -622,10 +621,6 @@ class LoadedCorpus:
     manifest: dict
     graphs: dict[tuple[str, str, str], AttributedCFG]
 
-    @property
-    def tables_dir(self) -> Path:
-        return self.root / "tables"
-
     def project_ids(self) -> list[str]:
         return sorted(self.manifest["projects"])
 
@@ -649,7 +644,6 @@ def load_corpus(directory: Path | str) -> LoadedCorpus:
             continue
         for path in sorted(dataset_dir.glob("*.jsonl")):
             binary_id = path.stem
-            for record in iter_function_records(path):
-                graph = build_acfg(record)
+            for graph in read_graphs(path):
                 graphs[(dataset, binary_id, graph.function_name)] = graph
     return LoadedCorpus(root=directory, manifest=manifest, graphs=graphs)

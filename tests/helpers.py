@@ -8,15 +8,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from cidetect.acfg import AttributedCFG, BasicBlock, Instruction, OpcodeVocabulary
+from cidetect.acfg import AttributedCFG, BasicBlock, OpcodeVocabulary
 
 
-def make_block(block_id: int, opcodes, base_addr: int) -> BasicBlock:
-    instructions = tuple(
-        Instruction(address=base_addr + 4 * i, opcode=op)
-        for i, op in enumerate(opcodes)
+def make_block(block_id: int, opcodes, base_addr: int, operands=None) -> BasicBlock:
+    """Instruction i sits at base_addr + 4*i; operands default to none."""
+    n = len(opcodes)
+    return BasicBlock(
+        id=block_id,
+        opcodes=tuple(opcodes),
+        addresses=tuple(base_addr + 4 * i for i in range(n)),
+        operands=((),) * n if operands is None else tuple(operands),
     )
-    return BasicBlock(id=block_id, instructions=instructions)
 
 
 def make_graph(name, blocks, edges, entry=0) -> AttributedCFG:
@@ -104,14 +107,11 @@ def call_pair(rng: np.random.Generator, opcodes, tag: str):
         ops = list(block.opcodes)
         if block.id == call_site:
             ops.append(CALL_OPCODE)
-        instructions = []
-        for i, op in enumerate(ops):
-            operands = (callee.function_name,) if op == CALL_OPCODE else ()
-            instructions.append(
-                Instruction(address=cursor + 4 * i, opcode=op, operands=operands)
-            )
+        operands = [
+            (callee.function_name,) if op == CALL_OPCODE else () for op in ops
+        ]
+        nodes.append(make_block(block.id, ops, cursor, operands))
         cursor += 4 * len(ops)
-        nodes.append(BasicBlock(id=block.id, instructions=tuple(instructions)))
     caller = AttributedCFG(
         function_name=f"caller_{tag}",
         nodes=tuple(nodes),

@@ -1,0 +1,255 @@
+"""Frozen copies of earlier implementations, kept as test oracles.
+
+`build_acfg` is the one-object-per-instruction parser that the columnar
+`cidetect.acfg.build_acfg` replaced, together with the classes it built.
+`generate_negative_pairs` is the sampler that sorted a complement of the
+cross-inlining universe for every bridge. Both are kept verbatim; the tests
+require the library's versions to produce the same graphs and pairs.
+"""
+
+from __future__ import annotations
+
+import logging
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from cidetect.errors import Exhausted, MalformedGraph
+from cidetect.labeling import BridgeIndex, Pattern
+from cidetect.pairgen import (
+    DATASET_INLINE,
+    DATASET_NOINLINE,
+    FunctionPair,
+    GraphStore,
+    _lookup,
+)
+
+logger = logging.getLogger("cidetect.acfg")
+
+
+@dataclass(frozen=True)
+class Instruction:
+    address: int
+    opcode: str
+    operands: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class BasicBlock:
+    id: int
+    instructions: tuple[Instruction, ...]
+
+    @property
+    def opcodes(self) -> tuple[str, ...]:
+        return tuple(ins.opcode for ins in self.instructions)
+
+
+@dataclass(frozen=True)
+class AttributedCFG:
+    """Immutable function graph. Nodes are stored sorted by block id."""
+
+    function_name: str
+    nodes: tuple[BasicBlock, ...]
+    edges: tuple[tuple[int, int], ...]
+    entry: int
+
+    @cached_property
+    def node_index(self) -> dict[int, int]:
+        return {block.id: pos for pos, block in enumerate(self.nodes)}
+
+    def block(self, block_id: int) -> BasicBlock:
+        return self.nodes[self.node_index[block_id]]
+
+    @property
+    def node_ids(self) -> tuple[int, ...]:
+        return tuple(block.id for block in self.nodes)
+
+    @property
+    def instruction_count(self) -> int:
+        return sum(len(block.instructions) for block in self.nodes)
+
+    def opcode_counts(self) -> Counter[str]:
+        counts: Counter[str] = Counter()
+        for block in self.nodes:
+            counts.update(block.opcodes)
+        return counts
+
+    def validate(self) -> None:
+        """Raise MalformedGraph unless every structural invariant holds."""
+        if not self.nodes:
+            raise MalformedGraph(f"{self.function_name!r}: no basic blocks")
+        ids = [block.id for block in self.nodes]
+        if len(set(ids)) != len(ids):
+            raise MalformedGraph(f"{self.function_name!r}: duplicate block ids")
+        if ids != sorted(ids):
+            raise MalformedGraph(f"{self.function_name!r}: nodes not sorted by id")
+        id_set = set(ids)
+        if self.entry not in id_set:
+            raise MalformedGraph(
+                f"{self.function_name!r}: entry {self.entry} is not a block"
+            )
+        seen_addrs: set[int] = set()
+        for block in self.nodes:
+            if not block.instructions:
+                raise MalformedGraph(
+                    f"{self.function_name!r}: block {block.id} is empty"
+                )
+            prev = None
+            for ins in block.instructions:
+                if not ins.opcode:
+                    raise MalformedGraph(
+                        f"{self.function_name!r}: empty opcode in block {block.id}"
+                    )
+                if prev is not None and ins.address <= prev:
+                    raise MalformedGraph(
+                        f"{self.function_name!r}: addresses not strictly "
+                        f"increasing in block {block.id}"
+                    )
+                if ins.address in seen_addrs:
+                    raise MalformedGraph(
+                        f"{self.function_name!r}: duplicate address "
+                        f"{ins.address:#x}"
+                    )
+                seen_addrs.add(ins.address)
+                prev = ins.address
+        for src, dst in self.edges:
+            if src not in id_set or dst not in id_set:
+                raise MalformedGraph(
+                    f"{self.function_name!r}: dangling edge ({src}, {dst})"
+                )
+        if not _reachable(id_set, self.edges, self.entry) == id_set:
+            raise MalformedGraph(
+                f"{self.function_name!r}: unreachable blocks present"
+            )
+
+
+def _reachable(
+    ids: set[int], edges: Iterable[tuple[int, int]], entry: int
+) -> set[int]:
+    succ: dict[int, list[int]] = {i: [] for i in ids}
+    for src, dst in edges:
+        succ[src].append(dst)
+    seen = {entry}
+    stack = [entry]
+    while stack:
+        node = stack.pop()
+        for nxt in succ[node]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+def build_acfg(record: dict) -> AttributedCFG:
+    """Construct a validated graph from one ingestion record.
+
+    Record shape:
+      {"name": str, "entry": int,
+       "blocks": [{"id": int, "insns": [{"addr": int, "op": str, "args": [...]}]}],
+       "edges": [[int, int], ...]}
+
+    Opcodes are lowercased, operands kept verbatim. Blocks unreachable from
+    the entry are dropped (with a warning); an entry or edge referencing a
+    missing block is an error.
+    """
+    try:
+        name = str(record["name"])
+        raw_blocks = record["blocks"]
+        raw_edges = record["edges"]
+        entry = int(record["entry"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedGraph(f"bad record: {exc}") from exc
+    if not raw_blocks:
+        raise MalformedGraph(f"{name!r}: no basic blocks")
+
+    blocks: dict[int, BasicBlock] = {}
+    for raw in raw_blocks:
+        block_id = int(raw["id"])
+        if block_id in blocks:
+            raise MalformedGraph(f"{name!r}: duplicate block id {block_id}")
+        insns = tuple(
+            Instruction(
+                address=int(ins["addr"]),
+                opcode=str(ins["op"]).lower(),
+                operands=tuple(str(a) for a in ins.get("args", ())),
+            )
+            for ins in raw["insns"]
+        )
+        if not insns:
+            raise MalformedGraph(f"{name!r}: block {block_id} is empty")
+        blocks[block_id] = BasicBlock(id=block_id, instructions=insns)
+
+    if entry not in blocks:
+        raise MalformedGraph(f"{name!r}: entry {entry} is not a block")
+    edge_set: set[tuple[int, int]] = set()
+    for raw_edge in raw_edges:
+        src, dst = int(raw_edge[0]), int(raw_edge[1])
+        if src not in blocks or dst not in blocks:
+            raise MalformedGraph(f"{name!r}: dangling edge ({src}, {dst})")
+        edge_set.add((src, dst))
+
+    keep = _reachable(set(blocks), edge_set, entry)
+    dropped = len(blocks) - len(keep)
+    if dropped:
+        logger.warning("%s: dropped %d unreachable block(s)", name, dropped)
+    nodes = tuple(blocks[i] for i in sorted(keep))
+    edges = tuple(sorted(e for e in edge_set if e[0] in keep and e[1] in keep))
+    graph = AttributedCFG(function_name=name, nodes=nodes, edges=edges, entry=entry)
+    graph.validate()
+    return graph
+
+
+def generate_negative_pairs(
+    index: BridgeIndex,
+    pattern: Pattern,
+    count: int,
+    seed: int | Sequence[int],
+    graphs: GraphStore,
+) -> list[FunctionPair]:
+    """Sample negatives: query from a bridge, target embedding other bridges.
+
+    Targets are drawn from the corpus-wide pool of cross-inlining binaries
+    minus the ones on the query bridge's own list. The pattern argument only
+    tags the produced pairs (negatives accompany a per-pattern training run).
+    """
+    universe: set[tuple[str, str]] = set()
+    for entry in index.entries.values():
+        for ref, _ in entry.cross_inlining:
+            universe.add((ref.binary_id, ref.name))
+    ref_by_key = {
+        (ref.binary_id, ref.name): ref
+        for entry in index.entries.values()
+        for ref, _ in entry.cross_inlining
+    }
+    eligible: list[tuple[str, tuple, list]] = []
+    for bridge, entry in sorted(index.entries.items()):
+        if not entry.equal:
+            continue
+        own = {(ref.binary_id, ref.name) for ref, _ in entry.cross_inlining}
+        complement = sorted(universe - own)
+        if complement:
+            eligible.append((bridge, entry.equal, complement))
+    if not eligible:
+        raise Exhausted("no bridge has out-of-bridge targets for negatives")
+    rng = np.random.default_rng(seed)
+    pairs: list[FunctionPair] = []
+    for _ in range(count):
+        _, equal_pool, complement = eligible[rng.integers(len(eligible))]
+        query = equal_pool[rng.integers(len(equal_pool))]
+        target = ref_by_key[complement[rng.integers(len(complement))]]
+        query_ref = (DATASET_NOINLINE, query.binary_id, query.name)
+        target_ref = (DATASET_INLINE, target.binary_id, target.name)
+        pairs.append(
+            FunctionPair(
+                query=_lookup(graphs, query_ref),
+                target=_lookup(graphs, target_ref),
+                label=-1,
+                pattern=pattern,
+                query_ref=query_ref,
+                target_ref=target_ref,
+            )
+        )
+    return pairs

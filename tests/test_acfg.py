@@ -7,12 +7,10 @@ import pytest
 from cidetect.acfg import (
     AttributedCFG,
     BasicBlock,
-    Instruction,
     acfg_to_record,
     build_acfg,
     build_vocabulary,
     featurize_graph,
-    featurize_node,
     iter_function_records,
     strip_name,
     vocabulary_from_json,
@@ -21,18 +19,24 @@ from cidetect.acfg import (
 )
 from cidetect.errors import EmptyCorpus, MalformedGraph
 
+from cidetect.synth import SynthConfig, generate_corpus, write_corpus
+
+import oracles
 from helpers import DIAMOND_OPCODE_COUNTS, OPCODE_POOL, diamond, make_graph, random_acfg, tiny_vocab
 
 
-def test_block_opcodes_order():
-    block = BasicBlock(
-        id=0,
-        instructions=(
-            Instruction(0x10, "push"),
-            Instruction(0x14, "mov"),
-            Instruction(0x18, "ret"),
-        ),
+def _block(block_id, *insns):
+    """A block from (address, opcode) pairs, without operands."""
+    return BasicBlock(
+        id=block_id,
+        opcodes=tuple(op for _, op in insns),
+        addresses=tuple(addr for addr, _ in insns),
+        operands=((),) * len(insns),
     )
+
+
+def test_block_opcodes_order():
+    block = _block(0, (0x10, "push"), (0x14, "mov"), (0x18, "ret"))
     assert block.opcodes == ("push", "mov", "ret")
 
 
@@ -40,8 +44,8 @@ def test_opcode_counts_against_counter_oracle():
     graph = diamond()
     oracle = Counter()
     for block in graph.nodes:
-        for ins in block.instructions:
-            oracle[ins.opcode] += 1
+        for opcode in block.opcodes:
+            oracle[opcode] += 1
     assert graph.opcode_counts() == oracle
     assert dict(oracle) == DIAMOND_OPCODE_COUNTS
 
@@ -67,41 +71,24 @@ def test_validate_rejects_structural_defects():
     _validate_raises(unsorted_nodes, "not sorted")
     bad_entry = AttributedCFG("g", (ok.nodes[0],), (), 9)
     _validate_raises(bad_entry, "entry 9")
-    empty_block = AttributedCFG("g", (BasicBlock(id=0, instructions=()),), (), 0)
+    empty_block = AttributedCFG("g", (_block(0),), (), 0)
     _validate_raises(empty_block, "is empty")
-    empty_opcode = AttributedCFG(
-        "g", (BasicBlock(0, (Instruction(0, ""),)),), (), 0
-    )
+    empty_opcode = AttributedCFG("g", (_block(0, (0, "")),), (), 0)
     _validate_raises(empty_opcode, "empty opcode")
-    backwards = AttributedCFG(
-        "g",
-        (BasicBlock(0, (Instruction(8, "mov"), Instruction(4, "mov"))),),
-        (),
-        0,
+    ragged = AttributedCFG(
+        "g", (BasicBlock(0, ("mov", "add"), (0, 4), ((),)),), (), 0
     )
+    _validate_raises(ragged, "unequal length")
+    backwards = AttributedCFG("g", (_block(0, (8, "mov"), (4, "mov")),), (), 0)
     _validate_raises(backwards, "strictly increasing")
     duplicate_addr = AttributedCFG(
-        "g",
-        (
-            BasicBlock(0, (Instruction(4, "mov"),)),
-            BasicBlock(1, (Instruction(4, "add"),)),
-        ),
-        ((0, 1),),
-        0,
+        "g", (_block(0, (4, "mov")), _block(1, (4, "add"))), ((0, 1),), 0
     )
     _validate_raises(duplicate_addr, "duplicate address")
-    dangling = AttributedCFG(
-        "g", (BasicBlock(0, (Instruction(4, "mov"),)),), ((0, 7),), 0
-    )
+    dangling = AttributedCFG("g", (_block(0, (4, "mov")),), ((0, 7),), 0)
     _validate_raises(dangling, "dangling edge")
     unreachable = AttributedCFG(
-        "g",
-        (
-            BasicBlock(0, (Instruction(4, "mov"),)),
-            BasicBlock(1, (Instruction(8, "add"),)),
-        ),
-        (),
-        0,
+        "g", (_block(0, (4, "mov")), _block(1, (8, "add"))), (), 0
     )
     _validate_raises(unreachable, "unreachable")
 
@@ -195,33 +182,20 @@ def test_build_vocabulary_empty_corpus():
         build_vocabulary([], max_size=16)
 
 
-def test_featurize_node_worked_example():
+def test_featurize_graph_one_block_worked_example():
     """Six instructions over four keys: raw counts land per key slot and the
     trailing slot stays zero when nothing is unknown."""
-    block = BasicBlock(
-        id=0,
-        instructions=tuple(
-            Instruction(4 * i, op)
-            for i, op in enumerate(["push", "push", "push", "mov", "test", "je"])
-        ),
-    )
+    graph = make_graph("g", [(0, ["push", "push", "push", "mov", "test", "je"])], [])
     vocab = tiny_vocab(["push", "mov", "test", "je"])
-    vec = featurize_node(block, vocab)
-    assert vec.tolist() == [3, 1, 1, 1, 0]
-    assert vec.dtype == np.int64
+    mat = featurize_graph(graph, vocab)
+    assert mat.tolist() == [[3, 1, 1, 1, 0]]
+    assert mat.dtype == np.float64
 
 
-def test_featurize_node_counts_unknown():
-    block = BasicBlock(
-        id=0,
-        instructions=(
-            Instruction(0, "mov"),
-            Instruction(4, "frobnicate"),
-            Instruction(8, "warble"),
-        ),
-    )
+def test_featurize_graph_one_block_counts_unknown():
+    graph = make_graph("g", [(0, ["mov", "frobnicate", "warble"])], [])
     vocab = tiny_vocab(["mov", "add"])
-    assert featurize_node(block, vocab).tolist() == [1, 0, 2]
+    assert featurize_graph(graph, vocab).tolist() == [[1, 0, 2]]
 
 
 def test_featurize_graph_rows_match_nodes():
@@ -245,3 +219,121 @@ def test_vocabulary_json_round_trip():
     vocab = tiny_vocab(["mov", "add", "ret"])
     payload = vocabulary_to_json(vocab)
     assert vocabulary_from_json(json.loads(json.dumps(payload))) == vocab
+
+
+# ---------------------------------------------------------------------------
+# Differential check against the one-object-per-instruction parser
+
+CRITERION_06_CONFIG = SynthConfig(
+    n_projects=30, functions_per_project=10, seed=7, mutation_rate=0.05,
+    opcode_alphabet_size=32, preferred_opcodes=4, preferred_weight=0.9,
+    block_count_range=(4, 5), block_size_range=(6, 8),
+    inline_budget=65, call_density=0.9,
+)
+
+
+def _corpus_records(directory):
+    return [
+        record
+        for path in sorted(directory.glob("graphs/*/*.jsonl"))
+        for record in iter_function_records(path)
+    ]
+
+
+def _edge_records():
+    unreachable = _diamond_record()
+    unreachable["blocks"].append(
+        {"id": 5, "insns": [{"addr": 0x2000, "op": "NOP", "args": []}]}
+    )
+    unreachable["edges"].append([5, 2])
+    shuffled = _diamond_record()
+    shuffled["blocks"].reverse()
+    no_args = _diamond_record()
+    for block in no_args["blocks"]:
+        for ins in block["insns"]:
+            del ins["args"]
+    return [_diamond_record(), unreachable, shuffled, no_args]
+
+
+def _oracle_view(graph):
+    return (
+        graph.function_name,
+        graph.entry,
+        graph.edges,
+        [
+            (
+                block.id,
+                tuple(ins.opcode for ins in block.instructions),
+                tuple(ins.address for ins in block.instructions),
+                tuple(ins.operands for ins in block.instructions),
+            )
+            for block in graph.nodes
+        ],
+    )
+
+
+def _view(graph):
+    return (
+        graph.function_name,
+        graph.entry,
+        graph.edges,
+        [
+            (block.id, block.opcodes, block.addresses, block.operands)
+            for block in graph.nodes
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "config",
+    [CRITERION_06_CONFIG, SynthConfig(n_projects=12, call_density=2.0, seed=7)],
+    ids=["criterion-06", "call-density-2"],
+)
+def test_build_acfg_matches_reference_parser(tmp_path, config):
+    write_corpus(generate_corpus(config), tmp_path)
+    records = _corpus_records(tmp_path) + _edge_records()
+    assert len(records) > 4
+    for record in records:
+        assert _view(build_acfg(record)) == _oracle_view(oracles.build_acfg(record))
+
+
+def test_build_acfg_rejects_what_the_reference_parser_rejects():
+    def mutated(edit):
+        record = _diamond_record()
+        edit(record)
+        return record
+
+    bad = [
+        mutated(lambda r: r["blocks"].append(r["blocks"][0])),  # duplicate id
+        mutated(lambda r: r.update(entry=9)),
+        mutated(lambda r: r["edges"].append([0, 9])),
+        mutated(lambda r: r.update(blocks=[])),
+        mutated(lambda r: r["blocks"][1].update(insns=[])),
+        mutated(lambda r: r["blocks"][1]["insns"][0].update(op="")),
+        mutated(lambda r: r["blocks"][2]["insns"][0].update(addr=0x1000)),
+    ]
+    for record in bad:
+        with pytest.raises(MalformedGraph):
+            oracles.build_acfg(record)
+        with pytest.raises(MalformedGraph):
+            build_acfg(record)
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda r: r["blocks"][0].pop("id"), "lacks 'id'"),
+        (lambda r: r.update(edges=[[0]]), "edges must be"),
+        (lambda r: r["blocks"][0].update(id="0"), "must be integers"),
+        (lambda r: r["blocks"][1]["insns"][0].update(addr=True), "must be integers"),
+        (lambda r: r["blocks"][1]["insns"][0].update(op=7), "opcodes must be strings"),
+        (lambda r: r["blocks"][1]["insns"][0].update(args="rax"), "args must be"),
+        (lambda r: r.update(name=None), "name must be a string"),
+        (lambda r: r.pop("edges"), "missing key 'edges'"),
+    ],
+)
+def test_build_acfg_rejects_bad_shapes(edit, match):
+    record = _diamond_record()
+    edit(record)
+    with pytest.raises(MalformedGraph, match=match):
+        build_acfg(record)

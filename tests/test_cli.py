@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from cidetect import detector, evaluation, pairgen, synth
-from cidetect.cli import main
+from cidetect.cli import build_index_from_corpus, main
 
 _SYNTH_ARGS = [
     "--seed", "3", "--projects", "4", "--functions", "8",
@@ -286,6 +286,64 @@ def test_unknown_project_filter_fails(pipeline, tmp_path):
         "--projects", "p999", "--out", str(tmp_path / "p.jsonl"),
     ])
     assert rc == 2
+
+
+def _drop_block_id(record):
+    del record["blocks"][0]["id"]
+    return json.dumps(record)
+
+
+def _one_element_edge(record):
+    record["edges"].append([0])
+    return json.dumps(record)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_drop_block_id, _one_element_edge, lambda record: "{not json"],
+    ids=["block-without-id", "one-element-edge", "not-json"],
+)
+def test_detect_malformed_record_names_file_and_line(
+    pipeline, tmp_path, caplog, corrupt
+):
+    """A bad second record fails detect with exit 2 and a message naming
+    path:line, not a traceback."""
+    corpus, bundle = pipeline["corpus"], pipeline["bundle"]
+    source = corpus / "graphs" / "noinline" / "p000-noinline.jsonl"
+    good, second = source.read_text().splitlines()[:2]
+    query = tmp_path / "query.jsonl"
+    query.write_text(good + "\n\n" + corrupt(json.loads(second)) + "\n")
+    with caplog.at_level("ERROR", logger="cidetect.cli"):
+        rc = main([
+            "detect", "--bundle", str(bundle),
+            "--query", str(query), "--query-name", json.loads(good)["name"],
+            "--target", str(source), "--target-name", "p000_f00",
+        ])
+    assert rc == 2
+    assert any(f"{query}:3:" in rec.getMessage() for rec in caplog.records)
+
+
+def test_label_logs_unresolved_rows_as_counts(tmp_path, caplog):
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus)] + _SYNTH_ARGS) == 0
+    table = corpus / "tables" / "addr2line.tsv"
+    rows = table.read_text().splitlines()
+    bid, addr, file, _ = next(r for r in rows if r.startswith("p000-noinline")).split("\t")
+    bad = [f"{bid}\t0x{0xF00000 + 4 * i:x}\t{file}\t1" for i in range(5)]
+    bad += [f"{bid}\t{addr}\t{file}\t{90000 + i}" for i in range(4)]
+    table.write_text("\n".join(rows + bad) + "\n")
+    with caplog.at_level("WARNING", logger="cidetect.cli"):
+        build_index_from_corpus(corpus)
+    warnings = [rec.getMessage() for rec in caplog.records if rec.levelname == "WARNING"]
+    assert len(warnings) == 2
+    by_count = {msg.split(":")[1].split()[0]: msg for msg in warnings}
+    assert set(by_count) == {"5", "4"}
+    assert all(msg.startswith("noinline: ") for msg in warnings)
+    assert "no binary function" in by_count["5"]
+    assert "0xf00000, " in by_count["5"] and "0xf00008" in by_count["5"]
+    assert "0xf0000c" not in by_count["5"]
+    assert "no source function" in by_count["4"]
+    assert f"{file}:90002" in by_count["4"] and f"{file}:90003" not in by_count["4"]
 
 
 def test_module_entry_point():

@@ -20,6 +20,9 @@ from cidetect.pairgen import (
     write_pairs,
 )
 
+from cidetect.synth import SynthConfig, generate_corpus
+
+import oracles
 from helpers import OPCODE_POOL, random_acfg
 
 
@@ -181,3 +184,32 @@ def test_pairs_jsonl_round_trip(tmp_path):
     assert [(p.query_ref, p.target_ref, p.label, p.pattern, p.bridge) for p in rebuilt] == [
         (p.query_ref, p.target_ref, p.label, p.pattern, p.bridge) for p in pairs
     ]
+
+
+def _pair_view(pairs):
+    return [
+        (p.query_ref, p.target_ref, p.label, p.pattern, p.bridge, p.query, p.target)
+        for p in pairs
+    ]
+
+
+def test_negative_pairs_match_reference_sampler():
+    """Same draws as the sampler that sorted a complement per bridge: several
+    seeds, every pattern, the whole index and a filtered one."""
+    corpus = generate_corpus(SynthConfig(n_projects=8, call_density=2.0, seed=4))
+    index = corpus.ground_truth
+    half = sorted(index.entries)[::2]
+    fixture_index, fixture_graphs = _fixture()
+    cases = [
+        (index, corpus.graphs),
+        (filter_index(index, half), corpus.graphs),
+        (fixture_index, fixture_graphs),
+    ]
+    for case_index, graphs in cases:
+        for pattern in (Pattern.LEAF, Pattern.ROOT, Pattern.INTERNAL):
+            for seed in (0, 1, [7, 2, 104], [3, 2, 1]):
+                got = generate_negative_pairs(case_index, pattern, 60, seed, graphs)
+                want = oracles.generate_negative_pairs(
+                    case_index, pattern, 60, seed, graphs
+                )
+                assert _pair_view(got) == _pair_view(want)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cidetect.acfg import AttributedCFG, BasicBlock, Instruction
+from cidetect.acfg import AttributedCFG
 from cidetect.errors import MalformedGraph, PatternStarvation, SiteNotFound
 from cidetect.labeling import Pattern
 from cidetect.synth import (
@@ -23,7 +23,7 @@ from cidetect.synth import (
     write_corpus,
 )
 
-from helpers import OPCODE_POOL, call_pair
+from helpers import OPCODE_POOL, call_pair, make_block
 
 
 def test_synth_config_validation():
@@ -104,14 +104,13 @@ def test_world_call_site_discipline():
         assert len(set(sites.values())) == len(sites)
         for callee, block_id in sites.items():
             block = info.graph.block(block_id)
-            last = block.instructions[-1]
-            assert last.opcode == CALL_OPCODE
-            assert last.operands == (callee,)
-            assert len(block.instructions) >= 2
+            assert block.opcodes[-1] == CALL_OPCODE
+            assert block.operands[-1] == (callee,)
+            assert len(block.opcodes) >= 2
             saw_call = True
         site_blocks = set(sites.values())
         for block in info.graph.nodes:
-            calls = [i for i in block.instructions if i.opcode == CALL_OPCODE]
+            calls = [op for op in block.opcodes if op == CALL_OPCODE]
             if block.id in site_blocks:
                 assert len(calls) == 1
             else:
@@ -126,7 +125,7 @@ def test_world_provenance_tags_instructions():
         lines = []
         for block in info.graph.nodes:
             tags = info.provenance[block.id]
-            assert len(tags) == len(block.instructions)
+            assert len(tags) == len(block.opcodes)
             for src, line in tags:
                 assert src == info.name
                 lines.append(line)
@@ -140,12 +139,15 @@ def _graph(name, blocks, edges):
     nodes = []
     cursor = 0
     for block_id, ops in sorted(blocks.items()):
-        insns = tuple(
-            Instruction(address=4 * (cursor + i), opcode=op, operands=args)
-            for i, (op, args) in enumerate(ops)
+        nodes.append(
+            make_block(
+                block_id,
+                [op for op, _ in ops],
+                4 * cursor,
+                [args for _, args in ops],
+            )
         )
-        cursor += len(insns)
-        nodes.append(BasicBlock(id=block_id, instructions=insns))
+        cursor += len(ops)
     graph = AttributedCFG(
         function_name=name,
         nodes=tuple(nodes),
@@ -161,7 +163,7 @@ def _count_prov(graph):
     prov = {}
     for block in graph.nodes:
         tags = []
-        for _ in block.instructions:
+        for _ in block.opcodes:
             tags.append((graph.function_name, line))
             line += 1
         prov[block.id] = tuple(tags)
@@ -186,7 +188,7 @@ def test_inline_transform_hand_oracle():
     assert [b.opcodes for b in spliced.nodes] == [("mov",), ("add",), ("push",), ("pop",)]
     # call edge rerouted through the spliced body, exits inherit successors
     assert spliced.edges == ((0, 2), (2, 3), (3, 1))
-    flat = [i.address for b in spliced.nodes for i in b.instructions]
+    flat = [addr for b in spliced.nodes for addr in b.addresses]
     assert flat == [0, 4, 8, 12]
     assert prov == {
         0: caller_prov[0][:-1],
@@ -285,7 +287,7 @@ def _chain_world(**overrides):
         start = cursor
         for block in graph.nodes:
             tags = []
-            for _ in block.instructions:
+            for _ in block.opcodes:
                 tags.append((graph.function_name, cursor))
                 cursor += 1
             prov[block.id] = tuple(tags)
@@ -332,9 +334,7 @@ def test_policy_inlines_transitively():
     # the spliced bravo body carries charlie along into alpha
     assert alpha.instruction_count == 3 + 6 - 1
     assert _mapped(alpha_prov) == {"alpha", "bravo", "charlie"}
-    assert not any(
-        i.opcode == CALL_OPCODE for b in alpha.nodes for i in b.instructions
-    )
+    assert not any(op == CALL_OPCODE for b in alpha.nodes for op in b.opcodes)
 
 
 def test_policy_budget_gates_large_callees():
@@ -357,14 +357,14 @@ def test_policy_mutation_perturbs_opcodes_only():
         assert graph.edges == info.graph.edges
         for block, original in zip(graph.nodes, info.graph.nodes):
             assert block.id == original.id
-            assert len(block.instructions) == len(original.instructions)
-            for ins, orig in zip(block.instructions, original.instructions):
-                assert ins.address == orig.address
-                assert ins.operands == orig.operands
-                if orig.opcode == CALL_OPCODE:
-                    assert ins.opcode == CALL_OPCODE
+            assert len(block.opcodes) == len(original.opcodes)
+            assert block.addresses == original.addresses
+            assert block.operands == original.operands
+            for opcode, orig in zip(block.opcodes, original.opcodes):
+                if orig == CALL_OPCODE:
+                    assert opcode == CALL_OPCODE
                 else:
-                    assert ins.opcode in alphabet
+                    assert opcode in alphabet
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +390,8 @@ def test_generate_corpus_tables_consistent():
         assert dataset in ("noinline", "inline")
         total_insns += graph.instruction_count
         for block in graph.nodes:
-            for ins in block.instructions:
-                assert start <= ins.address < end
+            for addr in block.addresses:
+                assert start <= addr < end
     assert len(corpus.addr2line) == total_insns
     assert len(corpus.srcfuncs) == 3 * 6
 
