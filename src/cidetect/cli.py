@@ -234,6 +234,8 @@ def cmd_label(args: argparse.Namespace) -> int:
     print(
         f"wrote {opts['out']}: {len(index.entries)} bridges, "
         + ", ".join(f"{p.value}={dist[p]}" for p in labeling.Pattern)
+        + f", excluded_no_inline={index.excluded_no_inline}"
+        + f", isolated_bridges={index.isolated_bridges}"
     )
     return 0
 
@@ -393,7 +395,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     pattern = opts["pattern"]
     seed = opts["seed"]
     out_dir: Path = opts["out"]
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def source(epoch: int) -> list[pairgen.FunctionPair]:
         return _sample_pairs(
@@ -419,42 +420,24 @@ def cmd_train(args: argparse.Namespace) -> int:
         len(split.train), len(split.validation), len(split.test),
     )
     params, history = gnn.train_model(
-        source, val_pairs, vocab, config, opts["epochs"], opts["epoch_size"]
+        source, val_pairs, vocab, config, opts["epochs"]
     )
     for row in history:
         logger.info(
             "epoch %d: loss %.6f, val auc %.4f",
             row["epoch"], row["train_loss"], row["val_auc"],
         )
-    gnn.save_checkpoint(out_dir / f"model-{pattern}.ckpt", params, config)
+    detector.save_models(out_dir, {pattern: params}, vocab, config)
     (out_dir / f"history-{pattern}.json").write_text(
         json.dumps(history, sort_keys=True, indent=1) + "\n", encoding="utf-8"
     )
-    (out_dir / "vocab.json").write_text(
-        json.dumps(acfg.vocabulary_to_json(vocab), sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"wrote {out_dir / f'model-{pattern}.ckpt'}")
+    print(f"wrote the {pattern} model to {out_dir}")
 
-    if pattern == "mixed":
-        models = {"mixed": params}
-    else:
-        paths = {
-            key: out_dir / f"model-{key}.ckpt" for key in detector.PATTERN_KEYS
-        }
-        if not all(path.is_file() for path in paths.values()):
-            missing = [k for k, p in paths.items() if not p.is_file()]
-            print(f"bundle incomplete, still missing: {', '.join(missing)}")
-            return 0
-        models = {}
-        for key, path in paths.items():
-            loaded_params, loaded_config = gnn.load_checkpoint(path)
-            if loaded_config != config:
-                raise ValidationError(
-                    f"{path} was trained with a different model config"
-                )
-            models[key] = loaded_params
-
+    keys = [detector.MIXED_KEY] if pattern == "mixed" else detector.PATTERN_KEYS
+    missing = detector.missing_models(out_dir, keys)
+    if missing:
+        print(f"bundle incomplete, still missing: {', '.join(missing)}")
+        return 0
     # thresholds are picked on a mixed-pattern pool either way
     thresh_pairs = _sample_pairs(
         train_index,
@@ -464,23 +447,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         3 * opts["thresh_pairs"],
         [seed, _SEED_THRESH],
     )
-    # provisional threshold, replaced by the selected one below
-    det = detector.EnsembleDetector(
-        models=models, vocab=vocab, config=config, threshold=1.0
-    )
-    scored = list(
-        zip(detector.score_pairs(det, thresh_pairs), (p.label for p in thresh_pairs))
-    )
-    threshold = detector.select_threshold(scored, detector.GRIDS[opts["grid"]]())
-    det = detector.EnsembleDetector(
-        models=models, vocab=vocab, config=config, threshold=threshold
-    )
-    detector.save_bundle(
-        det,
-        out_dir,
-        provenance={"corpus": str(opts["corpus"]), "seed": str(seed)},
-    )
-    print(f"finalized bundle at {out_dir} (threshold {threshold})")
+    grid = detector.GRIDS[opts["grid"]]()
+    provenance = {"corpus": str(opts["corpus"]), "seed": str(seed)}
+    det = detector.finalize_bundle(out_dir, keys, thresh_pairs, grid, provenance)
+    print(f"finalized bundle at {out_dir} (threshold {det.threshold})")
     return 0
 
 

@@ -12,6 +12,9 @@ model, and takes all pair distances of a model in one vectorised step.
 detect is the same path for a single pair. An eval scores its pair file
 once with score_pairs and builds every report from those scores
 (evaluation.reports_from_scores).
+
+save_models writes a bundle's model-<key>.ckpt files and vocab.json;
+finalize_bundle adds its manifest.json once every model is there.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -32,8 +35,8 @@ from .acfg import (
     vocabulary_from_json,
     vocabulary_to_json,
 )
-from .errors import DegenerateLabels, NegativeDistance
-from .evaluation import Scored, confusion, precision_recall_f1
+from .errors import CorruptArtifact, DegenerateLabels, NegativeDistance, ValidationError
+from .evaluation import Scored, threshold_sweep
 from .gnn import (
     ModelConfig,
     ModelParams,
@@ -199,20 +202,10 @@ GRIDS = {"paper": paper_grid, "extended": extended_grid}
 
 def select_threshold(scored: Sequence[Scored], grid: Sequence[float]) -> float:
     """Grid threshold with the best F1; ties resolve to the smallest one."""
-    if not grid:
-        raise ValueError("empty threshold grid")
     labels = {label for _, label in scored}
     if 1 not in labels or -1 not in labels:
         raise DegenerateLabels("threshold selection needs both labels")
-    best_threshold = None
-    best_f1 = -1.0
-    for threshold in sorted(grid):
-        tp, fp, tn, fn = confusion(scored, threshold)
-        _, _, f1 = precision_recall_f1(tp, fp, tn, fn)
-        if f1 > best_f1:
-            best_f1 = f1
-            best_threshold = threshold
-    return float(best_threshold)
+    return float(threshold_sweep(scored, grid).best.threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -226,27 +219,40 @@ def config_hash(config: ModelConfig) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def save_bundle(
-    detector: EnsembleDetector,
+def _model_file(key: str) -> str:
+    return f"model-{key}.ckpt"
+
+
+def save_models(
     directory: Path | str,
-    provenance: Mapping[str, str] | None = None,
+    models: Mapping[str, ModelParams],
+    vocab: OpcodeVocabulary,
+    config: ModelConfig,
 ) -> None:
+    """Write a checkpoint per model and vocab.json, but no manifest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    model_files = {}
-    for key in sorted(detector.models):
-        filename = f"model-{key}.ckpt"
-        save_checkpoint(directory / filename, detector.models[key], detector.config)
-        model_files[key] = filename
+    for key in sorted(models):
+        save_checkpoint(directory / _model_file(key), models[key], config)
     (directory / "vocab.json").write_text(
-        json.dumps(vocabulary_to_json(detector.vocab), sort_keys=True) + "\n",
+        json.dumps(vocabulary_to_json(vocab), sort_keys=True) + "\n",
         encoding="utf-8",
     )
+
+
+def missing_models(directory: Path | str, keys: Sequence[str]) -> list[str]:
+    """The keys, in order, whose checkpoint is not in the directory yet."""
+    return [key for key in keys if not (Path(directory) / _model_file(key)).is_file()]
+
+
+def _write_manifest(
+    detector: EnsembleDetector, directory: Path, provenance: Mapping[str, str] | None
+) -> None:
     manifest = {
         "format_version": _BUNDLE_VERSION,
         "mode": detector.mode,
         "threshold": detector.threshold,
-        "models": model_files,
+        "models": {key: _model_file(key) for key in sorted(detector.models)},
         "config": config_to_json(detector.config),
         "config_sha256": config_hash(detector.config),
         "provenance": dict(provenance or {}),
@@ -256,34 +262,62 @@ def save_bundle(
     )
 
 
-def load_bundle(directory: Path | str) -> EnsembleDetector:
+def save_bundle(
+    detector: EnsembleDetector,
+    directory: Path | str,
+    provenance: Mapping[str, str] | None = None,
+) -> None:
+    save_models(directory, detector.models, detector.vocab, detector.config)
+    _write_manifest(detector, Path(directory), provenance)
+
+
+def finalize_bundle(
+    directory: Path | str,
+    keys: Sequence[str],
+    threshold_pairs: Sequence[FunctionPair],
+    grid: Sequence[float],
+    provenance: Mapping[str, str] | None = None,
+) -> EnsembleDetector:
+    """Pick the threshold for the saved models of the keys on the pairs and
+    write the manifest; the checkpoints and vocab.json stay as they are."""
     directory = Path(directory)
-    manifest = json.loads(
-        (directory / "manifest.json").read_text(encoding="utf-8")
-    )
-    if manifest["format_version"] != _BUNDLE_VERSION:
-        raise ValueError(
-            f"unsupported bundle version {manifest['format_version']}"
-        )
+    det = _load_detector(directory, {k: _model_file(k) for k in keys}, threshold=1.0)
+    labels = [pair.label for pair in threshold_pairs]
+    scored = list(zip(score_pairs(det, threshold_pairs), labels))
+    det = replace(det, threshold=select_threshold(scored, grid))
+    _write_manifest(det, directory, provenance)
+    return det
+
+
+def _load_detector(
+    directory: Path, model_files: Mapping[str, str], threshold: float
+) -> EnsembleDetector:
+    """Checkpoints by key and vocab.json; every config must agree."""
     vocab = vocabulary_from_json(
         json.loads((directory / "vocab.json").read_text(encoding="utf-8"))
     )
     models: dict[str, ModelParams] = {}
     config = None
-    for key, filename in manifest["models"].items():
-        params, ckpt_config = load_checkpoint(directory / filename)
-        if config is None:
-            config = ckpt_config
-        elif ckpt_config != config:
-            raise ValueError(f"checkpoint {filename} disagrees on model config")
-        models[key] = params
-    if config is None:
-        raise ValueError("bundle has no models")
-    if config_hash(config) != manifest["config_sha256"]:
-        raise ValueError("bundle manifest config hash mismatch")
-    return EnsembleDetector(
-        models=models,
-        vocab=vocab,
-        config=config,
-        threshold=float(manifest["threshold"]),
-    )
+    for key, filename in model_files.items():
+        models[key], ckpt_config = load_checkpoint(directory / filename)
+        if config not in (None, ckpt_config):
+            raise ValidationError(f"{directory / filename} disagrees on model config")
+        config = ckpt_config
+    return EnsembleDetector(models, vocab, config, threshold)
+
+
+def load_bundle(directory: Path | str) -> EnsembleDetector:
+    path = Path(directory) / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    fields = manifest if isinstance(manifest, dict) else {}
+    missing = {"format_version", "models", "config_sha256", "threshold"} - set(fields)
+    if missing:
+        raise CorruptArtifact(f"{path} lacks {', '.join(sorted(missing))}")
+    if manifest["format_version"] != _BUNDLE_VERSION:
+        raise ValueError(
+            f"{path}: unsupported bundle version {manifest['format_version']}"
+        )
+    det = _load_detector(path.parent, manifest["models"], float(manifest["threshold"]))
+    if config_hash(det.config) != manifest["config_sha256"]:
+        raise ValueError(f"{path}: config hash mismatch")
+    return det

@@ -67,6 +67,10 @@ class PatternStarvation(ValidationError):
     """Generator config permits all patterns but some never occurred."""
 
 
+class CorruptArtifact(ValidationError):
+    """A checkpoint or bundle manifest is truncated, padded or lacks a field."""
+
+
 class NonFiniteGradient(NumericError):
     """A gradient became NaN or infinite; the step was aborted."""
 

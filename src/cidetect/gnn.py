@@ -26,6 +26,7 @@ per graph and keeps no backward tape.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -35,6 +36,7 @@ import numpy as np
 
 from .acfg import AttributedCFG, OpcodeVocabulary, featurize_graph
 from .errors import (
+    CorruptArtifact,
     Diverged,
     GraphTooLarge,
     InvalidLabel,
@@ -49,7 +51,6 @@ ModelParams = dict[str, np.ndarray]
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
-_SHUFFLE_TAG = 104729
 
 
 @dataclass(frozen=True)
@@ -603,21 +604,20 @@ PairSource = Callable[[int], Sequence[FunctionPair]]
 
 
 def train_model(
-    train_source: PairSource | Sequence[FunctionPair],
+    train_source: PairSource,
     validation_pairs: Sequence[FunctionPair],
     vocab: OpcodeVocabulary,
     config: ModelConfig,
     epochs: int,
-    epoch_size: int,
 ) -> tuple[ModelParams, list[dict]]:
     """Train and return the parameters of the best validation-AUC epoch.
 
-    train_source is either a callable epoch -> pairs (already sized) or a
-    fixed pool resampled to epoch_size with replacement per epoch. With zero
-    epochs the freshly initialized parameters come back untouched.
+    train_source maps an epoch number to that epoch's pairs; an epoch without
+    pairs is a ValueError. With zero epochs the freshly initialized
+    parameters come back untouched.
     """
-    if epochs < 0 or epoch_size < 1:
-        raise ValueError("epochs must be >= 0 and epoch_size >= 1")
+    if epochs < 0:
+        raise ValueError("epochs must be >= 0")
     state = init_train_state(config)
     history: list[dict] = []
     if epochs == 0:
@@ -629,13 +629,9 @@ def train_model(
     best_auc = -np.inf
     best_params = clone_params(state.params)
     for epoch in range(epochs):
-        if callable(train_source):
-            epoch_pairs = list(train_source(epoch))
-        else:
-            pool = list(train_source)
-            rng = np.random.default_rng([config.seed, _SHUFFLE_TAG, epoch])
-            epoch_pairs = [pool[i] for i in rng.integers(len(pool), size=epoch_size)]
-        prepared = prepare_pairs(epoch_pairs, vocab, config, cache)
+        prepared = prepare_pairs(train_source(epoch), vocab, config, cache)
+        if not prepared:
+            raise ValueError(f"epoch {epoch} has no training pairs")
         loss_sum = 0.0
         try:
             for start in range(0, len(prepared), config.batch_size):
@@ -689,8 +685,8 @@ _CKPT_VERSION = 1
 def save_checkpoint(
     path: Path | str, params: ModelParams, config: ModelConfig
 ) -> None:
-    """Versioned container: JSON header, then raw little-endian float64
-    tensors in sorted name order. A text manifest sits alongside for diffing.
+    """Versioned container: JSON header (config, each tensor's name and
+    shape), then raw little-endian float64 tensors in sorted name order.
     """
     path = Path(path)
     names = sorted(params)
@@ -708,29 +704,28 @@ def save_checkpoint(
             handle.write(
                 np.ascontiguousarray(params[name], dtype="<f8").tobytes()
             )
-    manifest = Path(str(path) + ".manifest.txt")
-    lines = [
-        f"{n} {'x'.join(str(s) for s in params[n].shape)}" for n in names
-    ]
-    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_checkpoint(path: Path | str) -> tuple[ModelParams, ModelConfig]:
+    """A file cut short or with trailing bytes raises CorruptArtifact."""
     raw = Path(path).read_bytes()
     if raw[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
-    offset = len(_CKPT_MAGIC)
-    (header_len,) = struct.unpack_from("<Q", raw, offset)
-    offset += 8
+    offset = len(_CKPT_MAGIC) + 8
+    header_len = int.from_bytes(raw[len(_CKPT_MAGIC) : offset], "little")
+    if len(raw) < offset + header_len:
+        raise CorruptArtifact(f"truncated checkpoint {path}: header cut short")
     header = json.loads(raw[offset : offset + header_len].decode("utf-8"))
     if header["format_version"] != _CKPT_VERSION:
         raise ValueError(f"unsupported checkpoint version {header['format_version']}")
     offset += header_len
+    counts = [math.prod(entry["shape"]) for entry in header["tensors"]]
+    end = offset + 8 * sum(counts)
+    if end != len(raw):
+        raise CorruptArtifact(f"checkpoint {path}: {len(raw)} bytes, header says {end}")
     params: ModelParams = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for entry, count in zip(header["tensors"], counts):
         tensor = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        params[entry["name"]] = tensor.reshape(shape).astype(np.float64)
+        params[entry["name"]] = tensor.reshape(entry["shape"]).astype(np.float64)
         offset += count * 8
     return params, config_from_json(header["config"])

@@ -93,27 +93,23 @@ def classify_pattern(
         raise ValueError(f"bridge {bridge!r} not in mapped set")
     if len(mapped) == 1:
         return Pattern.EQUAL
-    has_out = False
-    has_in = False
-    for caller, callee in fcg.edges:
-        if caller == bridge and callee in mapped:
-            has_out = True
-        elif callee == bridge and caller in mapped:
-            has_in = True
-    if not has_out:
+    calls, called = _induced_calls(bridge, mapped, fcg)
+    if not calls:
         return Pattern.LEAF
-    if not has_in:
+    if not called:
         return Pattern.ROOT
     return Pattern.INTERNAL
 
 
-def _is_isolated(bridge: str, mapped: frozenset[str], fcg: SourceFCG) -> bool:
-    for caller, callee in fcg.edges:
-        if caller == bridge and callee in mapped:
-            return False
-        if callee == bridge and caller in mapped:
-            return False
-    return True
+def _induced_calls(
+    bridge: str, mapped: frozenset[str] | set[str], fcg: SourceFCG
+) -> tuple[bool, bool]:
+    """Whether the bridge calls, and is called by, another mapped function."""
+    others = mapped - {bridge}
+    return (
+        any((bridge, other) in fcg.edges for other in others),
+        any((other, bridge) in fcg.edges for other in others),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +299,7 @@ def build_bridge_index(
             if bridge not in equal_pools:
                 continue
             pattern = classify_pattern(bridge, mapping.source_functions, fcg)
-            if _is_isolated(bridge, mapping.source_functions, fcg):
+            if not any(_induced_calls(bridge, mapping.source_functions, fcg)):
                 isolated += 1
             cross_pools.setdefault(bridge, []).append((mapping.function, pattern))
     if isolated:

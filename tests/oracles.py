@@ -3,8 +3,10 @@
 `build_acfg` is the one-object-per-instruction parser that the columnar
 `cidetect.acfg.build_acfg` replaced, together with the classes it built.
 `generate_negative_pairs` is the sampler that sorted a complement of the
-cross-inlining universe for every bridge. Both are kept verbatim; the tests
-require the library's versions to produce the same graphs and pairs.
+cross-inlining universe for every bridge. `_is_isolated` is the full scan
+of the call graph's edges that the bridge index made for every (mapping,
+bridge) to count isolated bridges. All are kept verbatim; the tests require
+the library's versions to produce the same graphs, pairs and counts.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from cidetect.errors import Exhausted, MalformedGraph
-from cidetect.labeling import BridgeIndex, Pattern
+from cidetect.labeling import BridgeIndex, Pattern, SourceFCG
 from cidetect.pairgen import (
     DATASET_INLINE,
     DATASET_NOINLINE,
@@ -253,3 +255,12 @@ def generate_negative_pairs(
             )
         )
     return pairs
+
+
+def _is_isolated(bridge: str, mapped: frozenset[str], fcg: SourceFCG) -> bool:
+    for caller, callee in fcg.edges:
+        if caller == bridge and callee in mapped:
+            return False
+        if callee == bridge and caller in mapped:
+            return False
+    return True

@@ -292,13 +292,13 @@ def test_criterion_06_end_to_end_detection():
         params, _ = gnn.train_model(
             _epoch_source(train_index, corpus.graphs, (pattern,), 10 + i, 2000),
             _validation_pairs(val_index, corpus.graphs, (pattern,), 10 + i, 600),
-            vocab, model_config, 30, 4000,
+            vocab, model_config, 30,
         )
         models[pattern.value] = params
     mixed_params, _ = gnn.train_model(
         _epoch_source(train_index, corpus.graphs, _PATS, 20, 2000),
         _validation_pairs(val_index, corpus.graphs, _PATS, 20, 600),
-        vocab, model_config, 30, 4000,
+        vocab, model_config, 30,
     )
 
     ensemble = detector.EnsembleDetector(

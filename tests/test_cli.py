@@ -2,6 +2,8 @@
 subcommand once, then the error paths are poked individually."""
 
 import json
+import shutil
+import struct
 import subprocess
 import sys
 
@@ -344,6 +346,105 @@ def test_label_logs_unresolved_rows_as_counts(tmp_path, caplog):
     assert "0xf0000c" not in by_count["5"]
     assert "no source function" in by_count["4"]
     assert f"{file}:90002" in by_count["4"] and f"{file}:90003" not in by_count["4"]
+
+
+def test_label_summary_prints_diagnostic_counts(pipeline, tmp_path, capsys):
+    """Without call-graph edges every bridge of an inlined target is
+    isolated, so the summary's count is the number of cross-inlining rows."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    (corpus / "tables" / "fcg.tsv").write_text("")
+    out = tmp_path / "index.json"
+    assert main(["label", "--corpus", str(corpus), "--out", str(out)]) == 0
+    summary = capsys.readouterr().out.strip().splitlines()[-1]
+    entries = json.loads(out.read_text())["entries"].values()
+    isolated = sum(len(entry["cross_inlining"]) for entry in entries)
+    assert isolated > 0
+    assert summary.endswith(
+        f"excluded_no_inline=0, isolated_bridges={isolated}"
+    ), summary
+
+
+def _train(pipeline, pattern, bundle, *extra):
+    return main([
+        "train", "--corpus", str(pipeline["corpus"]), "--index", str(pipeline["index"]),
+        "--pattern", pattern, "--out", str(bundle),
+    ] + _TRAIN_ARGS + list(extra))
+
+
+def test_train_rejects_models_with_different_configs(pipeline, tmp_path, caplog):
+    bundle = tmp_path / "bundle"
+    assert _train(pipeline, "leaf", bundle) == 0
+    assert _train(pipeline, "root", bundle, "--node-dim", "5") == 0
+    with caplog.at_level("ERROR", logger="cidetect.cli"):
+        assert _train(pipeline, "internal", bundle) == 2
+    assert any(
+        str(bundle / "model-root.ckpt") in rec.getMessage() for rec in caplog.records
+    )
+    assert not (bundle / "manifest.json").exists()
+
+
+def test_train_epoch_without_pairs_fails(pipeline, tmp_path):
+    assert _train(pipeline, "leaf", tmp_path / "bundle", "--epoch-size", "0") == 2
+
+
+def _header_end(raw):
+    return 16 + struct.unpack("<Q", raw[8:16])[0]
+
+
+def _cut_in_header(bundle):
+    path = bundle / "model-root.ckpt"
+    raw = path.read_bytes()
+    path.write_bytes(raw[: _header_end(raw) - 20])
+    return path
+
+
+def _cut_in_tensors(bundle):
+    path = bundle / "model-root.ckpt"
+    raw = path.read_bytes()
+    path.write_bytes(raw[: _header_end(raw) + 12])
+    return path
+
+
+def _trailing_bytes(bundle):
+    path = bundle / "model-root.ckpt"
+    path.write_bytes(path.read_bytes() + b"\0" * 8)
+    return path
+
+
+def _manifest_without_threshold(bundle):
+    path = bundle / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["threshold"]
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+def _manifest_not_an_object(bundle):
+    path = bundle / "manifest.json"
+    path.write_text("5\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_cut_in_header, _cut_in_tensors, _trailing_bytes, _manifest_without_threshold,
+     _manifest_not_an_object],
+    ids=["checkpoint-cut-in-header", "checkpoint-cut-in-tensors",
+         "checkpoint-trailing-bytes", "manifest-without-threshold",
+         "manifest-not-an-object"],
+)
+def test_eval_corrupt_bundle_names_file(pipeline, tmp_path, caplog, corrupt):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(pipeline["bundle"], bundle)
+    path = corrupt(bundle)
+    with caplog.at_level("ERROR", logger="cidetect.cli"):
+        rc = main([
+            "eval", "--bundle", str(bundle), "--corpus", str(pipeline["corpus"]),
+            "--pairs", str(pipeline["pairs"]), "--out", str(tmp_path / "report"),
+        ])
+    assert rc == 2
+    assert any(str(path) in rec.getMessage() for rec in caplog.records)
 
 
 def test_module_entry_point():

@@ -8,13 +8,16 @@ from cidetect import gnn
 from cidetect.acfg import build_vocabulary
 from cidetect.detector import (
     GRIDS,
+    PATTERN_KEYS,
     EnsembleDetector,
     config_hash,
     detect,
     extended_grid,
+    finalize_bundle,
     load_bundle,
     paper_grid,
     save_bundle,
+    save_models,
     score_pairs,
     select_threshold,
     similarity,
@@ -291,3 +294,21 @@ def test_bundle_missing_checkpoint(tmp_path):
     (tmp_path / "bundle" / "model-root.ckpt").unlink()
     with pytest.raises(FileNotFoundError):
         load_bundle(tmp_path / "bundle")
+
+
+def test_finalize_bundle_writes_only_the_manifest(tmp_path):
+    graphs, det = _tiny_detector(seed=6)
+    bundle = tmp_path / "bundle"
+    save_models(bundle, det.models, det.vocab, det.config)
+    before = {path.name: path.read_bytes() for path in bundle.iterdir()}
+    pairs = _pairs_from(graphs)
+    grid = extended_grid()
+    finalized = finalize_bundle(bundle, PATTERN_KEYS, pairs, grid, {"note": "x"})
+    scored = list(zip(score_pairs(det, pairs), (p.label for p in pairs)))
+    assert finalized.threshold == select_threshold(scored, grid)
+    after = {path.name: path.read_bytes() for path in bundle.iterdir()}
+    assert set(after) == set(before) | {"manifest.json"}
+    assert all(after[name] == data for name, data in before.items())
+    loaded = load_bundle(bundle)
+    assert loaded.threshold == finalized.threshold
+    assert score_pairs(loaded, pairs) == score_pairs(det, pairs)

@@ -22,6 +22,8 @@ from cidetect.labeling import (
     save_index,
 )
 
+import oracles
+
 
 def _ref(bid, name, start=0x1000, end=0x1100):
     return BinaryFunctionRef(binary_id=bid, name=name, addr_start=start, addr_end=end)
@@ -302,6 +304,34 @@ def test_bridge_index_counts_isolated_bridges():
     index = build_bridge_index(no_inline, inline, fcg)
     assert index.isolated_bridges == 1
     assert index.entries["x"].cross_inlining[0][1] is Pattern.LEAF
+
+
+def test_isolated_bridge_count_matches_reference_scan():
+    """Random induced subgraphs in the style of criterion 04: the index's
+    count equals the old full-edge scan summed over (mapping, bridge)."""
+    rng = np.random.default_rng(43)
+    isolated_seen = 0
+    for trial in range(300):
+        n = int(rng.integers(2, 13))
+        names = [f"f{i}" for i in range(n)]
+        edges = [
+            (names[i], names[j])
+            for i in range(n)
+            for j in range(n)
+            if i != j and rng.random() < 0.15
+        ]
+        fcg = build_fcg(edges)
+        no_inline = [Binary2Source(_ref("o0", name), frozenset({name})) for name in names]
+        inline = []
+        expected = 0
+        for t in range(3):
+            k = int(rng.integers(2, n + 1))
+            mapped = frozenset(names[i] for i in rng.choice(n, size=k, replace=False))
+            inline.append(Binary2Source(_ref("o1", f"t{t}"), mapped))
+            expected += sum(oracles._is_isolated(b, mapped, fcg) for b in mapped)
+        assert build_bridge_index(no_inline, inline, fcg).isolated_bridges == expected, trial
+        isolated_seen += expected
+    assert isolated_seen > 0
 
 
 def test_pattern_distribution_counts_by_summation():
