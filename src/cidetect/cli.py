@@ -395,6 +395,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     pattern = opts["pattern"]
     seed = opts["seed"]
     out_dir: Path = opts["out"]
+    detector.check_vocab(out_dir, vocab)  # fail before training, not after
 
     def source(epoch: int) -> list[pairgen.FunctionPair]:
         return _sample_pairs(

@@ -13,8 +13,9 @@ detect is the same path for a single pair. An eval scores its pair file
 once with score_pairs and builds every report from those scores
 (evaluation.reports_from_scores).
 
-save_models writes a bundle's model-<key>.ckpt files and vocab.json;
-finalize_bundle adds its manifest.json once every model is there.
+save_models writes a bundle's model-<key>.ckpt files and vocab.json, and
+refuses a bundle whose vocab.json holds another vocabulary; finalize_bundle
+adds its manifest.json once every model is there.
 """
 
 from __future__ import annotations
@@ -223,21 +224,36 @@ def _model_file(key: str) -> str:
     return f"model-{key}.ckpt"
 
 
+def _vocab_text(vocab: OpcodeVocabulary) -> str:
+    return json.dumps(vocabulary_to_json(vocab), sort_keys=True) + "\n"
+
+
+def check_vocab(directory: Path | str, vocab: OpcodeVocabulary) -> None:
+    """A bundle holds one vocabulary: if the directory's vocab.json differs
+    from vocab, its models were featurized otherwise; ValidationError."""
+    path = Path(directory) / "vocab.json"
+    if path.is_file() and path.read_text(encoding="utf-8") != _vocab_text(vocab):
+        raise ValidationError(
+            f"{path} holds another vocabulary; models trained on different "
+            "corpora or settings cannot share a bundle"
+        )
+
+
 def save_models(
     directory: Path | str,
     models: Mapping[str, ModelParams],
     vocab: OpcodeVocabulary,
     config: ModelConfig,
 ) -> None:
-    """Write a checkpoint per model and vocab.json, but no manifest."""
+    """Write a checkpoint per model and vocab.json, but no manifest. A
+    vocab.json already there with other contents is refused (check_vocab)
+    before anything is written."""
     directory = Path(directory)
+    check_vocab(directory, vocab)
     directory.mkdir(parents=True, exist_ok=True)
     for key in sorted(models):
         save_checkpoint(directory / _model_file(key), models[key], config)
-    (directory / "vocab.json").write_text(
-        json.dumps(vocabulary_to_json(vocab), sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    (directory / "vocab.json").write_text(_vocab_text(vocab), encoding="utf-8")
 
 
 def missing_models(directory: Path | str, keys: Sequence[str]) -> list[str]:

@@ -16,19 +16,34 @@ union of graphs used for batched graph networks (the GraphsTuple layout):
 stacked node features, edge endpoints offset into the stacked rows, and a
 node-to-graph segment id. The forward and backward passes are written once
 over that layout. A PreparedGraph is a batch of one and goes in as it is.
-Training (gradient steps and validation AUC) feeds the engine one graph at
-a time, so its float summation order, and with it every checkpoint, stays
-fixed. Inference batches many graphs per call: chunk_graphs packs
+Training (gradient steps and validation AUC) still feeds the engine one
+graph at a time, so its float summation order, and with it every
+checkpoint, stays fixed: stacking graphs changes the bits of BLAS matmul
+rows. Inference batches many graphs per call: chunk_graphs packs
 consecutive graphs up to CHUNK_NODES nodes, and embed_batch returns one row
 per graph and keeps no backward tape.
+
+A training step keeps the parameters and both Adam moments as one flat
+float64 vector each (TrainState; the name -> tensor dicts are views laid
+out by ParamLayout), so Adam and its finite check are a few elementwise
+operations over the whole vector. Within a step the parameters are fixed,
+so each distinct graph runs forward once and its tape serves every pair it
+appears in. A pair's gradient goes into one reused vector and is added to
+the step's total only when it is not all zero (an active hinge at non-zero
+distance). Each element still sees the same operations in the same order
+as with one gradient dict per pair, so checkpoints are unchanged bit for
+bit.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
-from dataclasses import dataclass, asdict
+from bisect import bisect_right
+from collections import Counter
+from dataclasses import dataclass, asdict, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -120,32 +135,51 @@ def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_out, fan_in))
 
 
-def _mlp_init(
-    params: ModelParams, rng: np.random.Generator, prefix: str,
-    sizes: list[tuple[int, int]],
-) -> None:
-    for i, (fan_in, fan_out) in enumerate(sizes):
-        params[f"{prefix}.{i}.w"] = _glorot(rng, fan_out, fan_in)
-        params[f"{prefix}.{i}.b"] = np.zeros(fan_out)
+@functools.cache
+def _mlp_keys(prefix: str, n_layers: int) -> tuple[tuple[str, str], ...]:
+    """(weight, bias) parameter names of each layer of an MLP."""
+    return tuple((f"{prefix}.{i}.w", f"{prefix}.{i}.b") for i in range(n_layers))
+
+
+@functools.cache
+def _prop_keys(layer: int) -> tuple[str, str, str]:
+    """In and out message weight names and the update MLP prefix of a layer."""
+    return f"prop.{layer}.in.w", f"prop.{layer}.out.w", f"prop.{layer}.update"
+
+
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter tensor, in initialization order:
+    weights are (fan_out, fan_in), biases (fan_out,)."""
+    shapes: dict[str, tuple[int, ...]] = {}
+
+    def mlp(prefix: str, sizes: list[tuple[int, int]]) -> None:
+        for (w, b), (fan_in, fan_out) in zip(_mlp_keys(prefix, len(sizes)), sizes):
+            shapes[w] = (fan_out, fan_in)
+            shapes[b] = (fan_out,)
+
+    mlp("encoder", config.encoder_sizes)
+    d = config.node_state_dim
+    for t in range(config.propagation_layers):
+        in_w, out_w, update = _prop_keys(t)
+        shapes[in_w] = (d, d)
+        shapes[out_w] = (d, d)
+        mlp(update, config.update_sizes)
+    e = config.graph_embedding_dim
+    shapes["agg.gate.w"] = (e, d)
+    shapes["agg.gate.b"] = (e,)
+    shapes["agg.proj.w"] = (e, d)
+    shapes["agg.proj.b"] = (e,)
+    mlp("agg.out", config.output_sizes)
+    return shapes
 
 
 def init_params(config: ModelConfig) -> ModelParams:
     """Glorot-uniform weights, zero biases, deterministic in config.seed."""
     rng = np.random.default_rng(config.seed)
-    params: ModelParams = {}
-    _mlp_init(params, rng, "encoder", config.encoder_sizes)
-    d = config.node_state_dim
-    for t in range(config.propagation_layers):
-        params[f"prop.{t}.in.w"] = _glorot(rng, d, d)
-        params[f"prop.{t}.out.w"] = _glorot(rng, d, d)
-        _mlp_init(params, rng, f"prop.{t}.update", config.update_sizes)
-    e = config.graph_embedding_dim
-    params["agg.gate.w"] = _glorot(rng, e, d)
-    params["agg.gate.b"] = np.zeros(e)
-    params["agg.proj.w"] = _glorot(rng, e, d)
-    params["agg.proj.b"] = np.zeros(e)
-    _mlp_init(params, rng, "agg.out", config.output_sizes)
-    return params
+    return {
+        name: _glorot(rng, *shape) if len(shape) == 2 else np.zeros(shape)
+        for name, shape in param_shapes(config).items()
+    }
 
 
 def clone_params(params: ModelParams) -> ModelParams:
@@ -159,8 +193,8 @@ def _mlp_forward(
     x: np.ndarray, params: ModelParams, prefix: str, n_layers: int
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     acts = [x]
-    for i in range(n_layers):
-        z = acts[-1] @ params[f"{prefix}.{i}.w"].T + params[f"{prefix}.{i}.b"]
+    for i, (w, b) in enumerate(_mlp_keys(prefix, n_layers)):
+        z = acts[-1] @ params[w].T + params[b]
         acts.append(np.tanh(z) if i < n_layers - 1 else z)
     return acts[-1], acts
 
@@ -174,17 +208,21 @@ def _mlp_backward(
     grads: ModelParams,
 ) -> np.ndarray:
     d = dy
+    keys = _mlp_keys(prefix, n_layers)
     for i in reversed(range(n_layers)):
+        w, b = keys[i]
         if i < n_layers - 1:
             d = d * (1.0 - acts[i + 1] ** 2)
-        grads[f"{prefix}.{i}.w"] += d.T @ acts[i]
-        grads[f"{prefix}.{i}.b"] += d.sum(axis=0)
-        d = d @ params[f"{prefix}.{i}.w"]
+        grads[w] += d.T @ acts[i]
+        grads[b] += d.sum(axis=0)
+        d = d @ params[w]
     return d
 
 
 # ---------------------------------------------------------------------------
 # Graph preparation and batching
+
+_INT32_MAX = np.iinfo(np.int32).max
 
 # Node budget of one inference chunk: large enough that per-call overhead is
 # shared by about ten typical graphs, small enough to keep activations tiny.
@@ -205,10 +243,34 @@ class PreparedBatch:
     dst: np.ndarray
     segment: np.ndarray | None = None
     n_graphs: int = 1
+    _scatter: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
         return self.features.shape[0]
+
+    def scatter_index(self, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """Flat _segment_sum indices that send rows `width` wide to their
+        dst and to their src node.
+
+        A single graph keeps them from its first call per width, as int32
+        where that holds every index: training embeds the same graphs over
+        and over for a whole run. A stacked batch builds them on each call,
+        since a scoring call holds all its batches at once and their
+        indices would add to its peak memory.
+        """
+        index = self._scatter.get(width)
+        if index is None:
+            cols = np.arange(width)
+            index = (
+                (self.dst[:, None] * width + cols).ravel(),
+                (self.src[:, None] * width + cols).ravel(),
+            )
+            if self.segment is None and self.n_nodes * width <= _INT32_MAX:
+                index = self._scatter[width] = (
+                    index[0].astype(np.int32), index[1].astype(np.int32)
+                )
+        return index
 
 
 class PreparedGraph(PreparedBatch):
@@ -274,15 +336,15 @@ def chunk_graphs(graphs: Iterable[PreparedGraph]) -> list[PreparedBatch]:
 # ---------------------------------------------------------------------------
 # The engine: forward pass (with tape) and backward pass over a batch
 
-def _segment_sum(rows: np.ndarray, index: np.ndarray, n_out: int) -> np.ndarray:
-    """out[index[k]] += rows[k], k ascending, from zeros.
+def _segment_sum(rows: np.ndarray, flat: np.ndarray, n_out: int) -> np.ndarray:
+    """out[index[k]] += rows[k], k ascending, from zeros, where flat is
+    index spread over the row width (PreparedBatch.scatter_index).
 
     Every output element gets its additions one at a time in row order, so
     the result equals np.add.at and a one-segment .sum(axis=0) bit for bit;
     bincount over a flat index is just the fastest way numpy has to do it.
     """
     width = rows.shape[1]
-    flat = (index[:, None] * width + np.arange(width)).ravel()
     out = np.bincount(flat, weights=rows.ravel(), minlength=n_out * width)
     # bincount of nothing comes back as int64 zeros
     return out.reshape(n_out, width).astype(rows.dtype, copy=False)
@@ -313,15 +375,15 @@ def _prop_forward(
     layer: int,
     tape: list | None,
 ) -> np.ndarray:
-    n = h.shape[0]
-    sum_in = _segment_sum(h[batch.src], batch.dst, n)
-    sum_out = _segment_sum(h[batch.dst], batch.src, n)
-    m_in = sum_in @ params[f"prop.{layer}.in.w"].T
-    m_out = sum_out @ params[f"prop.{layer}.out.w"].T
+    n, width = h.shape
+    to_dst, to_src = batch.scatter_index(width)
+    in_w, out_w, update = _prop_keys(layer)
+    sum_in = _segment_sum(h[batch.src], to_dst, n)
+    sum_out = _segment_sum(h[batch.dst], to_src, n)
+    m_in = sum_in @ params[in_w].T
+    m_out = sum_out @ params[out_w].T
     z = np.concatenate([h, m_in, m_out], axis=1)
-    h_next, acts = _mlp_forward(
-        z, params, f"prop.{layer}.update", len(config.update_sizes)
-    )
+    h_next, acts = _mlp_forward(z, params, update, len(config.update_sizes))
     if tape is not None:
         tape.append((sum_in, sum_out, acts))
     return h_next
@@ -338,18 +400,18 @@ def _prop_backward(
 ) -> np.ndarray:
     sum_in, sum_out, acts = tape
     d = config.node_state_dim
+    in_w, out_w, update = _prop_keys(layer)
     dz = _mlp_backward(
-        dh_next, acts, params, f"prop.{layer}.update",
-        len(config.update_sizes), grads,
+        dh_next, acts, params, update, len(config.update_sizes), grads
     )
     dh = dz[:, :d].copy()
     dm_in = dz[:, d : 2 * d]
     dm_out = dz[:, 2 * d :]
-    grads[f"prop.{layer}.in.w"] += dm_in.T @ sum_in
-    grads[f"prop.{layer}.out.w"] += dm_out.T @ sum_out
+    grads[in_w] += dm_in.T @ sum_in
+    grads[out_w] += dm_out.T @ sum_out
     if batch.src.size:
-        dsum_in = dm_in @ params[f"prop.{layer}.in.w"]
-        dsum_out = dm_out @ params[f"prop.{layer}.out.w"]
+        dsum_in = dm_in @ params[in_w]
+        dsum_out = dm_out @ params[out_w]
         np.add.at(dh, batch.src, dsum_in[batch.dst])
         np.add.at(dh, batch.dst, dsum_out[batch.src])
     return dh
@@ -478,17 +540,65 @@ def pair_loss_and_grads(
     params: ModelParams,
     config: ModelConfig,
 ) -> tuple[float, ModelParams]:
-    """Loss for one pair plus exact gradients for every parameter.
+    """Loss for one pair plus exact gradients for every parameter: the
+    per-pair code of grad_step, with the gradients as views into one vector.
 
     At the hinge kink and at zero distance the subgradient 0 is used.
     """
+    layout = ParamLayout.of(params)
+    flat = np.zeros(layout.size)
+    grads = layout.views(flat)
+    tapes = _Tapes([(query, target)], params, config)
+    loss, _ = _pair_backward(query, target, label, tapes, params, config, flat, grads)
+    return loss, grads
+
+
+class _Tapes:
+    """Embedding and backward tape of each graph of some pairs, taken in
+    order: a graph runs forward once, however often it appears, while the
+    parameters stay fixed, and its tape is dropped after its last use."""
+
+    def __init__(
+        self,
+        pairs: Iterable[tuple[PreparedGraph, PreparedGraph]],
+        params: ModelParams,
+        config: ModelConfig,
+    ) -> None:
+        self.params = params
+        self.config = config
+        self.uses = Counter(id(g) for pair in pairs for g in pair)
+        self.memo: dict[int, tuple[np.ndarray, list]] = {}
+
+    def take(self, prep: PreparedGraph) -> tuple[np.ndarray, list]:
+        key = id(prep)
+        hit = self.memo.pop(key, None)
+        if hit is None:
+            tape: list = []
+            hit = (_forward(prep, self.params, self.config, tape), tape)
+        self.uses[key] -= 1
+        if self.uses[key]:
+            self.memo[key] = hit
+        return hit
+
+
+def _pair_backward(
+    query: PreparedGraph,
+    target: PreparedGraph,
+    label: int,
+    tapes: _Tapes,
+    params: ModelParams,
+    config: ModelConfig,
+    flat: np.ndarray,
+    grads: ModelParams,
+) -> tuple[float, bool]:
+    """Loss of one pair and whether it has a gradient. If it has one (an
+    active hinge at non-zero distance), flat, which grads views, is
+    overwritten with it; otherwise its gradient is all zero and flat is
+    left as it was."""
     if label not in (-1, 1):
         raise InvalidLabel(f"label must be -1 or +1, got {label!r}")
-    grads = {name: np.zeros_like(tensor) for name, tensor in params.items()}
-    tape1: list = []
-    tape2: list = []
-    e1 = _forward(query, params, config, tape1)
-    e2 = _forward(target, params, config, tape2)
+    e1, tape1 = tapes.take(query)
+    e2, tape2 = tapes.take(target)
     diff = e1[0] - e2[0]
     distance = float(np.sqrt(np.sum(diff**2)))
     if not np.isfinite(distance):
@@ -496,31 +606,88 @@ def pair_loss_and_grads(
         raise NonFiniteGradient(f"non-finite pair distance {distance}")
     active = config.margin - label * (1.0 - distance)
     loss = max(0.0, active)
-    if active > 0.0 and distance > 0.0:
-        dd = float(label)
-        de1 = (dd * diff / distance)[None, :]
-        _backward(de1, tape1, query, params, config, grads)
-        _backward(-de1, tape2, target, params, config, grads)
-    return loss, grads
+    if not (active > 0.0 and distance > 0.0):
+        return loss, False
+    dd = float(label)
+    de1 = (dd * diff / distance)[None, :]
+    flat.fill(0.0)
+    _backward(de1, tape1, query, params, config, grads)
+    _backward(-de1, tape2, target, params, config, grads)
+    return loss, True
 
 
 # ---------------------------------------------------------------------------
 # Optimizer and training loop
 
+@dataclass(frozen=True)
+class ParamLayout:
+    """Where each named tensor lives in one flat float64 vector, in the
+    order of the parameter dict it was taken from."""
+
+    names: tuple[str, ...]
+    shapes: tuple[tuple[int, ...], ...]
+    starts: tuple[int, ...]
+    size: int
+
+    @classmethod
+    def of(cls, params: ModelParams) -> ParamLayout:
+        shapes = tuple(tensor.shape for tensor in params.values())
+        starts = [0]
+        for shape in shapes:
+            starts.append(starts[-1] + math.prod(shape))
+        return cls(tuple(params), shapes, tuple(starts[:-1]), starts[-1])
+
+    def flatten(self, params: ModelParams) -> np.ndarray:
+        return np.concatenate([params[name].ravel() for name in self.names])
+
+    def views(self, flat: np.ndarray) -> ModelParams:
+        """name -> tensor views into flat."""
+        stops = (*self.starts[1:], self.size)
+        return {
+            name: flat[start:stop].reshape(shape)
+            for name, shape, start, stop in zip(
+                self.names, self.shapes, self.starts, stops
+            )
+        }
+
+    def name_at(self, position: int) -> str:
+        """The tensor that holds element `position` of the flat vector."""
+        return self.names[bisect_right(self.starts, position) - 1]
+
+
 @dataclass
 class TrainState:
-    params: ModelParams
-    adam_m: ModelParams
-    adam_v: ModelParams
+    """Parameters and Adam moments, each one flat float64 vector laid out
+    by `layout`; `params` (and `adam_m`, `adam_v`) are name -> tensor views
+    into them."""
+
+    layout: ParamLayout
+    flat_params: np.ndarray
+    flat_m: np.ndarray
+    flat_v: np.ndarray
     step: int = 0
+    params: ModelParams = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.params = self.layout.views(self.flat_params)
+
+    @property
+    def adam_m(self) -> ModelParams:
+        return self.layout.views(self.flat_m)
+
+    @property
+    def adam_v(self) -> ModelParams:
+        return self.layout.views(self.flat_v)
 
 
 def init_train_state(config: ModelConfig) -> TrainState:
     params = init_params(config)
+    layout = ParamLayout.of(params)
     return TrainState(
-        params=params,
-        adam_m={k: np.zeros_like(v) for k, v in params.items()},
-        adam_v={k: np.zeros_like(v) for k, v in params.items()},
+        layout=layout,
+        flat_params=layout.flatten(params),
+        flat_m=np.zeros(layout.size),
+        flat_v=np.zeros(layout.size),
         step=0,
     )
 
@@ -556,48 +723,53 @@ def prepare_pairs(
 
 
 def _adam_update(
-    state: TrainState, grads: ModelParams, config: ModelConfig
+    state: TrainState, grad: np.ndarray, config: ModelConfig
 ) -> TrainState:
-    for name, grad in grads.items():
-        if not np.all(np.isfinite(grad)):
-            raise NonFiniteGradient(f"non-finite gradient in {name}")
+    """One Adam step over the flat vectors; every element gets the same
+    expression it would get tensor by tensor."""
+    finite = np.isfinite(grad)
+    if not finite.all():
+        name = state.layout.name_at(int(np.argmin(finite)))
+        raise NonFiniteGradient(f"non-finite gradient in {name}")
     step = state.step + 1
     lr = config.learning_rate
-    new_params: ModelParams = {}
-    new_m: ModelParams = {}
-    new_v: ModelParams = {}
     bias1 = 1.0 - _ADAM_BETA1**step
     bias2 = 1.0 - _ADAM_BETA2**step
-    for name, param in state.params.items():
-        g = grads[name]
-        m = _ADAM_BETA1 * state.adam_m[name] + (1.0 - _ADAM_BETA1) * g
-        v = _ADAM_BETA2 * state.adam_v[name] + (1.0 - _ADAM_BETA2) * g**2
-        new_m[name] = m
-        new_v[name] = v
-        new_params[name] = param - lr * (m / bias1) / (np.sqrt(v / bias2) + _ADAM_EPS)
-    return TrainState(params=new_params, adam_m=new_m, adam_v=new_v, step=step)
+    m = _ADAM_BETA1 * state.flat_m + (1.0 - _ADAM_BETA1) * grad
+    v = _ADAM_BETA2 * state.flat_v + (1.0 - _ADAM_BETA2) * grad**2
+    params = state.flat_params - lr * (m / bias1) / (np.sqrt(v / bias2) + _ADAM_EPS)
+    return TrainState(state.layout, params, m, v, step)
 
 
 def grad_step(
     batch: Sequence[PreparedPair], state: TrainState, config: ModelConfig
 ) -> tuple[TrainState, float]:
-    """One Adam update on the mean pair loss of the batch."""
+    """One Adam update on the mean pair loss of the batch.
+
+    Each distinct graph of the batch runs forward once. A pair without a
+    gradient adds nothing to the total: the total starts at +0.0, and a sum
+    is -0.0 only when both addends are, so the total is never -0.0 and an
+    add of all zeros would change no bit.
+    """
     if not batch:
         raise ValueError("empty batch")
-    total = {name: np.zeros_like(t) for name, t in state.params.items()}
+    params = state.params
+    tapes = _Tapes(((p.query, p.target) for p in batch), params, config)
+    total = np.zeros(state.layout.size)
+    flat = np.empty(state.layout.size)
+    grads = state.layout.views(flat)
     loss_sum = 0.0
     for pair in batch:
-        loss, grads = pair_loss_and_grads(
-            pair.query, pair.target, pair.label, state.params, config
+        loss, has_grad = _pair_backward(
+            pair.query, pair.target, pair.label, tapes, params, config,
+            flat, grads,
         )
         loss_sum += loss
-        for name, grad in grads.items():
-            total[name] += grad
+        if has_grad:
+            total += flat
     scale = 1.0 / len(batch)
-    for name in total:
-        total[name] *= scale
-    new_state = _adam_update(state, total, config)
-    return new_state, loss_sum * scale
+    total *= scale
+    return _adam_update(state, total, config), loss_sum * scale
 
 
 PairSource = Callable[[int], Sequence[FunctionPair]]
@@ -706,26 +878,52 @@ def save_checkpoint(
             )
 
 
-def load_checkpoint(path: Path | str) -> tuple[ModelParams, ModelConfig]:
-    """A file cut short or with trailing bytes raises CorruptArtifact."""
-    raw = Path(path).read_bytes()
+def _read_header(
+    path: Path | str, raw: bytes
+) -> tuple[ModelConfig, dict[str, tuple[int, ...]], int]:
+    """The config, the tensor shapes by name and the offset of the tensor
+    region. A damaged header, including a tensor list other than the
+    config's, raises CorruptArtifact."""
     if raw[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
     offset = len(_CKPT_MAGIC) + 8
     header_len = int.from_bytes(raw[len(_CKPT_MAGIC) : offset], "little")
     if len(raw) < offset + header_len:
         raise CorruptArtifact(f"truncated checkpoint {path}: header cut short")
-    header = json.loads(raw[offset : offset + header_len].decode("utf-8"))
-    if header["format_version"] != _CKPT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {header['format_version']}")
-    offset += header_len
-    counts = [math.prod(entry["shape"]) for entry in header["tensors"]]
+    try:
+        header = json.loads(raw[offset : offset + header_len].decode("utf-8"))
+        version = header["format_version"]
+        payload = header["config"]
+        tensors = header["tensors"]
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise CorruptArtifact(
+            f"checkpoint {path}: unreadable header ({type(exc).__name__}: {exc})"
+        ) from None
+    if version != _CKPT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    try:
+        config = config_from_json(payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptArtifact(f"checkpoint {path}: bad config ({exc})") from None
+    shapes = param_shapes(config)
+    if tensors != [{"name": n, "shape": list(shapes[n])} for n in sorted(shapes)]:
+        raise CorruptArtifact(f"checkpoint {path}: tensors do not match its config")
+    return config, shapes, offset + header_len
+
+
+def load_checkpoint(path: Path | str) -> tuple[ModelParams, ModelConfig]:
+    """A file cut short, with trailing bytes or with a damaged header raises
+    CorruptArtifact naming the path."""
+    raw = Path(path).read_bytes()
+    config, shapes, offset = _read_header(path, raw)
+    names = sorted(shapes)
+    counts = [math.prod(shapes[name]) for name in names]
     end = offset + 8 * sum(counts)
     if end != len(raw):
         raise CorruptArtifact(f"checkpoint {path}: {len(raw)} bytes, header says {end}")
     params: ModelParams = {}
-    for entry, count in zip(header["tensors"], counts):
+    for name, count in zip(names, counts):
         tensor = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        params[entry["name"]] = tensor.reshape(entry["shape"]).astype(np.float64)
+        params[name] = tensor.reshape(shapes[name]).astype(np.float64)
         offset += count * 8
-    return params, config_from_json(header["config"])
+    return params, config

@@ -13,7 +13,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -49,11 +49,21 @@ class FunctionPair:
             raise ValueError("negative pair must not carry a bridge")
 
 
-def _lookup(graphs: GraphStore, ref: GraphRef) -> AttributedCFG:
-    try:
-        return strip_name(graphs[ref])
-    except KeyError:
-        raise KeyError(f"graph store has no entry for {ref}") from None
+def _stripped(graphs: GraphStore) -> Callable[[GraphRef], AttributedCFG]:
+    """Look refs up in graphs; each graph is stripped once per returned
+    function, and pairs that share a ref share the stripped copy."""
+    memo: dict[GraphRef, AttributedCFG] = {}
+
+    def lookup(ref: GraphRef) -> AttributedCFG:
+        graph = memo.get(ref)
+        if graph is None:
+            try:
+                graph = memo[ref] = strip_name(graphs[ref])
+            except KeyError:
+                raise KeyError(f"graph store has no entry for {ref}") from None
+        return graph
+
+    return lookup
 
 
 def generate_positive_pairs(
@@ -73,6 +83,7 @@ def generate_positive_pairs(
     if not eligible:
         raise Exhausted(f"no bridge offers {pattern.value} positives")
     rng = np.random.default_rng(seed)
+    lookup = _stripped(graphs)
     pairs: list[FunctionPair] = []
     for _ in range(count):
         bridge, entry = eligible[rng.integers(len(eligible))]
@@ -83,8 +94,8 @@ def generate_positive_pairs(
         target_ref = (DATASET_INLINE, target.binary_id, target.name)
         pairs.append(
             FunctionPair(
-                query=_lookup(graphs, query_ref),
-                target=_lookup(graphs, target_ref),
+                query=lookup(query_ref),
+                target=lookup(target_ref),
                 label=1,
                 pattern=pattern,
                 query_ref=query_ref,
@@ -132,6 +143,7 @@ def generate_negative_pairs(
     if not eligible:
         raise Exhausted("no bridge has out-of-bridge targets for negatives")
     rng = np.random.default_rng(seed)
+    lookup = _stripped(graphs)
     pairs: list[FunctionPair] = []
     for _ in range(count):
         equal_pool, n_complement, shifted = eligible[rng.integers(len(eligible))]
@@ -142,8 +154,8 @@ def generate_negative_pairs(
         target_ref = (DATASET_INLINE, target.binary_id, target.name)
         pairs.append(
             FunctionPair(
-                query=_lookup(graphs, query_ref),
-                target=_lookup(graphs, target_ref),
+                query=lookup(query_ref),
+                target=lookup(target_ref),
                 label=-1,
                 pattern=pattern,
                 query_ref=query_ref,
@@ -226,6 +238,7 @@ def write_pairs(pairs: Sequence[FunctionPair], path: Path | str) -> None:
 
 
 def read_pairs(path: Path | str, graphs: GraphStore) -> list[FunctionPair]:
+    lookup = _stripped(graphs)
     pairs = []
     with Path(path).open("r", encoding="utf-8") as handle:
         for line in handle:
@@ -237,8 +250,8 @@ def read_pairs(path: Path | str, graphs: GraphStore) -> list[FunctionPair]:
             target_ref = tuple(record["target_ref"])
             pairs.append(
                 FunctionPair(
-                    query=_lookup(graphs, query_ref),
-                    target=_lookup(graphs, target_ref),
+                    query=lookup(query_ref),
+                    target=lookup(target_ref),
                     label=int(record["label"]),
                     pattern=Pattern(record["pattern"]),
                     query_ref=query_ref,

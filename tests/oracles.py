@@ -3,10 +3,16 @@
 `build_acfg` is the one-object-per-instruction parser that the columnar
 `cidetect.acfg.build_acfg` replaced, together with the classes it built.
 `generate_negative_pairs` is the sampler that sorted a complement of the
-cross-inlining universe for every bridge. `_is_isolated` is the full scan
+cross-inlining universe for every bridge, with `_lookup`, which stripped a
+fresh copy of the graph for every pair. `_is_isolated` is the full scan
 of the call graph's edges that the bridge index made for every (mapping,
-bridge) to count isolated bridges. All are kept verbatim; the tests require
-the library's versions to produce the same graphs, pairs and counts.
+bridge) to count isolated bridges. `grad_step`, `pair_loss_and_grads` and
+`_adam_update`, with the dict-of-tensors `TrainState` they used, are the
+training step before flat parameter vectors: one gradient dict per pair,
+two forward passes per pair and an Adam loop over the tensors; they run on
+the library's own forward and backward passes. All are kept verbatim; the
+tests require the library's versions to produce the same graphs, pairs,
+counts and training states.
 """
 
 from __future__ import annotations
@@ -19,14 +25,26 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from cidetect.errors import Exhausted, MalformedGraph
+from cidetect.acfg import strip_name
+from cidetect.errors import Exhausted, InvalidLabel, MalformedGraph, NonFiniteGradient
+from cidetect.gnn import (
+    ModelConfig,
+    ModelParams,
+    PreparedGraph,
+    PreparedPair,
+    _ADAM_BETA1,
+    _ADAM_BETA2,
+    _ADAM_EPS,
+    _backward,
+    _forward,
+)
 from cidetect.labeling import BridgeIndex, Pattern, SourceFCG
 from cidetect.pairgen import (
     DATASET_INLINE,
     DATASET_NOINLINE,
     FunctionPair,
+    GraphRef,
     GraphStore,
-    _lookup,
 )
 
 logger = logging.getLogger("cidetect.acfg")
@@ -204,6 +222,13 @@ def build_acfg(record: dict) -> AttributedCFG:
     return graph
 
 
+def _lookup(graphs: GraphStore, ref: GraphRef) -> AttributedCFG:
+    try:
+        return strip_name(graphs[ref])
+    except KeyError:
+        raise KeyError(f"graph store has no entry for {ref}") from None
+
+
 def generate_negative_pairs(
     index: BridgeIndex,
     pattern: Pattern,
@@ -264,3 +289,89 @@ def _is_isolated(bridge: str, mapped: frozenset[str], fcg: SourceFCG) -> bool:
         if callee == bridge and caller in mapped:
             return False
     return True
+
+
+def pair_loss_and_grads(
+    query: PreparedGraph,
+    target: PreparedGraph,
+    label: int,
+    params: ModelParams,
+    config: ModelConfig,
+) -> tuple[float, ModelParams]:
+    """Loss for one pair plus exact gradients for every parameter.
+
+    At the hinge kink and at zero distance the subgradient 0 is used.
+    """
+    if label not in (-1, 1):
+        raise InvalidLabel(f"label must be -1 or +1, got {label!r}")
+    grads = {name: np.zeros_like(tensor) for name, tensor in params.items()}
+    tape1: list = []
+    tape2: list = []
+    e1 = _forward(query, params, config, tape1)
+    e2 = _forward(target, params, config, tape2)
+    diff = e1[0] - e2[0]
+    distance = float(np.sqrt(np.sum(diff**2)))
+    if not np.isfinite(distance):
+        # a NaN distance would otherwise read as an inactive hinge
+        raise NonFiniteGradient(f"non-finite pair distance {distance}")
+    active = config.margin - label * (1.0 - distance)
+    loss = max(0.0, active)
+    if active > 0.0 and distance > 0.0:
+        dd = float(label)
+        de1 = (dd * diff / distance)[None, :]
+        _backward(de1, tape1, query, params, config, grads)
+        _backward(-de1, tape2, target, params, config, grads)
+    return loss, grads
+
+
+@dataclass
+class TrainState:
+    params: ModelParams
+    adam_m: ModelParams
+    adam_v: ModelParams
+    step: int = 0
+
+
+def _adam_update(
+    state: TrainState, grads: ModelParams, config: ModelConfig
+) -> TrainState:
+    for name, grad in grads.items():
+        if not np.all(np.isfinite(grad)):
+            raise NonFiniteGradient(f"non-finite gradient in {name}")
+    step = state.step + 1
+    lr = config.learning_rate
+    new_params: ModelParams = {}
+    new_m: ModelParams = {}
+    new_v: ModelParams = {}
+    bias1 = 1.0 - _ADAM_BETA1**step
+    bias2 = 1.0 - _ADAM_BETA2**step
+    for name, param in state.params.items():
+        g = grads[name]
+        m = _ADAM_BETA1 * state.adam_m[name] + (1.0 - _ADAM_BETA1) * g
+        v = _ADAM_BETA2 * state.adam_v[name] + (1.0 - _ADAM_BETA2) * g**2
+        new_m[name] = m
+        new_v[name] = v
+        new_params[name] = param - lr * (m / bias1) / (np.sqrt(v / bias2) + _ADAM_EPS)
+    return TrainState(params=new_params, adam_m=new_m, adam_v=new_v, step=step)
+
+
+def grad_step(
+    batch: Sequence[PreparedPair], state: TrainState, config: ModelConfig
+) -> tuple[TrainState, float]:
+    """One Adam update on the mean pair loss of the batch."""
+    if not batch:
+        raise ValueError("empty batch")
+    total = {name: np.zeros_like(t) for name, t in state.params.items()}
+    loss_sum = 0.0
+    for pair in batch:
+        loss, grads = pair_loss_and_grads(
+            pair.query, pair.target, pair.label, state.params, config
+        )
+        loss_sum += loss
+        for name, grad in grads.items():
+            total[name] += grad
+    scale = 1.0 / len(batch)
+    for name in total:
+        total[name] *= scale
+    new_state = _adam_update(state, total, config)
+    return new_state, loss_sum * scale

@@ -384,6 +384,30 @@ def test_train_rejects_models_with_different_configs(pipeline, tmp_path, caplog)
     assert not (bundle / "manifest.json").exists()
 
 
+def test_train_refuses_a_bundle_with_another_vocabulary(pipeline, tmp_path, caplog):
+    """root trained on another corpus would be featurized with leaf's
+    vocab.json at eval time; the bundle refuses it and writes nothing."""
+    other = tmp_path / "other"
+    synth_args = list(_SYNTH_ARGS)
+    synth_args[synth_args.index("--seed") + 1] = "4"
+    assert main(["synth", "--out", str(other / "corpus")] + synth_args) == 0
+    assert main([
+        "label", "--corpus", str(other / "corpus"), "--out", str(other / "index.json"),
+    ]) == 0
+    bundle = tmp_path / "bundle"
+    assert _train(pipeline, "leaf", bundle) == 0
+    before = {path.name: path.read_bytes() for path in bundle.iterdir()}
+    with caplog.at_level("ERROR", logger="cidetect.cli"):
+        rc = main([
+            "train", "--corpus", str(other / "corpus"),
+            "--index", str(other / "index.json"), "--pattern", "root",
+            "--out", str(bundle),
+        ] + _TRAIN_ARGS)
+    assert rc == 2
+    assert any(str(bundle / "vocab.json") in rec.getMessage() for rec in caplog.records)
+    assert {path.name: path.read_bytes() for path in bundle.iterdir()} == before
+
+
 def test_train_epoch_without_pairs_fails(pipeline, tmp_path):
     assert _train(pipeline, "leaf", tmp_path / "bundle", "--epoch-size", "0") == 2
 
@@ -397,6 +421,42 @@ def _cut_in_header(bundle):
     raw = path.read_bytes()
     path.write_bytes(raw[: _header_end(raw) - 20])
     return path
+
+
+def _flip_bit_in_header(bundle):
+    path = bundle / "model-root.ckpt"
+    raw = bytearray(path.read_bytes())
+    raw[20] ^= 0x01  # inside the first key of the JSON header, "config"
+    path.write_bytes(bytes(raw))
+    return path
+
+
+def _rewrite_header(path, edit):
+    raw = path.read_bytes()
+    header = json.loads(raw[16 : _header_end(raw)])
+    edit(header)
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    tensors = raw[_header_end(raw):]
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(encoded)) + encoded + tensors)
+    return path
+
+
+def _header_without_config(bundle):
+    return _rewrite_header(bundle / "model-root.ckpt", lambda h: h.pop("config"))
+
+
+def _flip_bit_in_tensor_name(bundle):
+    path = bundle / "model-root.ckpt"
+    raw = bytearray(path.read_bytes())
+    raw[raw.index(b'"agg.gate.b"') + 1] ^= 0x02  # "agg.gate.b" -> "cgg.gate.b"
+    path.write_bytes(bytes(raw))
+    return path
+
+
+def _malformed_shape(bundle):
+    def edit(header):
+        header["tensors"][0]["shape"] = "24x32"
+    return _rewrite_header(bundle / "model-root.ckpt", edit)
 
 
 def _cut_in_tensors(bundle):
@@ -429,10 +489,13 @@ def _manifest_not_an_object(bundle):
 @pytest.mark.parametrize(
     "corrupt",
     [_cut_in_header, _cut_in_tensors, _trailing_bytes, _manifest_without_threshold,
-     _manifest_not_an_object],
+     _manifest_not_an_object, _flip_bit_in_header, _header_without_config,
+     _malformed_shape, _flip_bit_in_tensor_name],
     ids=["checkpoint-cut-in-header", "checkpoint-cut-in-tensors",
          "checkpoint-trailing-bytes", "manifest-without-threshold",
-         "manifest-not-an-object"],
+         "manifest-not-an-object", "checkpoint-bit-flip-in-header",
+         "checkpoint-header-without-config", "checkpoint-malformed-shape",
+         "checkpoint-bit-flip-in-tensor-name"],
 )
 def test_eval_corrupt_bundle_names_file(pipeline, tmp_path, caplog, corrupt):
     bundle = tmp_path / "bundle"

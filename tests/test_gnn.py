@@ -6,12 +6,14 @@ from cidetect.errors import (
     Diverged,
     GraphTooLarge,
     InvalidLabel,
+    NonFiniteGradient,
     ShapeMismatch,
 )
 from cidetect import gnn
 from cidetect.gnn import (
     ModelConfig,
     PreparedGraph,
+    PreparedPair,
     batch_graphs,
     chunk_graphs,
     clone_params,
@@ -35,6 +37,7 @@ from cidetect.gnn import (
 from cidetect.labeling import Pattern
 from cidetect.pairgen import FunctionPair
 
+import oracles
 from helpers import OPCODE_POOL, diamond, random_acfg
 
 
@@ -407,6 +410,92 @@ def test_grad_step_rejects_empty_batch():
     _, vocab, config = _tiny_setup()
     with pytest.raises(ValueError):
         grad_step([], init_train_state(config), config)
+
+
+def _reference_state(state):
+    """The dict-of-tensors state of the reference step, copied from state."""
+    return oracles.TrainState(
+        params=clone_params(state.params),
+        adam_m=clone_params(state.adam_m),
+        adam_v=clone_params(state.adam_v),
+        step=state.step,
+    )
+
+
+def test_grad_step_matches_reference_step_bit_for_bit():
+    """Flat vectors, one forward per distinct graph and skipped zero
+    gradients change no bit of the state or the loss."""
+    rng = np.random.default_rng(14)
+    graphs = [
+        random_acfg(rng, f"f{i}", OPCODE_POOL[:6], max_nodes=6) for i in range(6)
+    ]
+    vocab = build_vocabulary(graphs, max_size=5)
+    config = _tiny_config(
+        feature_dim=vocab.feature_dim, node_state_dim=5, learning_rate=0.05
+    )
+    preps = [prepare_graph(g, vocab, config) for g in graphs]
+    a, b, c, d, e, f = preps
+    batches = [
+        # a is used four times, once as both sides of a zero-distance negative
+        [PreparedPair(a, b, 1), PreparedPair(a, c, -1), PreparedPair(d, a, 1),
+         PreparedPair(a, a, -1), PreparedPair(e, f, -1)],
+        [PreparedPair(b, c, 1), PreparedPair(c, d, -1), PreparedPair(b, b, -1)],
+        [PreparedPair(e, a, 1), PreparedPair(f, b, -1)],
+    ]
+    state = init_train_state(config)
+    reference = _reference_state(state)
+    losses = []
+    for step in range(9):
+        batch = batches[step % len(batches)]
+        losses += [
+            oracles.pair_loss_and_grads(
+                p.query, p.target, p.label, reference.params, config
+            )[0]
+            for p in batch
+        ]
+        state, loss = grad_step(batch, state, config)
+        reference, want = oracles.grad_step(batch, reference, config)
+        assert loss == want
+        assert state.step == reference.step == step + 1
+        for name in reference.params:
+            assert np.array_equal(state.params[name], reference.params[name]), name
+            assert np.array_equal(state.adam_m[name], reference.adam_m[name]), name
+            assert np.array_equal(state.adam_v[name], reference.adam_v[name]), name
+    # the batches held inactive pairs (zero loss) and active ones
+    assert 0.0 in losses and max(losses) > 0.0
+
+
+def test_pair_loss_and_grads_matches_reference_bit_for_bit():
+    graphs, vocab, config = _tiny_setup(seed=15)
+    params = init_params(config)
+    preps = [prepare_graph(g, vocab, config) for g in graphs]
+    for q, t in [(0, 1), (2, 3), (4, 4), (5, 6)]:
+        for label in (1, -1):
+            got = pair_loss_and_grads(preps[q], preps[t], label, params, config)
+            want = oracles.pair_loss_and_grads(
+                preps[q], preps[t], label, params, config
+            )
+            assert got[0] == want[0]
+            assert list(got[1]) == list(want[1])
+            for name in params:
+                assert np.array_equal(got[1][name], want[1][name]), name
+
+
+def test_non_finite_gradient_names_the_tensor():
+    """The flat finite check names the first tensor (in parameter order)
+    holding a non-finite entry, as the per-tensor check did."""
+    _, _, config = _tiny_setup()
+    state = init_train_state(config)
+    names = list(state.params)
+    grads = {name: np.zeros_like(t) for name, t in state.params.items()}
+    grads[names[5]].reshape(-1)[-1] = np.nan
+    grads[names[9]].reshape(-1)[0] = np.inf
+    flat = np.concatenate([grads[name].ravel() for name in names])
+    with pytest.raises(NonFiniteGradient, match=rf"in {names[5]}$") as got:
+        gnn._adam_update(state, flat, config)
+    with pytest.raises(NonFiniteGradient) as want:
+        oracles._adam_update(_reference_state(state), grads, config)
+    assert str(got.value) == str(want.value)
 
 
 def test_train_model_zero_epochs_returns_init():

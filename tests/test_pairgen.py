@@ -213,3 +213,27 @@ def test_negative_pairs_match_reference_sampler():
                     case_index, pattern, 60, seed, graphs
                 )
                 assert _pair_view(got) == _pair_view(want)
+
+
+def test_each_ref_is_stripped_once_per_call(tmp_path):
+    """Pairs that share a ref share one stripped graph, within a call; the
+    pairs and the file written from them are unchanged by the sharing."""
+    index, graphs = _fixture()
+    pos = generate_positive_pairs(index, Pattern.LEAF, 30, 0, graphs)
+    neg = generate_negative_pairs(index, Pattern.LEAF, 30, 1, graphs)
+    path = tmp_path / "pairs.jsonl"
+    write_pairs(pos + neg, path)
+    reread = read_pairs(path, graphs)
+    for pairs in (pos, neg, reread):
+        by_ref = {}
+        for pair in pairs:
+            sides = ((pair.query_ref, pair.query), (pair.target_ref, pair.target))
+            for ref, graph in sides:
+                assert graph.function_name == ""
+                assert graph.nodes == graphs[ref].nodes
+                assert by_ref.setdefault(ref, graph) is graph
+        assert len(by_ref) < 2 * len(pairs)
+    assert _pair_view(reread) == _pair_view(pos + neg)
+    again = tmp_path / "again.jsonl"
+    write_pairs(reread, again)
+    assert again.read_bytes() == path.read_bytes()
