@@ -8,6 +8,10 @@ out-of-vocabulary slot.
 A basic block is columnar: three equal-length tuples hold, per instruction,
 its lowercased opcode, its address and its operand tuple. There is no object
 per instruction; the model reads only the opcode column and the edges.
+
+The toolkit reads its JSON files here, with read_records (JSONL: graphs,
+pairs, scores) or read_json (one object per file); a bad one raises an
+error naming the file, and the line of a JSONL record.
 """
 
 from __future__ import annotations
@@ -20,11 +24,13 @@ from functools import cached_property
 from itertools import chain
 from operator import attrgetter, itemgetter, lt
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
-from .errors import EmptyCorpus, MalformedGraph
+from .errors import EmptyCorpus, MalformedGraph, ValidationError
+
+T = TypeVar("T")
 
 logger = logging.getLogger(__name__)
 
@@ -278,36 +284,53 @@ def strip_name(graph: AttributedCFG) -> AttributedCFG:
     return replace(graph, function_name="")
 
 
-def _numbered_records(path: Path | str) -> Iterator[tuple[int, dict]]:
-    """(line number, decoded JSON) per non-blank line; a line that is not
-    JSON raises MalformedGraph naming path:line."""
+def read_records(
+    path: Path | str,
+    convert: Callable[[dict], T],
+    error: type[ValidationError] = ValidationError,
+) -> Iterator[T]:
+    """convert(record) per non-blank line of a JSONL file. A line that is
+    not JSON, or whose record convert rejects, raises `error` naming
+    path:line."""
     with Path(path).open("r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedGraph(f"{path}:{lineno}: not JSON: {exc}") from None
-            yield lineno, record
+            if line.strip():
+                try:
+                    value = convert(json.loads(line))
+                except (ValidationError, KeyError, TypeError, ValueError) as exc:
+                    kind = type(exc).__name__
+                    raise error(f"{path}:{lineno}: {kind}: {exc}") from None
+                yield value
+
+
+def read_json(
+    path: Path | str,
+    keys: Iterable[str],
+    error: type[ValidationError] = ValidationError,
+) -> dict:
+    """The JSON object of a whole file, which must hold every one of keys.
+    A file that is not JSON, or not an object with those keys, raises
+    `error` naming the path."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{path}: not JSON: {exc}") from None
+    fields = payload if isinstance(payload, dict) else {}
+    missing = set(keys) - set(fields)
+    if missing:
+        raise error(f"{path} lacks {', '.join(sorted(missing))}")
+    return payload
 
 
 def iter_function_records(path: Path | str) -> Iterator[dict]:
     """The raw function records of a JSONL file, one dict per line."""
-    for _, record in _numbered_records(path):
-        yield record
+    return read_records(path, lambda record: record, MalformedGraph)
 
 
 def read_graphs(path: Path | str) -> Iterator[AttributedCFG]:
     """The graphs of a JSONL file; a bad record raises MalformedGraph
     naming path:line."""
-    for lineno, record in _numbered_records(path):
-        try:
-            graph = build_acfg(record)
-        except MalformedGraph as exc:
-            raise MalformedGraph(f"{path}:{lineno}: {exc}") from None
-        yield graph
+    return read_records(path, build_acfg, MalformedGraph)
 
 
 def write_function_records(path: Path | str, graphs: Iterable[AttributedCFG]) -> None:

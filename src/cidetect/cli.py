@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import acfg, detector, evaluation, gnn, labeling, pairgen, synth
-from .errors import NumericError, ValidationError
+from .errors import InvalidLabel, NumericError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -180,10 +180,7 @@ _LABEL_OPTS = [
 
 
 def _split_rows_by_dataset(corpus_dir: Path):
-    manifest_path = corpus_dir / "manifest.json"
-    if not manifest_path.is_file():
-        raise ValidationError(f"no manifest.json under {corpus_dir}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = acfg.read_json(corpus_dir / "manifest.json", ["projects"])
     noinline_ids = set()
     inline_ids = set()
     for project in manifest["projects"].values():
@@ -514,7 +511,6 @@ _EVAL_OPTS = [
     Opt("pairs", Path, None, "pairs JSONL", required=True),
     Opt("out", Path, None, "report output directory", required=True),
     Opt("grid", _grid_arg, "extended", "sweep grid preset"),
-    Opt("jobs", int, 1, "embedding worker threads"),
 ]
 
 
@@ -530,7 +526,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out_dir: Path = opts["out"]
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    finals = detector.score_pairs(det, pairs, jobs=opts["jobs"])
+    finals = detector.score_pairs(det, pairs)
     scored = list(zip(finals, (p.label for p in pairs)))
     if not all(np.isfinite(s) for s, _ in scored):
         raise NumericError("non-finite similarity while scoring pairs")
@@ -566,18 +562,18 @@ _SWEEP_OPTS = [
 ]
 
 
+def _scored(record: dict) -> evaluation.Scored:
+    label = int(record["label"])
+    if label not in (-1, 1):
+        raise InvalidLabel(f"label must be -1 or +1, got {label}")
+    return float(record["score"]), label
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     opts = _resolve(args, _SWEEP_OPTS)
     if not opts["scores"].is_file():
         raise ValidationError(f"scores file not found: {opts['scores']}")
-    scored = []
-    with opts["scores"].open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            scored.append((float(record["score"]), int(record["label"])))
+    scored = list(acfg.read_records(opts["scores"], _scored))
     if not scored:
         raise ValidationError(f"{opts['scores']} holds no scores")
     sweep = evaluation.threshold_sweep(scored, detector.GRIDS[opts["grid"]]())
@@ -636,7 +632,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, ValueError, KeyError, OSError) as exc:
         logger.error("%s", exc)
         return 2
     except NumericError as exc:

@@ -7,11 +7,11 @@ the decision threshold. A single mixed model trained on all patterns at once
 is supported as an ablation configuration.
 
 Scoring prepares each distinct graph once, packs the graphs into the
-engine's node-budget chunks (gnn.chunk_graphs), embeds every chunk once per
-model, and takes all pair distances of a model in one vectorised step.
-detect is the same path for a single pair. An eval scores its pair file
-once with score_pairs and builds every report from those scores
-(evaluation.reports_from_scores).
+engine's node-budget chunks (gnn.chunk_graphs) and, per model, takes the
+pair distances with gnn.pair_distances, which embeds every chunk once. It
+runs in the calling thread; there is no worker pool. detect is the same
+path for a single pair. An eval scores its pair file once with score_pairs
+and builds every report from those scores (evaluation.reports_from_scores).
 
 save_models writes a bundle's model-<key>.ckpt files and vocab.json, and
 refuses a bundle whose vocab.json holds another vocabulary; finalize_bundle
@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -33,6 +31,7 @@ import numpy as np
 from .acfg import (
     AttributedCFG,
     OpcodeVocabulary,
+    read_json,
     vocabulary_from_json,
     vocabulary_to_json,
 )
@@ -44,8 +43,8 @@ from .gnn import (
     PreparedBatch,
     chunk_graphs,
     config_to_json,
-    embed_batch,
     load_checkpoint,
+    pair_distances,
     prepare_graph,
     save_checkpoint,
 )
@@ -53,7 +52,6 @@ from .pairgen import FunctionPair
 
 PATTERN_KEYS = ("leaf", "root", "internal")
 MIXED_KEY = "mixed"
-_PAIR_BLOCK = 128  # pairs per distance step; bounds the gathered rows
 
 
 def similarity(distance: float) -> float:
@@ -122,10 +120,10 @@ def detect(
 
 
 def score_pairs(
-    detector: EnsembleDetector, pairs: Sequence[FunctionPair], jobs: int = 1
+    detector: EnsembleDetector, pairs: Sequence[FunctionPair]
 ) -> list[float]:
     """Ensemble similarity per pair; each distinct graph embeds once per
-    model. jobs > 1 fans the embedding chunks over threads."""
+    model."""
     graphs: dict = {}
     for pair in pairs:
         graphs.setdefault(pair.query_ref, pair.query)
@@ -140,7 +138,6 @@ def score_pairs(
         batches,
         [row[p.query_ref] for p in pairs],
         [row[p.target_ref] for p in pairs],
-        jobs,
     )
     finals = np.full(len(pairs), -np.inf)
     for values in sims.values():
@@ -153,35 +150,15 @@ def _similarities(
     batches: Sequence[PreparedBatch],
     query_rows: Sequence[int],
     target_rows: Sequence[int],
-    jobs: int = 1,
 ) -> dict[str, np.ndarray]:
     """Similarity per pair under each model; a pair is two graph rows of
-    the batches taken in order.
-
-    Every graph embeds once per model. The batches are the chunks of
-    gnn.chunk_graphs, whose bounds do not depend on jobs, so threading
-    leaves every score unchanged.
-    """
-    config = detector.config
-    n_rows = sum(batch.n_graphs for batch in batches)
-    query_rows = np.asarray(query_rows, dtype=np.intp)
-    target_rows = np.asarray(target_rows, dtype=np.intp)
+    the batches taken in order."""
     sims = {}
-    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        run = map if pool is None else pool.map
-        for key in sorted(detector.models):
-            params = detector.models[key]
-            emb = np.empty((n_rows, config.graph_embedding_dim))
-            start = 0
-            for rows in run(lambda b: embed_batch(b, params, config), batches):
-                emb[start : start + len(rows)] = rows
-                start += len(rows)
-            distance = np.empty(len(query_rows))
-            for start in range(0, len(query_rows), _PAIR_BLOCK):
-                block = slice(start, start + _PAIR_BLOCK)
-                diff = emb[query_rows[block]] - emb[target_rows[block]]
-                distance[block] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            sims[key] = 1.0 / (1.0 + distance)
+    for key in sorted(detector.models):
+        distance = pair_distances(
+            batches, query_rows, target_rows, detector.models[key], detector.config
+        )
+        sims[key] = 1.0 / (1.0 + distance)
     return sims
 
 
@@ -278,15 +255,6 @@ def _write_manifest(
     )
 
 
-def save_bundle(
-    detector: EnsembleDetector,
-    directory: Path | str,
-    provenance: Mapping[str, str] | None = None,
-) -> None:
-    save_models(directory, detector.models, detector.vocab, detector.config)
-    _write_manifest(detector, Path(directory), provenance)
-
-
 def finalize_bundle(
     directory: Path | str,
     keys: Sequence[str],
@@ -310,7 +278,7 @@ def _load_detector(
 ) -> EnsembleDetector:
     """Checkpoints by key and vocab.json; every config must agree."""
     vocab = vocabulary_from_json(
-        json.loads((directory / "vocab.json").read_text(encoding="utf-8"))
+        read_json(directory / "vocab.json", ["key_sequence"], CorruptArtifact)
     )
     models: dict[str, ModelParams] = {}
     config = None
@@ -324,11 +292,8 @@ def _load_detector(
 
 def load_bundle(directory: Path | str) -> EnsembleDetector:
     path = Path(directory) / "manifest.json"
-    manifest = json.loads(path.read_text(encoding="utf-8"))
-    fields = manifest if isinstance(manifest, dict) else {}
-    missing = {"format_version", "models", "config_sha256", "threshold"} - set(fields)
-    if missing:
-        raise CorruptArtifact(f"{path} lacks {', '.join(sorted(missing))}")
+    keys = ["format_version", "models", "config_sha256", "threshold"]
+    manifest = read_json(path, keys, CorruptArtifact)
     if manifest["format_version"] != _BUNDLE_VERSION:
         raise ValueError(
             f"{path}: unsupported bundle version {manifest['format_version']}"

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import DegenerateLabels
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .detector import EnsembleDetector
     from .pairgen import FunctionPair
 
 Scored = tuple[float, int]
@@ -206,16 +205,6 @@ def reports_from_scores(
     }
     reports["overall"] = report_at(overall, threshold, "overall")
     return reports
-
-
-def evaluate_detector(
-    detector: "EnsembleDetector",
-    pairs: Sequence["FunctionPair"],
-) -> dict[str, EvalReport]:
-    """Score the pairs, then report them at the detector threshold."""
-    from .detector import score_pairs  # local import, keeps deps one-way
-
-    return reports_from_scores(pairs, score_pairs(detector, pairs), detector.threshold)
 
 
 def _format_auc(value: float | None, digits: int) -> str:

@@ -16,12 +16,13 @@ union of graphs used for batched graph networks (the GraphsTuple layout):
 stacked node features, edge endpoints offset into the stacked rows, and a
 node-to-graph segment id. The forward and backward passes are written once
 over that layout. A PreparedGraph is a batch of one and goes in as it is.
-Training (gradient steps and validation AUC) still feeds the engine one
-graph at a time, so its float summation order, and with it every
-checkpoint, stays fixed: stacking graphs changes the bits of BLAS matmul
-rows. Inference batches many graphs per call: chunk_graphs packs
-consecutive graphs up to CHUNK_NODES nodes, and embed_batch returns one row
-per graph and keeps no backward tape.
+Only gradient steps feed the engine one graph at a time, so their float
+summation order, and with it every checkpoint, stays fixed: stacking graphs
+changes the bits of BLAS matmul rows. Everything else that compares
+embeddings (validation AUC, and the detector's scoring and detect) goes
+through pair_distances: chunk_graphs packs consecutive graphs up to
+CHUNK_NODES nodes, embed_batch returns one row per graph of a chunk and
+keeps no backward tape, and the pair distances are taken in blocks.
 
 A training step keeps the parameters and both Adam moments as one flat
 float64 vector each (TrainState; the name -> tensor dicts are views laid
@@ -505,13 +506,32 @@ def embed_prepared(
     return embed_batch(prep, params, config)[0]
 
 
-def embed(
-    graph: AttributedCFG,
-    vocab: OpcodeVocabulary,
+_PAIR_BLOCK = 128  # pairs per distance step; bounds the gathered rows
+
+
+def pair_distances(
+    batches: Sequence[PreparedBatch],
+    query_rows: Sequence[int],
+    target_rows: Sequence[int],
     params: ModelParams,
     config: ModelConfig,
 ) -> np.ndarray:
-    return embed_prepared(prepare_graph(graph, vocab, config), params, config)
+    """Embedding distance per pair; a pair is two graph rows of the batches
+    taken in order. Every batch embeds once, and the distances are taken
+    _PAIR_BLOCK pairs at a time."""
+    emb = np.empty((sum(b.n_graphs for b in batches), config.graph_embedding_dim))
+    start = 0
+    for batch in batches:
+        emb[start : start + batch.n_graphs] = embed_batch(batch, params, config)
+        start += batch.n_graphs
+    query_rows = np.asarray(query_rows, dtype=np.intp)
+    target_rows = np.asarray(target_rows, dtype=np.intp)
+    distance = np.empty(len(query_rows))
+    for start in range(0, len(query_rows), _PAIR_BLOCK):
+        block = slice(start, start + _PAIR_BLOCK)
+        diff = emb[query_rows[block]] - emb[target_rows[block]]
+        distance[block] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return distance
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +817,6 @@ def train_model(
 
     cache: dict = {}
     val_prepared = prepare_pairs(validation_pairs, vocab, config, cache)
-    val_labels = [p.label for p in val_prepared]
     best_auc = -np.inf
     best_params = clone_params(state.params)
     for epoch in range(epochs):
@@ -815,7 +834,7 @@ def train_model(
         epoch_loss = loss_sum / len(prepared)
         if not np.isfinite(epoch_loss):
             raise Diverged(f"epoch {epoch}: non-finite loss {epoch_loss}")
-        val_auc = _validation_auc(val_prepared, val_labels, state.params, config)
+        val_auc = _validation_auc(val_prepared, state.params, config)
         history.append(
             {"epoch": epoch, "train_loss": epoch_loss, "val_auc": val_auc}
         )
@@ -826,25 +845,34 @@ def train_model(
 
 
 def _validation_auc(
-    prepared: Sequence[PreparedPair],
-    labels: Sequence[int],
-    params: ModelParams,
-    config: ModelConfig,
+    prepared: Sequence[PreparedPair], params: ModelParams, config: ModelConfig
 ) -> float:
-    # ranking by -distance matches ranking by similarity (monotone transform)
-    emb_cache: dict[int, np.ndarray] = {}
+    """AUC of the pairs ranked by -distance; each distinct graph embeds
+    once. Not by similarity: 1 / (1 + d) can round two distinct distances
+    to one value and so turn them into a tie.
 
-    def emb_of(prep: PreparedGraph) -> np.ndarray:
-        key = id(prep)
-        if key not in emb_cache:
-            emb_cache[key] = embed_prepared(prep, params, config)
-        return emb_cache[key]
-
-    scores = [
-        (-euclidean_distance(emb_of(p.query), emb_of(p.target)), label)
-        for p, label in zip(prepared, labels)
-    ]
-    return auc(scores)
+    Graphs are distinct by content, not by object: one function under two
+    refs gets one row. Two copies of a graph in a stacked chunk can differ
+    in the last bits, which would break ties that embedding one graph at a
+    time keeps.
+    """
+    row: dict[int, int] = {}  # id of a prepared graph -> its embedding row
+    content_row: dict[tuple, int] = {}
+    graphs: list[PreparedGraph] = []
+    for graph in (g for pair in prepared for g in (pair.query, pair.target)):
+        if id(graph) not in row:
+            content = tuple(a.tobytes() for a in (graph.features, graph.src, graph.dst))
+            row[id(graph)] = content_row.setdefault(content, len(graphs))
+            if row[id(graph)] == len(graphs):
+                graphs.append(graph)
+    distance = pair_distances(
+        chunk_graphs(graphs),
+        [row[id(p.query)] for p in prepared],
+        [row[id(p.target)] for p in prepared],
+        params,
+        config,
+    )
+    return auc(list(zip((-distance).tolist(), (p.label for p in prepared))))
 
 
 # ---------------------------------------------------------------------------

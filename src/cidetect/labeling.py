@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .acfg import read_json
 from .errors import InconsistentTables
 
 logger = logging.getLogger(__name__)
@@ -394,4 +395,4 @@ def save_index(index: BridgeIndex, path: Path | str) -> None:
 
 
 def load_index(path: Path | str) -> BridgeIndex:
-    return index_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    return index_from_json(read_json(path, ["entries"]))

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .acfg import AttributedCFG, strip_name
+from .acfg import AttributedCFG, read_records, strip_name
 from .errors import Exhausted, TooFewProjects
 from .labeling import BridgeIndex, Pattern
 
@@ -238,25 +238,21 @@ def write_pairs(pairs: Sequence[FunctionPair], path: Path | str) -> None:
 
 
 def read_pairs(path: Path | str, graphs: GraphStore) -> list[FunctionPair]:
+    """The pairs of a pair file, resolved against graphs. A bad record or
+    a ref missing from graphs raises ValidationError naming path:line."""
     lookup = _stripped(graphs)
-    pairs = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            query_ref = tuple(record["query_ref"])
-            target_ref = tuple(record["target_ref"])
-            pairs.append(
-                FunctionPair(
-                    query=lookup(query_ref),
-                    target=lookup(target_ref),
-                    label=int(record["label"]),
-                    pattern=Pattern(record["pattern"]),
-                    query_ref=query_ref,
-                    target_ref=target_ref,
-                    bridge=record.get("bridge"),
-                )
-            )
-    return pairs
+
+    def pair(record: dict) -> FunctionPair:
+        query_ref = tuple(record["query_ref"])
+        target_ref = tuple(record["target_ref"])
+        return FunctionPair(
+            query=lookup(query_ref),
+            target=lookup(target_ref),
+            label=int(record["label"]),
+            pattern=Pattern(record["pattern"]),
+            query_ref=query_ref,
+            target_ref=target_ref,
+            bridge=record.get("bridge"),
+        )
+
+    return list(read_records(path, pair))

@@ -23,6 +23,7 @@ from .acfg import (
     AttributedCFG,
     BasicBlock,
     read_graphs,
+    read_json,
     write_function_records,
 )
 from .errors import MalformedGraph, PatternStarvation, SiteNotFound
@@ -634,9 +635,7 @@ class LoadedCorpus:
 
 def load_corpus(directory: Path | str) -> LoadedCorpus:
     directory = Path(directory)
-    manifest = json.loads(
-        (directory / "manifest.json").read_text(encoding="utf-8")
-    )
+    manifest = read_json(directory / "manifest.json", ["projects"])
     graphs: dict[tuple[str, str, str], AttributedCFG] = {}
     for dataset in ("noinline", "inline"):
         dataset_dir = directory / "graphs" / dataset

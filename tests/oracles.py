@@ -10,9 +10,12 @@ bridge) to count isolated bridges. `grad_step`, `pair_loss_and_grads` and
 `_adam_update`, with the dict-of-tensors `TrainState` they used, are the
 training step before flat parameter vectors: one gradient dict per pair,
 two forward passes per pair and an Adam loop over the tensors; they run on
-the library's own forward and backward passes. All are kept verbatim; the
-tests require the library's versions to produce the same graphs, pairs,
-counts and training states.
+the library's own forward and backward passes. `_validation_auc` is the
+validation score before it moved onto the batched inference engine: it
+embedded one graph at a time with `embed_prepared` and ranked the pairs by
+`-euclidean_distance`. All are kept verbatim; the tests require the
+library's versions to produce the same graphs, pairs, counts, training
+states and validation AUCs.
 """
 
 from __future__ import annotations
@@ -37,7 +40,10 @@ from cidetect.gnn import (
     _ADAM_EPS,
     _backward,
     _forward,
+    embed_prepared,
+    euclidean_distance,
 )
+from cidetect.evaluation import auc
 from cidetect.labeling import BridgeIndex, Pattern, SourceFCG
 from cidetect.pairgen import (
     DATASET_INLINE,
@@ -375,3 +381,25 @@ def grad_step(
         total[name] *= scale
     new_state = _adam_update(state, total, config)
     return new_state, loss_sum * scale
+
+
+def _validation_auc(
+    prepared: Sequence[PreparedPair],
+    labels: Sequence[int],
+    params: ModelParams,
+    config: ModelConfig,
+) -> float:
+    # ranking by -distance matches ranking by similarity (monotone transform)
+    emb_cache: dict[int, np.ndarray] = {}
+
+    def emb_of(prep: PreparedGraph) -> np.ndarray:
+        key = id(prep)
+        if key not in emb_cache:
+            emb_cache[key] = embed_prepared(prep, params, config)
+        return emb_cache[key]
+
+    scores = [
+        (-euclidean_distance(emb_of(p.query), emb_of(p.target)), label)
+        for p, label in zip(prepared, labels)
+    ]
+    return auc(scores)

@@ -139,14 +139,16 @@ def _eval(pipeline, pairs, out):
 
 def test_eval_scores_once(pipeline, tmp_path, monkeypatch):
     """eval scores every pair once; its files equal those built from a
-    separate score_pairs call plus evaluate_detector, which scores again."""
+    separate score_pairs call."""
     det = detector.load_bundle(pipeline["bundle"])
     pairs = pairgen.read_pairs(
         pipeline["pairs"], synth.load_corpus(pipeline["corpus"]).graphs
     )
     finals = detector.score_pairs(det, pairs)
     reference = tmp_path / "reference.json"
-    evaluation.write_reports(evaluation.evaluate_detector(det, pairs), reference)
+    evaluation.write_reports(
+        evaluation.reports_from_scores(pairs, finals, det.threshold), reference
+    )
 
     calls = []
     original = detector.score_pairs
@@ -486,16 +488,36 @@ def _manifest_not_an_object(bundle):
     return path
 
 
+def _manifest_not_json(bundle):
+    path = bundle / "manifest.json"
+    path.write_text(path.read_text()[:40])
+    return path
+
+
+def _vocab_not_json(bundle):
+    path = bundle / "vocab.json"
+    path.write_text('{"key_sequence": [')
+    return path
+
+
+def _vocab_without_key_sequence(bundle):
+    path = bundle / "vocab.json"
+    path.write_text("{}\n")
+    return path
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_cut_in_header, _cut_in_tensors, _trailing_bytes, _manifest_without_threshold,
      _manifest_not_an_object, _flip_bit_in_header, _header_without_config,
-     _malformed_shape, _flip_bit_in_tensor_name],
+     _malformed_shape, _flip_bit_in_tensor_name, _manifest_not_json,
+     _vocab_not_json, _vocab_without_key_sequence],
     ids=["checkpoint-cut-in-header", "checkpoint-cut-in-tensors",
          "checkpoint-trailing-bytes", "manifest-without-threshold",
          "manifest-not-an-object", "checkpoint-bit-flip-in-header",
          "checkpoint-header-without-config", "checkpoint-malformed-shape",
-         "checkpoint-bit-flip-in-tensor-name"],
+         "checkpoint-bit-flip-in-tensor-name", "manifest-not-json",
+         "vocab-not-json", "vocab-without-key-sequence"],
 )
 def test_eval_corrupt_bundle_names_file(pipeline, tmp_path, caplog, corrupt):
     bundle = tmp_path / "bundle"
@@ -508,6 +530,117 @@ def test_eval_corrupt_bundle_names_file(pipeline, tmp_path, caplog, corrupt):
         ])
     assert rc == 2
     assert any(str(path) in rec.getMessage() for rec in caplog.records)
+
+
+def _bad_record(line, edit):
+    record = json.loads(line)
+    edit(record)
+    return json.dumps(record)
+
+
+def _with_bad_second_record(source, path, corrupt):
+    """source's first record, a blank line, then corrupt(second record),
+    which is line 3 of path."""
+    first, second = source.read_text().splitlines()[:2]
+    path.write_text(first + "\n\n" + corrupt(second) + "\n")
+
+
+def _assert_names(caplog, place):
+    assert any(place in rec.getMessage() for rec in caplog.records), [
+        rec.getMessage() for rec in caplog.records
+    ]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda line: "{not json",
+        lambda line: _bad_record(line, lambda r: r.pop("query_ref")),
+        lambda line: _bad_record(line, lambda r: r.update(label="abc")),
+        lambda line: _bad_record(line, lambda r: r.update(pattern="equal")),
+        lambda line: _bad_record(
+            line, lambda r: r.update(target_ref=["inline", "ghost", "f"])
+        ),
+    ],
+    ids=["not-json", "missing-key", "bad-label", "bad-pattern", "unknown-ref"],
+)
+def test_eval_bad_pair_record_names_file_and_line(
+    pipeline, tmp_path, caplog, corrupt
+):
+    pairs = tmp_path / "pairs.jsonl"
+    _with_bad_second_record(pipeline["pairs"], pairs, corrupt)
+    with caplog.at_level("ERROR", logger="cidetect.cli"):
+        assert _eval(pipeline, pairs, tmp_path / "report") == 2
+    _assert_names(caplog, f"{pairs}:3:")
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda line: "{not json",
+        lambda line: _bad_record(line, lambda r: r.pop("score")),
+        lambda line: _bad_record(line, lambda r: r.update(score="abc")),
+        lambda line: _bad_record(line, lambda r: r.update(label=0)),
+    ],
+    ids=["not-json", "missing-key", "bad-score", "bad-label"],
+)
+def test_sweep_bad_score_record_names_file_and_line(
+    pipeline, tmp_path, caplog, corrupt
+):
+    report = tmp_path / "report"
+    assert _eval(pipeline, pipeline["pairs"], report) == 0
+    scores = tmp_path / "scores.jsonl"
+    _with_bad_second_record(report / "scores.jsonl", scores, corrupt)
+    with caplog.at_level("ERROR", logger="cidetect.cli"):
+        rc = main(["sweep", "--scores", str(scores), "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    _assert_names(caplog, f"{scores}:3:")
+
+
+def _corpus_manifest_without_projects(pipeline, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    manifest = corpus / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    del payload["projects"]
+    manifest.write_text(json.dumps(payload))
+    return manifest, ["label", "--corpus", str(corpus), "--out", str(tmp_path / "i.json")]
+
+
+def _index_not_json(pipeline, tmp_path):
+    index = tmp_path / "index.json"
+    index.write_text(pipeline["index"].read_text()[:50])
+    return index, [
+        "pairs", "--corpus", str(pipeline["corpus"]), "--index", str(index),
+        "--pattern", "leaf", "--out", str(tmp_path / "p.jsonl"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_corpus_manifest_without_projects, _index_not_json],
+    ids=["corpus-manifest-without-projects", "index-not-json"],
+)
+def test_bad_json_input_names_file(pipeline, tmp_path, caplog, corrupt):
+    path, argv = corrupt(pipeline, tmp_path)
+    with caplog.at_level("ERROR", logger="cidetect.cli"):
+        assert main(argv) == 2
+    _assert_names(caplog, str(path))
+
+
+def test_eval_has_no_jobs_option(pipeline, tmp_path):
+    """Scoring runs in one thread: --jobs and a jobs= config key exit 2."""
+    argv = [
+        "eval", "--bundle", str(pipeline["bundle"]),
+        "--corpus", str(pipeline["corpus"]), "--pairs", str(pipeline["pairs"]),
+        "--out", str(tmp_path / "report"),
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--jobs", "2"])
+    assert exc.value.code == 2
+    config = tmp_path / "eval.cfg"
+    config.write_text("jobs=2\n")
+    assert main(argv + ["--config", str(config)]) == 2
 
 
 def test_module_entry_point():

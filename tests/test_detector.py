@@ -16,7 +16,6 @@ from cidetect.detector import (
     finalize_bundle,
     load_bundle,
     paper_grid,
-    save_bundle,
     save_models,
     score_pairs,
     select_threshold,
@@ -173,12 +172,6 @@ def test_score_pairs_matches_detect():
         assert final == pytest.approx(detect(pair.query, pair.target, det).final, abs=1e-12)
 
 
-def test_score_pairs_threaded_matches_serial():
-    graphs, det = _tiny_detector(seed=4, keys=("mixed",))
-    pairs = _pairs_from(graphs)
-    assert score_pairs(det, pairs, jobs=2) == score_pairs(det, pairs, jobs=1)
-
-
 def test_score_pairs_chunking_changes_no_score(monkeypatch):
     graphs, det = _tiny_detector(seed=5)
     pairs = _pairs_from(graphs)
@@ -239,9 +232,19 @@ def test_select_threshold_degenerate_and_empty():
 # ---------------------------------------------------------------------------
 # Bundles
 
+def _saved_bundle(directory, provenance=None):
+    """A bundle written the way train writes one: save_models, then
+    finalize_bundle, which returns the detector the bundle holds."""
+    graphs, det = _tiny_detector(seed=9)
+    save_models(directory, det.models, det.vocab, det.config)
+    det = finalize_bundle(
+        directory, PATTERN_KEYS, _pairs_from(graphs), extended_grid(), provenance
+    )
+    return graphs, det
+
+
 def test_bundle_round_trip(tmp_path):
-    graphs, det = _tiny_detector(seed=9, threshold=0.75)
-    save_bundle(det, tmp_path / "bundle", provenance={"note": "round trip"})
+    graphs, det = _saved_bundle(tmp_path / "bundle", {"note": "round trip"})
     loaded = load_bundle(tmp_path / "bundle")
     assert loaded.threshold == det.threshold
     assert loaded.config == det.config
@@ -255,10 +258,10 @@ def test_bundle_round_trip(tmp_path):
 
 
 def test_bundle_manifest_fields(tmp_path):
-    graphs, det = _tiny_detector(seed=9)
-    save_bundle(det, tmp_path / "bundle")
+    graphs, det = _saved_bundle(tmp_path / "bundle")
     manifest = json.loads((tmp_path / "bundle" / "manifest.json").read_text())
     assert manifest["mode"] == "ensemble"
+    assert manifest["threshold"] == det.threshold
     assert manifest["config_sha256"] == config_hash(det.config)
     assert set(manifest["models"]) == {"leaf", "root", "internal"}
     for filename in manifest["models"].values():
@@ -267,8 +270,7 @@ def test_bundle_manifest_fields(tmp_path):
 
 
 def test_bundle_rejects_config_hash_mismatch(tmp_path):
-    graphs, det = _tiny_detector(seed=9)
-    save_bundle(det, tmp_path / "bundle")
+    _saved_bundle(tmp_path / "bundle")
     manifest_path = tmp_path / "bundle" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["config_sha256"] = "0" * 64
@@ -278,8 +280,7 @@ def test_bundle_rejects_config_hash_mismatch(tmp_path):
 
 
 def test_bundle_rejects_unknown_version(tmp_path):
-    graphs, det = _tiny_detector(seed=9)
-    save_bundle(det, tmp_path / "bundle")
+    _saved_bundle(tmp_path / "bundle")
     manifest_path = tmp_path / "bundle" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["format_version"] = 99
@@ -289,8 +290,7 @@ def test_bundle_rejects_unknown_version(tmp_path):
 
 
 def test_bundle_missing_checkpoint(tmp_path):
-    graphs, det = _tiny_detector(seed=9)
-    save_bundle(det, tmp_path / "bundle")
+    _saved_bundle(tmp_path / "bundle")
     (tmp_path / "bundle" / "model-root.ckpt").unlink()
     with pytest.raises(FileNotFoundError):
         load_bundle(tmp_path / "bundle")

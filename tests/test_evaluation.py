@@ -9,10 +9,10 @@ from cidetect.evaluation import (
     accuracy,
     auc,
     confusion,
-    evaluate_detector,
     format_report_table,
     precision_recall_f1,
     report_at,
+    reports_from_scores,
     threshold_sweep,
     write_reports,
     write_sweep_csv,
@@ -164,7 +164,7 @@ def test_evaluate_detector_groups_by_pattern():
     from dataclasses import replace
 
     from cidetect.acfg import build_vocabulary
-    from cidetect.detector import EnsembleDetector
+    from cidetect.detector import EnsembleDetector, score_pairs
     from cidetect.gnn import ModelConfig, init_params
     from cidetect.labeling import Pattern
     from cidetect.pairgen import FunctionPair
@@ -206,6 +206,6 @@ def test_evaluate_detector_groups_by_pattern():
         pair(4, 5, 1, Pattern.ROOT),
         pair(1, 2, -1, Pattern.ROOT),
     ]
-    reports = evaluate_detector(det, pairs)
+    reports = reports_from_scores(pairs, score_pairs(det, pairs), det.threshold)
     assert set(reports) == {"leaf", "root", "overall"}
     assert reports["overall"].tp + reports["overall"].fn == 2

@@ -19,7 +19,6 @@ from cidetect.gnn import (
     clone_params,
     config_from_json,
     config_to_json,
-    embed,
     embed_batch,
     embed_prepared,
     euclidean_distance,
@@ -279,13 +278,6 @@ def test_batched_backward_sums_per_graph_gradients():
         np.testing.assert_allclose(batched[name], separate[name], rtol=0, atol=1e-12)
 
 
-def test_embed_convenience_wrapper():
-    graphs, vocab, config = _tiny_setup()
-    params = init_params(config)
-    direct = embed_prepared(prepare_graph(graphs[0], vocab, config), params, config)
-    np.testing.assert_array_equal(embed(graphs[0], vocab, params, config), direct)
-
-
 def test_euclidean_distance():
     a = np.array([0.0, 3.0])
     b = np.array([4.0, 0.0])
@@ -523,6 +515,73 @@ def test_train_model_history_and_determinism():
     assert [sorted(h) for h in history_a] == [["epoch", "train_loss", "val_auc"]] * 3
     for name in params_a:
         np.testing.assert_array_equal(params_a[name], params_b[name])
+
+
+@pytest.mark.parametrize("chunk_nodes, pair_block", [(128, 128), (5, 3), (1, 1)])
+def test_validation_auc_matches_reference_every_epoch(
+    monkeypatch, chunk_nodes, pair_block
+):
+    """Validation on the batched engine gives, at every epoch, the AUC of
+    the reference that embedded one graph at a time, whatever the chunk and
+    pair block sizes."""
+    graphs, vocab, config = _tiny_setup(seed=16)
+    config = _tiny_config(feature_dim=vocab.feature_dim, learning_rate=0.05)
+
+    def pair(i, j, label, target_dataset="inline"):
+        return FunctionPair(
+            query=graphs[i],
+            target=graphs[j],
+            label=label,
+            pattern=Pattern.LEAF,
+            query_ref=("noinline", "b", f"f{i}"),
+            target_ref=(target_dataset, "b", f"f{j}"),
+            bridge="br" if label == 1 else None,
+        )
+
+    val = [
+        pair(0, 1, 1), pair(0, 1, 1),  # a pair drawn twice
+        pair(1, 0, -1),  # (b, a) next to (a, b), with the other label
+        pair(2, 2, -1, "noinline"),  # one graph on both sides
+        pair(2, 2, 1),  # the same function under two refs
+        pair(3, 4, -1), pair(4, 3, 1), pair(5, 6, 1), pair(6, 7, -1),
+        pair(7, 5, -1), pair(3, 6, 1), pair(2, 5, -1),
+    ]
+    train = [pair(0, 2, 1), pair(1, 3, -1), pair(4, 5, 1), pair(6, 7, -1)]
+    monkeypatch.setattr(gnn, "CHUNK_NODES", chunk_nodes)
+    monkeypatch.setattr(gnn, "_PAIR_BLOCK", pair_block)
+    seen = []
+    batched = gnn._validation_auc
+
+    def both(prepared, params, config):
+        labels = [p.label for p in prepared]
+        want = oracles._validation_auc(prepared, labels, params, config)
+        seen.append((batched(prepared, params, config), want))
+        return seen[-1][0]
+
+    monkeypatch.setattr(gnn, "_validation_auc", both)
+    _, history = train_model(lambda epoch: train, val, vocab, config, 6)
+    assert [row["val_auc"] for row in history] == [got for got, _ in seen]
+    assert [got for got, _ in seen] == [want for _, want in seen]
+    assert len({want for _, want in seen}) > 1, "the AUC should move in training"
+
+
+def test_pair_distances_match_per_graph_distances():
+    graphs, vocab, config = _tiny_setup(seed=17)
+    params = init_params(config)
+    preps = [prepare_graph(g, vocab, config) for g in graphs]
+    rows = [(0, 1), (1, 0), (2, 2), (3, 7), (7, 3), (5, 6)]
+    got = gnn.pair_distances(
+        chunk_graphs(preps), [q for q, _ in rows], [t for _, t in rows], params, config
+    )
+    want = [
+        euclidean_distance(
+            embed_prepared(preps[q], params, config),
+            embed_prepared(preps[t], params, config),
+        )
+        for q, t in rows
+    ]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert got[2] == 0.0 and got[0] == got[1] and got[3] == got[4]
 
 
 def test_train_model_diverges_on_huge_learning_rate():
