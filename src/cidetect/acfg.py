@@ -11,7 +11,8 @@ per instruction; the model reads only the opcode column and the edges.
 
 The toolkit reads its JSON files here, with read_records (JSONL: graphs,
 pairs, scores) or read_json (one object per file); a bad one raises an
-error naming the file, and the line of a JSONL record.
+error naming the file, and the line of a JSONL record. It writes them here
+too, with write_records and write_json, so each kind has one format.
 """
 
 from __future__ import annotations
@@ -322,6 +323,25 @@ def read_json(
     return payload
 
 
+def write_records(path: Path | str, records: Iterable) -> None:
+    """One JSON record per line, keys sorted: the JSONL format that
+    read_records reads."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True))
+            handle.write("\n")
+
+
+def json_text(payload: object) -> str:
+    """The format of every whole-file JSON value the toolkit writes: keys
+    sorted, indented one space, with a final newline."""
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+def write_json(path: Path | str, payload: object) -> None:
+    Path(path).write_text(json_text(payload), encoding="utf-8")
+
+
 def iter_function_records(path: Path | str) -> Iterator[dict]:
     """The raw function records of a JSONL file, one dict per line."""
     return read_records(path, lambda record: record, MalformedGraph)
@@ -334,10 +354,7 @@ def read_graphs(path: Path | str) -> Iterator[AttributedCFG]:
 
 
 def write_function_records(path: Path | str, graphs: Iterable[AttributedCFG]) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for graph in graphs:
-            handle.write(json.dumps(acfg_to_record(graph), sort_keys=True))
-            handle.write("\n")
+    write_records(path, map(acfg_to_record, graphs))
 
 
 @dataclass(frozen=True)
@@ -404,4 +421,8 @@ def vocabulary_to_json(vocab: OpcodeVocabulary) -> dict:
 
 
 def vocabulary_from_json(payload: dict) -> OpcodeVocabulary:
-    return OpcodeVocabulary(key_sequence=tuple(payload["key_sequence"]))
+    """A key_sequence that is not a list of distinct strings: ValueError."""
+    keys = payload["key_sequence"]
+    if type(keys) is not list or not _only(keys, str):
+        raise ValueError("key_sequence must be a list of strings")
+    return OpcodeVocabulary(key_sequence=tuple(keys))

@@ -14,7 +14,6 @@ explicit flags win. All randomness derives from --seed. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -30,7 +29,7 @@ from .errors import InvalidLabel, NumericError, ValidationError
 logger = logging.getLogger(__name__)
 
 _SEED_VOCAB_SPLIT = 5  # split tag; one --seed drives every derived stream
-_SEED_PAIRS = {"leaf": 101, "root": 102, "internal": 103, "mixed": 104}
+_SEED_PAIRS = {"leaf": 101, "root": 102, "internal": 103, detector.MIXED_KEY: 104}
 _SEED_VAL = 211
 _SEED_THRESH = 223
 _EXAMPLES = 3  # unresolved line-table rows quoted per kind in the label log
@@ -110,8 +109,9 @@ def _read_config_file(path: Path) -> dict[str, str]:
 
 
 def _pattern_arg(text: str) -> str:
-    if text not in ("leaf", "root", "internal", "mixed"):
-        raise ValueError("pattern must be leaf, root, internal or mixed")
+    if text not in (*detector.PATTERN_KEYS, detector.MIXED_KEY):
+        keys = ", ".join(detector.PATTERN_KEYS)
+        raise ValueError(f"pattern must be {keys} or {detector.MIXED_KEY}")
     return text
 
 
@@ -180,12 +180,7 @@ _LABEL_OPTS = [
 
 
 def _split_rows_by_dataset(corpus_dir: Path):
-    manifest = acfg.read_json(corpus_dir / "manifest.json", ["projects"])
-    noinline_ids = set()
-    inline_ids = set()
-    for project in manifest["projects"].values():
-        noinline_ids.add(project["binaries"]["noinline"])
-        inline_ids.add(project["binaries"]["inline"])
+    projects = synth.read_corpus_manifest(corpus_dir)["projects"].values()
     tables = corpus_dir / "tables"
     for name in ("addr2line.tsv", "binfuncs.tsv", "srcfuncs.tsv", "fcg.tsv"):
         if not (tables / name).is_file():
@@ -195,7 +190,8 @@ def _split_rows_by_dataset(corpus_dir: Path):
     srcfuncs = labeling.read_srcfuncs(tables / "srcfuncs.tsv")
     fcg_edges = labeling.read_fcg(tables / "fcg.tsv")
     split = {}
-    for dataset, ids in (("noinline", noinline_ids), ("inline", inline_ids)):
+    for dataset in ("noinline", "inline"):
+        ids = {project["binaries"][dataset] for project in projects}
         split[dataset] = (
             [row for row in addr2line if row[0] in ids],
             [row for row in binfuncs if row[0] in ids],
@@ -271,10 +267,10 @@ def _sample_pairs(
     seed_seq: list[int],
 ) -> list[pairgen.FunctionPair]:
     """Positive and negative pairs, shuffled together deterministically."""
-    if pattern == "mixed":
-        patterns = [labeling.Pattern.LEAF, labeling.Pattern.ROOT, labeling.Pattern.INTERNAL]
+    if pattern == detector.MIXED_KEY:
+        patterns = labeling.CROSS_PATTERNS
     else:
-        patterns = [labeling.Pattern(pattern)]
+        patterns = (labeling.Pattern(pattern),)
     pairs: list[pairgen.FunctionPair] = []
     for i, pat in enumerate(patterns):
         pos_share = n_pos // len(patterns) + (1 if i < n_pos % len(patterns) else 0)
@@ -426,12 +422,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             row["epoch"], row["train_loss"], row["val_auc"],
         )
     detector.save_models(out_dir, {pattern: params}, vocab, config)
-    (out_dir / f"history-{pattern}.json").write_text(
-        json.dumps(history, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    acfg.write_json(out_dir / f"history-{pattern}.json", history)
     print(f"wrote the {pattern} model to {out_dir}")
 
-    keys = [detector.MIXED_KEY] if pattern == "mixed" else detector.PATTERN_KEYS
+    keys = [pattern] if pattern == detector.MIXED_KEY else detector.PATTERN_KEYS
     missing = detector.missing_models(out_dir, keys)
     if missing:
         print(f"bundle incomplete, still missing: {', '.join(missing)}")
@@ -440,7 +434,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     thresh_pairs = _sample_pairs(
         train_index,
         corpus.graphs,
-        "mixed",
+        detector.MIXED_KEY,
         3 * opts["thresh_pairs"],
         3 * opts["thresh_pairs"],
         [seed, _SEED_THRESH],
@@ -493,11 +487,10 @@ def cmd_detect(args: argparse.Namespace) -> int:
         "label": verdict.label,
         "threshold": det.threshold,
     }
-    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     if opts["out"] is None:
-        sys.stdout.write(text)
+        sys.stdout.write(acfg.json_text(payload))
     else:
-        opts["out"].write_text(text, encoding="utf-8")
+        acfg.write_json(opts["out"], payload)
         print(f"wrote {opts['out']}")
     return 0
 
@@ -534,19 +527,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     evaluation.write_reports(reports, out_dir / "reports.json")
     sweep = evaluation.threshold_sweep(scored, detector.GRIDS[opts["grid"]]())
     evaluation.write_sweep_csv(sweep, out_dir / "sweep.csv")
-    with (out_dir / "scores.jsonl").open("w", encoding="utf-8") as handle:
-        for pair, final in zip(pairs, finals):
-            handle.write(
-                json.dumps(
-                    {
-                        "score": final,
-                        "label": pair.label,
-                        "pattern": pair.pattern.value,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    acfg.write_records(
+        out_dir / "scores.jsonl",
+        (
+            {"score": final, "label": pair.label, "pattern": pair.pattern.value}
+            for pair, final in zip(pairs, finals)
+        ),
+    )
     print(evaluation.format_report_table(reports))
     print(f"wrote {out_dir / 'reports.json'}")
     return 0

@@ -6,12 +6,14 @@ keeps the maximum. The pair is flagged as inlined when that maximum reaches
 the decision threshold. A single mixed model trained on all patterns at once
 is supported as an ablation configuration.
 
-Scoring prepares each distinct graph once, packs the graphs into the
-engine's node-budget chunks (gnn.chunk_graphs) and, per model, takes the
-pair distances with gnn.pair_distances, which embeds every chunk once. It
-runs in the calling thread; there is no worker pool. detect is the same
-path for a single pair. An eval scores its pair file once with score_pairs
-and builds every report from those scores (evaluation.reports_from_scores).
+Scoring prepares each distinct ref once and makes one gnn.pair_distances
+call for every model, which decides which graphs share an embedding row
+(one per distinct graph content) and does the chunking; no code here
+chunks. So a function scores exactly 1 against itself, under one ref or
+two. It runs in the calling thread; there is no worker pool. detect is the
+same call on a single pair. An eval scores its pair file once with
+score_pairs and builds every report from those scores
+(evaluation.reports_from_scores).
 
 save_models writes a bundle's model-<key>.ckpt files and vocab.json, and
 refuses a bundle whose vocab.json holds another vocabulary; finalize_bundle
@@ -34,30 +36,32 @@ from .acfg import (
     read_json,
     vocabulary_from_json,
     vocabulary_to_json,
+    write_json,
 )
 from .errors import CorruptArtifact, DegenerateLabels, NegativeDistance, ValidationError
 from .evaluation import Scored, threshold_sweep
 from .gnn import (
     ModelConfig,
     ModelParams,
-    PreparedBatch,
-    chunk_graphs,
+    PreparedGraph,
     config_to_json,
     load_checkpoint,
     pair_distances,
     prepare_graph,
     save_checkpoint,
 )
+from .labeling import CROSS_PATTERNS
 from .pairgen import FunctionPair
 
-PATTERN_KEYS = ("leaf", "root", "internal")
+PATTERN_KEYS = tuple(pattern.value for pattern in CROSS_PATTERNS)
 MIXED_KEY = "mixed"
 
 
-def similarity(distance: float) -> float:
-    """Map a distance to (0, 1]; identical embeddings score exactly 1."""
-    if distance < 0:
-        raise NegativeDistance(f"distance must be >= 0, got {distance}")
+def similarity(distance: float | np.ndarray) -> float | np.ndarray:
+    """Map a distance, or each of an array of them, to (0, 1]; identical
+    embeddings score exactly 1."""
+    if np.any(distance < 0):
+        raise NegativeDistance(f"distance must be >= 0, got {np.min(distance)}")
     return 1.0 / (1.0 + distance)
 
 
@@ -104,17 +108,8 @@ def detect(
     query: AttributedCFG, target: AttributedCFG, detector: EnsembleDetector
 ) -> Verdict:
     """Score one pair with every model and keep the maximum similarity."""
-    # an identical target shares the query's row, so it scores exactly 1
-    graphs = [query] if target == query else [query, target]
-    batches = chunk_graphs(
-        prepare_graph(graph, detector.vocab, detector.config) for graph in graphs
-    )
-    sims = {
-        key: float(values[0])
-        for key, values in _similarities(
-            detector, batches, [0], [len(graphs) - 1]
-        ).items()
-    }
+    pair = [prepare_graph(g, detector.vocab, detector.config) for g in (query, target)]
+    sims = {key: float(s[0]) for key, s in _similarities(detector, [pair]).items()}
     final = max(sims.values())
     return Verdict(similarities=sims, final=final, label=final >= detector.threshold)
 
@@ -122,44 +117,27 @@ def detect(
 def score_pairs(
     detector: EnsembleDetector, pairs: Sequence[FunctionPair]
 ) -> list[float]:
-    """Ensemble similarity per pair; each distinct graph embeds once per
-    model."""
-    graphs: dict = {}
-    for pair in pairs:
-        graphs.setdefault(pair.query_ref, pair.query)
-        graphs.setdefault(pair.target_ref, pair.target)
-    refs = sorted(graphs)
-    row = {ref: i for i, ref in enumerate(refs)}
-    batches = chunk_graphs(
-        prepare_graph(graphs[ref], detector.vocab, detector.config) for ref in refs
-    )
+    """Ensemble similarity per pair; each distinct ref is prepared once."""
+    prepared: dict = {}
+    for p in pairs:
+        for ref, graph in ((p.query_ref, p.query), (p.target_ref, p.target)):
+            if ref not in prepared:
+                prepared[ref] = prepare_graph(graph, detector.vocab, detector.config)
     sims = _similarities(
-        detector,
-        batches,
-        [row[p.query_ref] for p in pairs],
-        [row[p.target_ref] for p in pairs],
+        detector, [(prepared[p.query_ref], prepared[p.target_ref]) for p in pairs]
     )
-    finals = np.full(len(pairs), -np.inf)
-    for values in sims.values():
-        np.maximum(finals, values, out=finals)
-    return finals.tolist()
+    return np.max(list(sims.values()), axis=0).tolist()
 
 
 def _similarities(
-    detector: EnsembleDetector,
-    batches: Sequence[PreparedBatch],
-    query_rows: Sequence[int],
-    target_rows: Sequence[int],
+    detector: EnsembleDetector, pairs: Sequence[tuple[PreparedGraph, PreparedGraph]]
 ) -> dict[str, np.ndarray]:
-    """Similarity per pair under each model; a pair is two graph rows of
-    the batches taken in order."""
-    sims = {}
-    for key in sorted(detector.models):
-        distance = pair_distances(
-            batches, query_rows, target_rows, detector.models[key], detector.config
-        )
-        sims[key] = 1.0 / (1.0 + distance)
-    return sims
+    """Similarity per pair under each model, by sorted model key."""
+    keys = sorted(detector.models)
+    distance = pair_distances(
+        pairs, [detector.models[key] for key in keys], detector.config
+    )
+    return dict(zip(keys, similarity(distance)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +228,7 @@ def _write_manifest(
         "config_sha256": config_hash(detector.config),
         "provenance": dict(provenance or {}),
     }
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    write_json(directory / "manifest.json", manifest)
 
 
 def finalize_bundle(
@@ -277,9 +253,12 @@ def _load_detector(
     directory: Path, model_files: Mapping[str, str], threshold: float
 ) -> EnsembleDetector:
     """Checkpoints by key and vocab.json; every config must agree."""
-    vocab = vocabulary_from_json(
-        read_json(directory / "vocab.json", ["key_sequence"], CorruptArtifact)
-    )
+    path = directory / "vocab.json"
+    payload = read_json(path, ["key_sequence"], CorruptArtifact)
+    try:
+        vocab = vocabulary_from_json(payload)
+    except ValueError as exc:
+        raise CorruptArtifact(f"{path}: {exc}") from None
     models: dict[str, ModelParams] = {}
     config = None
     for key, filename in model_files.items():

@@ -10,13 +10,13 @@ A report on rows of a single label has no AUC (None, shown as n/a).
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Mapping, Sequence, TYPE_CHECKING
 
 import numpy as np
 
+from .acfg import write_json
 from .errors import DegenerateLabels
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -234,7 +234,4 @@ def format_report_table(reports: Mapping[str, EvalReport]) -> str:
 
 
 def write_reports(reports: Mapping[str, EvalReport], path: Path | str) -> None:
-    payload = {name: report.to_json() for name, report in reports.items()}
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    write_json(path, {name: report.to_json() for name, report in reports.items()})

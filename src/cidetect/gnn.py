@@ -19,10 +19,14 @@ over that layout. A PreparedGraph is a batch of one and goes in as it is.
 Only gradient steps feed the engine one graph at a time, so their float
 summation order, and with it every checkpoint, stays fixed: stacking graphs
 changes the bits of BLAS matmul rows. Everything else that compares
-embeddings (validation AUC, and the detector's scoring and detect) goes
-through pair_distances: chunk_graphs packs consecutive graphs up to
-CHUNK_NODES nodes, embed_batch returns one row per graph of a chunk and
-keeps no backward tape, and the pair distances are taken in blocks.
+embeddings (validation AUC, and the detector's scoring and detect) is one
+pair_distances call on (query, target) pairs of prepared graphs. It alone
+decides which graphs share an embedding row: one row per distinct graph
+content, so a graph is at distance exactly 0 from itself whichever objects
+or refs carry it. It alone calls chunk_graphs, which packs consecutive
+graphs up to CHUNK_NODES nodes; embed_batch returns one row per graph of a
+chunk and keeps no backward tape, and the pair distances are taken in
+blocks.
 
 A training step keeps the parameters and both Adam moments as one flat
 float64 vector each (TrainState; the name -> tensor dicts are views laid
@@ -509,28 +513,55 @@ def embed_prepared(
 _PAIR_BLOCK = 128  # pairs per distance step; bounds the gathered rows
 
 
+def _content(graph: PreparedBatch) -> tuple[bytes, bytes, bytes]:
+    return graph.features.tobytes(), graph.src.tobytes(), graph.dst.tobytes()
+
+
 def pair_distances(
-    batches: Sequence[PreparedBatch],
-    query_rows: Sequence[int],
-    target_rows: Sequence[int],
-    params: ModelParams,
+    pairs: Sequence[tuple[PreparedGraph, PreparedGraph]],
+    models: Sequence[ModelParams],
     config: ModelConfig,
 ) -> np.ndarray:
-    """Embedding distance per pair; a pair is two graph rows of the batches
-    taken in order. Every batch embeds once, and the distances are taken
-    _PAIR_BLOCK pairs at a time."""
-    emb = np.empty((sum(b.n_graphs for b in batches), config.graph_embedding_dim))
-    start = 0
-    for batch in batches:
-        emb[start : start + batch.n_graphs] = embed_batch(batch, params, config)
-        start += batch.n_graphs
-    query_rows = np.asarray(query_rows, dtype=np.intp)
-    target_rows = np.asarray(target_rows, dtype=np.intp)
-    distance = np.empty(len(query_rows))
-    for start in range(0, len(query_rows), _PAIR_BLOCK):
-        block = slice(start, start + _PAIR_BLOCK)
-        diff = emb[query_rows[block]] - emb[target_rows[block]]
-        distance[block] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    """Embedding distance of each pair under each model, shape
+    (len(models), len(pairs)).
+
+    This is the one place that decides which graphs share an embedding
+    row. Graphs are keyed by content (features, src and dst), in order of
+    first appearance, so one function under two refs gets one row and is
+    at distance exactly 0 from itself: two copies of a graph in a stacked
+    chunk can differ in the last bits. Only a hash of each content is
+    kept, so the features are not held twice; graphs with equal hashes
+    are compared in full. The rows are packed into chunks once
+    (chunk_graphs), every chunk embeds once per model, and the distances
+    are taken _PAIR_BLOCK pairs at a time.
+    """
+    row: dict[int, int] = {}  # id of a prepared graph -> its embedding row
+    by_hash: dict[int, list[int]] = {}  # hash of a content -> rows with it
+    graphs: list[PreparedGraph] = []
+    for graph in (g for pair in pairs for g in pair):
+        if id(graph) not in row:
+            content = _content(graph)
+            same = by_hash.setdefault(hash(content), [])
+            row[id(graph)] = next(
+                (r for r in same if _content(graphs[r]) == content), len(graphs)
+            )
+            if row[id(graph)] == len(graphs):
+                same.append(len(graphs))
+                graphs.append(graph)
+    query_rows = np.array([row[id(q)] for q, _ in pairs], dtype=np.intp)
+    target_rows = np.array([row[id(t)] for _, t in pairs], dtype=np.intp)
+    batches = chunk_graphs(graphs)
+    emb = np.empty((len(graphs), config.graph_embedding_dim))
+    distance = np.empty((len(models), len(pairs)))
+    for out, params in zip(distance, models):
+        start = 0
+        for batch in batches:
+            emb[start : start + batch.n_graphs] = embed_batch(batch, params, config)
+            start += batch.n_graphs
+        for start in range(0, len(pairs), _PAIR_BLOCK):
+            block = slice(start, start + _PAIR_BLOCK)
+            diff = emb[query_rows[block]] - emb[target_rows[block]]
+            out[block] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return distance
 
 
@@ -615,8 +646,6 @@ def _pair_backward(
     active hinge at non-zero distance), flat, which grads views, is
     overwritten with it; otherwise its gradient is all zero and flat is
     left as it was."""
-    if label not in (-1, 1):
-        raise InvalidLabel(f"label must be -1 or +1, got {label!r}")
     e1, tape1 = tapes.take(query)
     e2, tape2 = tapes.take(target)
     diff = e1[0] - e2[0]
@@ -624,9 +653,8 @@ def _pair_backward(
     if not np.isfinite(distance):
         # a NaN distance would otherwise read as an inactive hinge
         raise NonFiniteGradient(f"non-finite pair distance {distance}")
-    active = config.margin - label * (1.0 - distance)
-    loss = max(0.0, active)
-    if not (active > 0.0 and distance > 0.0):
+    loss = pair_loss(distance, label, config.margin)
+    if not (loss > 0.0 and distance > 0.0):
         return loss, False
     dd = float(label)
     de1 = (dd * diff / distance)[None, :]
@@ -847,32 +875,11 @@ def train_model(
 def _validation_auc(
     prepared: Sequence[PreparedPair], params: ModelParams, config: ModelConfig
 ) -> float:
-    """AUC of the pairs ranked by -distance; each distinct graph embeds
-    once. Not by similarity: 1 / (1 + d) can round two distinct distances
-    to one value and so turn them into a tie.
-
-    Graphs are distinct by content, not by object: one function under two
-    refs gets one row. Two copies of a graph in a stacked chunk can differ
-    in the last bits, which would break ties that embedding one graph at a
-    time keeps.
-    """
-    row: dict[int, int] = {}  # id of a prepared graph -> its embedding row
-    content_row: dict[tuple, int] = {}
-    graphs: list[PreparedGraph] = []
-    for graph in (g for pair in prepared for g in (pair.query, pair.target)):
-        if id(graph) not in row:
-            content = tuple(a.tobytes() for a in (graph.features, graph.src, graph.dst))
-            row[id(graph)] = content_row.setdefault(content, len(graphs))
-            if row[id(graph)] == len(graphs):
-                graphs.append(graph)
-    distance = pair_distances(
-        chunk_graphs(graphs),
-        [row[id(p.query)] for p in prepared],
-        [row[id(p.target)] for p in prepared],
-        params,
-        config,
-    )
-    return auc(list(zip((-distance).tolist(), (p.label for p in prepared))))
+    """AUC of the pairs ranked by -distance (pair_distances). Not by
+    similarity: 1 / (1 + d) can round two distinct distances to one value
+    and so turn them into a tie."""
+    distance = pair_distances([(p.query, p.target) for p in prepared], [params], config)
+    return auc(list(zip((-distance[0]).tolist(), (p.label for p in prepared))))
 
 
 # ---------------------------------------------------------------------------

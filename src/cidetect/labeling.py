@@ -11,14 +11,13 @@ cross-inlining pattern.
 from __future__ import annotations
 
 import enum
-import json
 import logging
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .acfg import read_json
+from .acfg import read_json, write_json
 from .errors import InconsistentTables
 
 logger = logging.getLogger(__name__)
@@ -388,10 +387,7 @@ def index_from_json(payload: dict) -> BridgeIndex:
 
 
 def save_index(index: BridgeIndex, path: Path | str) -> None:
-    Path(path).write_text(
-        json.dumps(index_to_json(index), sort_keys=True, indent=1) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, index_to_json(index))
 
 
 def load_index(path: Path | str) -> BridgeIndex:

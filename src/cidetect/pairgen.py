@@ -9,7 +9,6 @@ names before they reach a model.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .acfg import AttributedCFG, read_records, strip_name
+from .acfg import AttributedCFG, read_records, strip_name, write_records
 from .errors import Exhausted, TooFewProjects
 from .labeling import BridgeIndex, Pattern
 
@@ -222,19 +221,20 @@ def filter_index(index: BridgeIndex, bridges: Iterable[str]) -> BridgeIndex:
 # ---------------------------------------------------------------------------
 # Pair file exchange (refs only; graphs resolve against a corpus)
 
+def _pair_record(pair: FunctionPair) -> dict:
+    record = {
+        "query_ref": list(pair.query_ref),
+        "target_ref": list(pair.target_ref),
+        "label": pair.label,
+        "pattern": pair.pattern.value,
+    }
+    if pair.bridge is not None:
+        record["bridge"] = pair.bridge
+    return record
+
+
 def write_pairs(pairs: Sequence[FunctionPair], path: Path | str) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for pair in pairs:
-            record = {
-                "query_ref": list(pair.query_ref),
-                "target_ref": list(pair.target_ref),
-                "label": pair.label,
-                "pattern": pair.pattern.value,
-            }
-            if pair.bridge is not None:
-                record["bridge"] = pair.bridge
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
+    write_records(path, map(_pair_record, pairs))
 
 
 def read_pairs(path: Path | str, graphs: GraphStore) -> list[FunctionPair]:

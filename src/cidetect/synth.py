@@ -12,7 +12,6 @@ own ground truth.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -25,12 +24,14 @@ from .acfg import (
     read_graphs,
     read_json,
     write_function_records,
+    write_json,
 )
-from .errors import MalformedGraph, PatternStarvation, SiteNotFound
+from .errors import MalformedGraph, PatternStarvation, SiteNotFound, ValidationError
 from .labeling import (
     BinaryFunctionRef,
     BridgeEntry,
     BridgeIndex,
+    CROSS_PATTERNS,
     Pattern,
     index_to_json,
 )
@@ -557,11 +558,7 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
             for entry in corpus.ground_truth.entries.values()
             for _, pattern in entry.cross_inlining
         }
-        missing = [
-            p.value
-            for p in (Pattern.LEAF, Pattern.ROOT, Pattern.INTERNAL)
-            if p not in present
-        ]
+        missing = [p.value for p in CROSS_PATTERNS if p not in present]
         if missing:
             raise PatternStarvation(
                 f"config permits all patterns but none of: {', '.join(missing)}"
@@ -601,19 +598,13 @@ def write_corpus(corpus: SynthCorpus, directory: Path | str) -> None:
         for caller, callee in corpus.fcg_edges:
             handle.write(f"{caller}\t{callee}\n")
 
-    (directory / "ground_truth.json").write_text(
-        json.dumps(index_to_json(corpus.ground_truth), sort_keys=True, indent=1)
-        + "\n",
-        encoding="utf-8",
-    )
+    write_json(directory / "ground_truth.json", index_to_json(corpus.ground_truth))
     manifest = {
         "format_version": 1,
         "config": synth_config_to_json(corpus.config),
         "projects": corpus.projects,
     }
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    write_json(directory / "manifest.json", manifest)
 
 
 @dataclass
@@ -633,9 +624,29 @@ class LoadedCorpus:
         }
 
 
+def read_corpus_manifest(directory: Path | str) -> dict:
+    """The corpus manifest.json. Each project must list its source
+    functions and name its noinline and inline binaries; a project that
+    does not raises ValidationError naming the file."""
+    path = Path(directory) / "manifest.json"
+    manifest = read_json(path, ["projects"])
+    try:
+        for name, project in manifest["projects"].items():
+            functions = project["source_functions"]
+            binaries = project["binaries"]["noinline"], project["binaries"]["inline"]
+            if type(functions) is not list or not all(
+                type(value) is str for value in (*functions, *binaries)
+            ):
+                raise TypeError(f"{name}: names must be strings in a list")
+    except (AttributeError, KeyError, TypeError) as exc:
+        kind = type(exc).__name__
+        raise ValidationError(f"{path}: bad project ({kind}: {exc})") from None
+    return manifest
+
+
 def load_corpus(directory: Path | str) -> LoadedCorpus:
     directory = Path(directory)
-    manifest = read_json(directory / "manifest.json", ["projects"])
+    manifest = read_corpus_manifest(directory)
     graphs: dict[tuple[str, str, str], AttributedCFG] = {}
     for dataset in ("noinline", "inline"):
         dataset_dir = directory / "graphs" / dataset

@@ -506,18 +506,39 @@ def _vocab_without_key_sequence(bundle):
     return path
 
 
+def _vocab_key_sequence_not_a_list(bundle):
+    path = bundle / "vocab.json"
+    path.write_text('{"key_sequence": 5}\n')
+    return path
+
+
+def _vocab_repeated_key(bundle):
+    path = bundle / "vocab.json"
+    path.write_text('{"key_sequence": ["mov", "mov"]}\n')
+    return path
+
+
+def _vocab_key_not_a_string(bundle):
+    path = bundle / "vocab.json"
+    path.write_text('{"key_sequence": [1, 2]}\n')
+    return path
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_cut_in_header, _cut_in_tensors, _trailing_bytes, _manifest_without_threshold,
      _manifest_not_an_object, _flip_bit_in_header, _header_without_config,
      _malformed_shape, _flip_bit_in_tensor_name, _manifest_not_json,
-     _vocab_not_json, _vocab_without_key_sequence],
+     _vocab_not_json, _vocab_without_key_sequence, _vocab_key_sequence_not_a_list,
+     _vocab_repeated_key, _vocab_key_not_a_string],
     ids=["checkpoint-cut-in-header", "checkpoint-cut-in-tensors",
          "checkpoint-trailing-bytes", "manifest-without-threshold",
          "manifest-not-an-object", "checkpoint-bit-flip-in-header",
          "checkpoint-header-without-config", "checkpoint-malformed-shape",
          "checkpoint-bit-flip-in-tensor-name", "manifest-not-json",
-         "vocab-not-json", "vocab-without-key-sequence"],
+         "vocab-not-json", "vocab-without-key-sequence",
+         "vocab-key-sequence-not-a-list", "vocab-repeated-key",
+         "vocab-key-not-a-string"],
 )
 def test_eval_corrupt_bundle_names_file(pipeline, tmp_path, caplog, corrupt):
     bundle = tmp_path / "bundle"
@@ -607,6 +628,29 @@ def _corpus_manifest_without_projects(pipeline, tmp_path):
     return manifest, ["label", "--corpus", str(corpus), "--out", str(tmp_path / "i.json")]
 
 
+def _corpus_project_without_binaries(pipeline, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    manifest = corpus / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    del next(iter(payload["projects"].values()))["binaries"]
+    manifest.write_text(json.dumps(payload))
+    return manifest, ["label", "--corpus", str(corpus), "--out", str(tmp_path / "i.json")]
+
+
+def _corpus_project_functions_not_a_list(pipeline, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    manifest = corpus / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    next(iter(payload["projects"].values()))["source_functions"] = "f0"
+    manifest.write_text(json.dumps(payload))
+    return manifest, [
+        "pairs", "--corpus", str(corpus), "--index", str(pipeline["index"]),
+        "--pattern", "leaf", "--projects", "p000", "--out", str(tmp_path / "p.jsonl"),
+    ]
+
+
 def _index_not_json(pipeline, tmp_path):
     index = tmp_path / "index.json"
     index.write_text(pipeline["index"].read_text()[:50])
@@ -618,8 +662,10 @@ def _index_not_json(pipeline, tmp_path):
 
 @pytest.mark.parametrize(
     "corrupt",
-    [_corpus_manifest_without_projects, _index_not_json],
-    ids=["corpus-manifest-without-projects", "index-not-json"],
+    [_corpus_manifest_without_projects, _index_not_json,
+     _corpus_project_without_binaries, _corpus_project_functions_not_a_list],
+    ids=["corpus-manifest-without-projects", "index-not-json",
+         "corpus-project-without-binaries", "corpus-project-functions-not-a-list"],
 )
 def test_bad_json_input_names_file(pipeline, tmp_path, caplog, corrupt):
     path, argv = corrupt(pipeline, tmp_path)

@@ -172,6 +172,45 @@ def test_score_pairs_matches_detect():
         assert final == pytest.approx(detect(pair.query, pair.target, det).final, abs=1e-12)
 
 
+def test_score_pairs_scores_a_function_against_itself_as_one():
+    """A function paired with itself under a noinline and an inline ref,
+    among other pairs, scores exactly 1, as detect does: both refs share
+    one embedding row. Full-size models, so that two copies of a graph in
+    a stacked chunk would differ in the last bits."""
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        graphs = [
+            random_acfg(rng, f"f{i}", OPCODE_POOL[:8], max_nodes=8) for i in range(40)
+        ]
+        vocab = build_vocabulary(graphs, max_size=6)
+        config = ModelConfig(feature_dim=vocab.feature_dim, seed=seed)
+        models = {
+            key: init_params(replace(config, seed=seed + i))
+            for i, key in enumerate(PATTERN_KEYS)
+        }
+        det = EnsembleDetector(models, vocab, config, threshold=0.5)
+        def pair(q, t, label):
+            return FunctionPair(
+                query=graphs[q],
+                target=graphs[t],
+                label=label,
+                pattern=Pattern.LEAF,
+                query_ref=("noinline", "b", f"f{q}"),
+                target_ref=("inline", "b", f"f{t}"),
+                bridge="x" if label == 1 else None,
+            )
+
+        pairs = [
+            pair(i, j, label)
+            for i in range(0, len(graphs), 2)
+            for j, label in ((i + 1, -1), (i, 1))
+        ]
+        finals = score_pairs(det, pairs)
+        for p, final in zip(pairs, finals):
+            if p.label == 1:
+                assert final == 1.0 == detect(p.query, p.target, det).final
+
+
 def test_score_pairs_chunking_changes_no_score(monkeypatch):
     graphs, det = _tiny_detector(seed=5)
     pairs = _pairs_from(graphs)

@@ -570,9 +570,7 @@ def test_pair_distances_match_per_graph_distances():
     params = init_params(config)
     preps = [prepare_graph(g, vocab, config) for g in graphs]
     rows = [(0, 1), (1, 0), (2, 2), (3, 7), (7, 3), (5, 6)]
-    got = gnn.pair_distances(
-        chunk_graphs(preps), [q for q, _ in rows], [t for _, t in rows], params, config
-    )
+    got = gnn.pair_distances([(preps[q], preps[t]) for q, t in rows], [params], config)
     want = [
         euclidean_distance(
             embed_prepared(preps[q], params, config),
@@ -580,8 +578,39 @@ def test_pair_distances_match_per_graph_distances():
         )
         for q, t in rows
     ]
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    assert got[2] == 0.0 and got[0] == got[1] and got[3] == got[4]
+    assert got.shape == (1, len(rows))
+    np.testing.assert_allclose(got[0], want, rtol=0, atol=1e-12)
+    assert got[0, 2] == 0.0 and got[0, 0] == got[0, 1] and got[0, 3] == got[0, 4]
+
+
+def test_pair_distances_give_equal_content_one_row(monkeypatch):
+    """Two prepared objects of one graph, as under two refs, share a row:
+    their distance is exactly 0 wherever the chunks cut."""
+    graphs, vocab, config = _tiny_setup(seed=18)
+    params = init_params(config)
+    preps = [prepare_graph(g, vocab, config) for g in graphs]
+    copy = prepare_graph(graphs[3], vocab, config)
+    assert copy is not preps[3]
+    pairs = [(p, preps[(i + 1) % len(preps)]) for i, p in enumerate(preps)]
+    pairs += [(preps[3], copy), (copy, preps[3])]
+    for budget in (1, 5, 128):
+        monkeypatch.setattr(gnn, "CHUNK_NODES", budget)
+        got = gnn.pair_distances(pairs, [params], config)[0]
+        assert got[-2] == 0.0 and got[-1] == 0.0
+
+
+def test_pair_distances_take_every_model_in_one_call():
+    graphs, vocab, config = _tiny_setup(seed=19)
+    other = _tiny_config(feature_dim=vocab.feature_dim, seed=1)
+    models = [init_params(config), init_params(other)]
+    preps = [prepare_graph(g, vocab, config) for g in graphs]
+    pairs = [(preps[0], preps[1]), (preps[2], preps[2]), (preps[4], preps[6])]
+    got = gnn.pair_distances(pairs, models, config)
+    assert got.shape == (2, len(pairs))
+    for row, params in zip(got, models):
+        alone = gnn.pair_distances(pairs, [params], config)
+        np.testing.assert_array_equal(row, alone[0])
+    assert not np.array_equal(got[0], got[1])
 
 
 def test_train_model_diverges_on_huge_learning_rate():
