@@ -6,13 +6,13 @@ keeps the maximum. The pair is flagged as inlined when that maximum reaches
 the decision threshold. A single mixed model trained on all patterns at once
 is supported as an ablation configuration.
 
-Scoring prepares each distinct ref once and makes one gnn.pair_distances
-call for every model, which decides which graphs share an embedding row
-(one per distinct graph content) and does the chunking; no code here
-chunks. So a function scores exactly 1 against itself, under one ref or
-two. It runs in the calling thread; there is no worker pool. detect is the
-same call on a single pair. An eval scores its pair file once with
-score_pairs and builds every report from those scores
+Scoring prepares its pairs with gnn.prepare_pairs, which prepares each
+distinct ref once, and makes one gnn.pair_distances call for every model.
+gnn decides which graphs share an embedding row (one per distinct graph
+content) and does the chunking, so a function scores exactly 1 against
+itself, under one ref or two. It runs in the calling thread; there is no
+worker pool. detect is the same call on a single pair. An eval scores its
+pair file once with score_pairs and builds every report from those scores
 (evaluation.reports_from_scores).
 
 save_models writes a bundle's model-<key>.ckpt files and vocab.json, and
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -48,6 +49,7 @@ from .gnn import (
     load_checkpoint,
     pair_distances,
     prepare_graph,
+    prepare_pairs,
     save_checkpoint,
 )
 from .labeling import CROSS_PATTERNS
@@ -65,6 +67,20 @@ def similarity(distance: float | np.ndarray) -> float | np.ndarray:
     return 1.0 / (1.0 + distance)
 
 
+def _check_ensemble(models: Mapping[str, object], threshold: object) -> None:
+    """ValueError unless the models are keyed by the pattern keys or by the
+    mixed key alone, and the threshold is a number in (0, 1]."""
+    keys = tuple(sorted(models))
+    if keys != tuple(sorted(PATTERN_KEYS)) and keys != (MIXED_KEY,):
+        raise ValueError(
+            f"models must be {set(PATTERN_KEYS)} or {{{MIXED_KEY!r}}}, got {set(keys)}"
+        )
+    if isinstance(threshold, bool) or not (
+        isinstance(threshold, numbers.Real) and 0.0 < threshold <= 1.0
+    ):
+        raise ValueError(f"threshold must be a number in (0, 1], got {threshold!r}")
+
+
 @dataclass(frozen=True)
 class EnsembleDetector:
     """Pattern models sharing one vocabulary, config, and threshold."""
@@ -75,14 +91,7 @@ class EnsembleDetector:
     threshold: float
 
     def __post_init__(self) -> None:
-        keys = tuple(sorted(self.models))
-        if keys != tuple(sorted(PATTERN_KEYS)) and keys != (MIXED_KEY,):
-            raise ValueError(
-                f"models must be {set(PATTERN_KEYS)} or {{{MIXED_KEY!r}}}, "
-                f"got {set(keys)}"
-            )
-        if not 0.0 < self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
+        _check_ensemble(self.models, self.threshold)
         if self.vocab.feature_dim != self.config.feature_dim:
             raise ValueError(
                 f"vocabulary dim {self.vocab.feature_dim} != "
@@ -117,15 +126,9 @@ def detect(
 def score_pairs(
     detector: EnsembleDetector, pairs: Sequence[FunctionPair]
 ) -> list[float]:
-    """Ensemble similarity per pair; each distinct ref is prepared once."""
-    prepared: dict = {}
-    for p in pairs:
-        for ref, graph in ((p.query_ref, p.query), (p.target_ref, p.target)):
-            if ref not in prepared:
-                prepared[ref] = prepare_graph(graph, detector.vocab, detector.config)
-    sims = _similarities(
-        detector, [(prepared[p.query_ref], prepared[p.target_ref]) for p in pairs]
-    )
+    """Ensemble similarity per pair."""
+    prepared = prepare_pairs(pairs, detector.vocab, detector.config)
+    sims = _similarities(detector, [(p.query, p.target) for p in prepared])
     return np.max(list(sims.values()), axis=0).tolist()
 
 
@@ -266,6 +269,11 @@ def _load_detector(
         if config not in (None, ckpt_config):
             raise ValidationError(f"{directory / filename} disagrees on model config")
         config = ckpt_config
+    if vocab.feature_dim != config.feature_dim:
+        raise CorruptArtifact(
+            f"{path}: {vocab.feature_dim} features per node, "
+            f"but the models take {config.feature_dim}"
+        )
     return EnsembleDetector(models, vocab, config, threshold)
 
 
@@ -277,7 +285,16 @@ def load_bundle(directory: Path | str) -> EnsembleDetector:
         raise ValueError(
             f"{path}: unsupported bundle version {manifest['format_version']}"
         )
-    det = _load_detector(path.parent, manifest["models"], float(manifest["threshold"]))
+    models, threshold = manifest["models"], manifest["threshold"]
+    try:
+        if not isinstance(models, dict) or not all(
+            isinstance(name, str) for name in models.values()
+        ):
+            raise ValueError(f"models must map keys to file names, got {models!r}")
+        _check_ensemble(models, threshold)
+    except ValueError as exc:
+        raise CorruptArtifact(f"{path}: {exc}") from None
+    det = _load_detector(path.parent, models, float(threshold))
     if config_hash(det.config) != manifest["config_sha256"]:
         raise ValueError(f"{path}: config hash mismatch")
     return det

@@ -149,15 +149,13 @@ class SweepResult:
         return self.reports[self.best_index]
 
 
-def threshold_sweep(
-    scores: Sequence[Scored], grid: Sequence[float], pattern: str = "overall"
-) -> SweepResult:
+def threshold_sweep(scores: Sequence[Scored], grid: Sequence[float]) -> SweepResult:
     """One report per grid threshold; best row is max F1, ties to the
     smallest threshold."""
     if not grid:
         raise ValueError("empty threshold grid")
     area = _auc_or_none(scores)  # the same at every threshold
-    reports = tuple(_report(scores, t, pattern, area) for t in sorted(grid))
+    reports = tuple(_report(scores, t, "overall", area) for t in sorted(grid))
     best_index = 0
     for i, report in enumerate(reports):
         if report.f1 > reports[best_index].f1:

@@ -16,28 +16,30 @@ union of graphs used for batched graph networks (the GraphsTuple layout):
 stacked node features, edge endpoints offset into the stacked rows, and a
 node-to-graph segment id. The forward and backward passes are written once
 over that layout. A PreparedGraph is a batch of one and goes in as it is.
-Only gradient steps feed the engine one graph at a time, so their float
-summation order, and with it every checkpoint, stays fixed: stacking graphs
-changes the bits of BLAS matmul rows. Everything else that compares
-embeddings (validation AUC, and the detector's scoring and detect) is one
-pair_distances call on (query, target) pairs of prepared graphs. It alone
-decides which graphs share an embedding row: one row per distinct graph
-content, so a graph is at distance exactly 0 from itself whichever objects
-or refs carry it. It alone calls chunk_graphs, which packs consecutive
-graphs up to CHUNK_NODES nodes; embed_batch returns one row per graph of a
-chunk and keeps no backward tape, and the pair distances are taken in
-blocks.
+embedding_rows alone decides which graphs share an embedding row, for
+training, validation, scoring and detect alike: one row per distinct graph
+content, whichever objects or refs carry it, so a graph is at distance
+exactly 0 from itself (two copies of a graph in a stacked chunk can differ
+in the last bits). A prepared graph keeps its content hash, as it keeps
+its scatter index. Everything that compares embeddings without a
+gradient (validation AUC, the detector's scoring and detect) is one
+pair_distances call on (query, target) pairs of prepared graphs: it stacks
+the rows one chunk of up to CHUNK_NODES nodes at a time (chunk_graphs) and
+embeds each chunk under every model before it stacks the next; embed_batch
+keeps no backward tape, and the pair distances are taken in blocks.
 
-A training step keeps the parameters and both Adam moments as one flat
-float64 vector each (TrainState; the name -> tensor dicts are views laid
-out by ParamLayout), so Adam and its finite check are a few elementwise
-operations over the whole vector. Within a step the parameters are fixed,
-so each distinct graph runs forward once and its tape serves every pair it
-appears in. A pair's gradient goes into one reused vector and is added to
-the step's total only when it is not all zero (an active hinge at non-zero
-distance). Each element still sees the same operations in the same order
-as with one gradient dict per pair, so checkpoints are unchanged bit for
-bit.
+A training step feeds the engine one row at a time instead, so its float
+summation order, and with it every checkpoint, stays fixed: stacking graphs
+changes the bits of BLAS matmul rows. A row runs forward with a tape at its
+first pair, and the tape is dropped after the row's last pair. The step
+keeps the parameters and both Adam moments as one flat float64 vector each
+(TrainState; the name -> tensor dicts are views laid out by ParamLayout),
+so Adam and its finite check are a few elementwise operations over the
+whole vector. A pair's gradient goes into one reused vector and is added
+to the step's total only when it is not all zero (an active hinge at
+non-zero distance). Each element still sees the same operations in the
+same order as with one gradient dict per pair, so checkpoints are
+unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -47,10 +49,9 @@ import json
 import math
 import struct
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -254,15 +255,16 @@ class PreparedBatch:
     def n_nodes(self) -> int:
         return self.features.shape[0]
 
+    @functools.cached_property
+    def content_hash(self) -> int:
+        """Hash of the features, src and dst bytes, taken on first use."""
+        return hash(_content(self))
+
     def scatter_index(self, width: int) -> tuple[np.ndarray, np.ndarray]:
         """Flat _segment_sum indices that send rows `width` wide to their
-        dst and to their src node.
-
-        A single graph keeps them from its first call per width, as int32
-        where that holds every index: training embeds the same graphs over
-        and over for a whole run. A stacked batch builds them on each call,
-        since a scoring call holds all its batches at once and their
-        indices would add to its peak memory.
+        dst and to their src node, kept from the first call per width, as
+        int32 where that holds every index: training embeds the same graphs
+        over and over for a whole run.
         """
         index = self._scatter.get(width)
         if index is None:
@@ -271,11 +273,14 @@ class PreparedBatch:
                 (self.dst[:, None] * width + cols).ravel(),
                 (self.src[:, None] * width + cols).ravel(),
             )
-            if self.segment is None and self.n_nodes * width <= _INT32_MAX:
-                index = self._scatter[width] = (
-                    index[0].astype(np.int32), index[1].astype(np.int32)
-                )
+            if self.n_nodes * width <= _INT32_MAX:
+                index = (index[0].astype(np.int32), index[1].astype(np.int32))
+            self._scatter[width] = index
         return index
+
+
+def _content(graph: PreparedBatch) -> tuple[bytes, bytes, bytes]:
+    return graph.features.tobytes(), graph.src.tobytes(), graph.dst.tobytes()
 
 
 class PreparedGraph(PreparedBatch):
@@ -317,25 +322,20 @@ def batch_graphs(graphs: Sequence[PreparedGraph]) -> PreparedBatch:
     )
 
 
-def chunk_graphs(graphs: Iterable[PreparedGraph]) -> list[PreparedBatch]:
+def chunk_graphs(graphs: Iterable[PreparedGraph]) -> Iterator[PreparedBatch]:
     """Consecutive graphs batched up to CHUNK_NODES nodes per batch; every
-    batch holds at least one graph, so a larger graph forms its own.
-
-    Each batch is stacked as soon as it closes, so graphs drawn from a
-    generator are never all held twice, once alone and once stacked.
-    """
-    batches: list[PreparedBatch] = []
+    batch holds at least one graph, so a larger graph forms its own. Each
+    batch is stacked only when the previous one has been taken."""
     chunk: list[PreparedGraph] = []
     nodes = 0
     for graph in graphs:
         if chunk and nodes + graph.n_nodes > CHUNK_NODES:
-            batches.append(batch_graphs(chunk))
+            yield batch_graphs(chunk)
             chunk, nodes = [], 0
         chunk.append(graph)
         nodes += graph.n_nodes
     if chunk:
-        batches.append(batch_graphs(chunk))
-    return batches
+        yield batch_graphs(chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +513,28 @@ def embed_prepared(
 _PAIR_BLOCK = 128  # pairs per distance step; bounds the gathered rows
 
 
-def _content(graph: PreparedBatch) -> tuple[bytes, bytes, bytes]:
-    return graph.features.tobytes(), graph.src.tobytes(), graph.dst.tobytes()
+def embedding_rows(
+    pairs: Sequence[tuple[PreparedGraph, PreparedGraph]],
+) -> tuple[list[PreparedGraph], np.ndarray]:
+    """The distinct graphs of the pairs, keyed by content (features, src
+    and dst) in order of first appearance, and each pair's query and target
+    row among them as a (len(pairs), 2) array. Graphs with equal content
+    hashes are compared in full."""
+    row: dict[int, int] = {}  # id of a prepared graph -> its row
+    by_hash: dict[int, list[int]] = {}  # content hash -> rows with it
+    graphs: list[PreparedGraph] = []
+    for graph in (g for pair in pairs for g in pair):
+        if id(graph) not in row:
+            same = by_hash.setdefault(graph.content_hash, [])
+            row[id(graph)] = next(
+                (r for r in same if _content(graphs[r]) == _content(graph)),
+                len(graphs),
+            )
+            if row[id(graph)] == len(graphs):
+                same.append(len(graphs))
+                graphs.append(graph)
+    rows = [row[id(g)] for pair in pairs for g in pair]
+    return graphs, np.array(rows, dtype=np.intp).reshape(len(pairs), 2)
 
 
 def pair_distances(
@@ -525,42 +545,22 @@ def pair_distances(
     """Embedding distance of each pair under each model, shape
     (len(models), len(pairs)).
 
-    This is the one place that decides which graphs share an embedding
-    row. Graphs are keyed by content (features, src and dst), in order of
-    first appearance, so one function under two refs gets one row and is
-    at distance exactly 0 from itself: two copies of a graph in a stacked
-    chunk can differ in the last bits. Only a hash of each content is
-    kept, so the features are not held twice; graphs with equal hashes
-    are compared in full. The rows are packed into chunks once
-    (chunk_graphs), every chunk embeds once per model, and the distances
-    are taken _PAIR_BLOCK pairs at a time.
+    The rows (embedding_rows) are stacked one chunk at a time
+    (chunk_graphs), each chunk embeds under every model before the next is
+    stacked, and the distances are taken _PAIR_BLOCK pairs at a time.
     """
-    row: dict[int, int] = {}  # id of a prepared graph -> its embedding row
-    by_hash: dict[int, list[int]] = {}  # hash of a content -> rows with it
-    graphs: list[PreparedGraph] = []
-    for graph in (g for pair in pairs for g in pair):
-        if id(graph) not in row:
-            content = _content(graph)
-            same = by_hash.setdefault(hash(content), [])
-            row[id(graph)] = next(
-                (r for r in same if _content(graphs[r]) == content), len(graphs)
-            )
-            if row[id(graph)] == len(graphs):
-                same.append(len(graphs))
-                graphs.append(graph)
-    query_rows = np.array([row[id(q)] for q, _ in pairs], dtype=np.intp)
-    target_rows = np.array([row[id(t)] for _, t in pairs], dtype=np.intp)
-    batches = chunk_graphs(graphs)
-    emb = np.empty((len(graphs), config.graph_embedding_dim))
+    graphs, rows = embedding_rows(pairs)
+    emb = np.empty((len(models), len(graphs), config.graph_embedding_dim))
+    start = 0
+    for batch in chunk_graphs(graphs):
+        for out, params in zip(emb, models):
+            out[start : start + batch.n_graphs] = embed_batch(batch, params, config)
+        start += batch.n_graphs
     distance = np.empty((len(models), len(pairs)))
-    for out, params in zip(distance, models):
-        start = 0
-        for batch in batches:
-            emb[start : start + batch.n_graphs] = embed_batch(batch, params, config)
-            start += batch.n_graphs
+    for out, model_emb in zip(distance, emb):
         for start in range(0, len(pairs), _PAIR_BLOCK):
             block = slice(start, start + _PAIR_BLOCK)
-            diff = emb[query_rows[block]] - emb[target_rows[block]]
+            diff = model_emb[rows[block, 0]] - model_emb[rows[block, 1]]
             out[block] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return distance
 
@@ -599,44 +599,40 @@ def pair_loss_and_grads(
     layout = ParamLayout.of(params)
     flat = np.zeros(layout.size)
     grads = layout.views(flat)
-    tapes = _Tapes([(query, target)], params, config)
-    loss, _ = _pair_backward(query, target, label, tapes, params, config, flat, grads)
+    (taken,) = _step_tapes([(query, target)], params, config)
+    loss, _ = _pair_backward(query, target, label, taken, params, config, flat, grads)
     return loss, grads
 
 
-class _Tapes:
-    """Embedding and backward tape of each graph of some pairs, taken in
-    order: a graph runs forward once, however often it appears, while the
-    parameters stay fixed, and its tape is dropped after its last use."""
-
-    def __init__(
-        self,
-        pairs: Iterable[tuple[PreparedGraph, PreparedGraph]],
-        params: ModelParams,
-        config: ModelConfig,
-    ) -> None:
-        self.params = params
-        self.config = config
-        self.uses = Counter(id(g) for pair in pairs for g in pair)
-        self.memo: dict[int, tuple[np.ndarray, list]] = {}
-
-    def take(self, prep: PreparedGraph) -> tuple[np.ndarray, list]:
-        key = id(prep)
-        hit = self.memo.pop(key, None)
-        if hit is None:
-            tape: list = []
-            hit = (_forward(prep, self.params, self.config, tape), tape)
-        self.uses[key] -= 1
-        if self.uses[key]:
-            self.memo[key] = hit
-        return hit
+def _step_tapes(
+    pairs: Sequence[tuple[PreparedGraph, PreparedGraph]],
+    params: ModelParams,
+    config: ModelConfig,
+) -> Iterator[tuple[tuple, tuple]]:
+    """The embedding and tape of each pair's query and target, in order,
+    while the parameters stay fixed. Each row of embedding_rows runs
+    forward alone with a tape at its first pair, and its tape is dropped
+    after its last pair."""
+    graphs, rows = embedding_rows(pairs)
+    rows = rows.tolist()
+    last = {r: i for i, pair_rows in enumerate(rows) for r in pair_rows}
+    held: dict[int, tuple[np.ndarray, list]] = {}  # row -> embedding, tape
+    for i, (q, t) in enumerate(rows):
+        for r in (q, t):
+            if r not in held:
+                tape: list = []
+                held[r] = (_forward(graphs[r], params, config, tape), tape)
+        yield held[q], held[t]
+        for r in {q, t}:
+            if last[r] == i:
+                del held[r]
 
 
 def _pair_backward(
     query: PreparedGraph,
     target: PreparedGraph,
     label: int,
-    tapes: _Tapes,
+    taken: tuple[tuple, tuple],
     params: ModelParams,
     config: ModelConfig,
     flat: np.ndarray,
@@ -646,8 +642,7 @@ def _pair_backward(
     active hinge at non-zero distance), flat, which grads views, is
     overwritten with it; otherwise its gradient is all zero and flat is
     left as it was."""
-    e1, tape1 = tapes.take(query)
-    e2, tape2 = tapes.take(target)
+    (e1, tape1), (e2, tape2) = taken
     diff = e1[0] - e2[0]
     distance = float(np.sqrt(np.sum(diff**2)))
     if not np.isfinite(distance):
@@ -794,27 +789,28 @@ def grad_step(
 ) -> tuple[TrainState, float]:
     """One Adam update on the mean pair loss of the batch.
 
-    Each distinct graph of the batch runs forward once. A pair without a
-    gradient adds nothing to the total: the total starts at +0.0, and a sum
-    is -0.0 only when both addends are, so the total is never -0.0 and an
-    add of all zeros would change no bit.
+    Each distinct graph content of the batch runs forward once
+    (_step_tapes). A pair without a gradient adds nothing to the total: the
+    total starts at +0.0, and a sum is -0.0 only when both addends are, so
+    the total is never -0.0 and an add of all zeros would change no bit.
     """
     if not batch:
         raise ValueError("empty batch")
     params = state.params
-    tapes = _Tapes(((p.query, p.target) for p in batch), params, config)
+    tapes = _step_tapes([(p.query, p.target) for p in batch], params, config)
     total = np.zeros(state.layout.size)
     flat = np.empty(state.layout.size)
     grads = state.layout.views(flat)
     loss_sum = 0.0
     for pair in batch:
         loss, has_grad = _pair_backward(
-            pair.query, pair.target, pair.label, tapes, params, config,
+            pair.query, pair.target, pair.label, next(tapes), params, config,
             flat, grads,
         )
         loss_sum += loss
         if has_grad:
             total += flat
+    tapes.close()  # drops the last pair's tapes before Adam allocates
     scale = 1.0 / len(batch)
     total *= scale
     return _adam_update(state, total, config), loss_sum * scale

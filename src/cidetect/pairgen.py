@@ -174,31 +174,16 @@ class SplitSpec:
     test: tuple[str, ...]
 
 
-def split_projects(
-    project_ids: Sequence[str],
-    seed: int | Sequence[int],
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
-) -> SplitSpec:
-    """Disjoint project-level split, validation/test floored but never empty
-    while their fraction is positive."""
+def split_projects(project_ids: Sequence[str], seed: int | Sequence[int]) -> SplitSpec:
+    """Disjoint project-level split, 80/10/10: validation and test each get
+    a tenth of the projects, rounded down but at least one."""
     if len(set(project_ids)) != len(project_ids):
         raise ValueError("duplicate project ids")
     if len(project_ids) < 3:
         raise TooFewProjects(f"need at least 3 projects, got {len(project_ids)}")
-    if abs(sum(fractions) - 1.0) > 1e-9 or min(fractions) < 0:
-        raise ValueError("fractions must be non-negative and sum to 1")
     total = len(project_ids)
-    n_val = int(total * fractions[1])
-    n_test = int(total * fractions[2])
-    if fractions[1] > 0 and n_val == 0:
-        n_val = 1
-    if fractions[2] > 0 and n_test == 0:
-        n_test = 1
+    n_val = n_test = max(1, total // 10)  # 3 projects or more: one trains
     n_train = total - n_val - n_test
-    if n_train < 1:
-        raise TooFewProjects(
-            f"{total} projects leave no training projects after the split"
-        )
     rng = np.random.default_rng(seed)
     order = [project_ids[i] for i in rng.permutation(total)]
     return SplitSpec(

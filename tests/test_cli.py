@@ -524,13 +524,40 @@ def _vocab_key_not_a_string(bundle):
     return path
 
 
+def _vocab_of_another_length(bundle):
+    path = bundle / "vocab.json"
+    path.write_text('{"key_sequence": ["add", "mov"]}\n')
+    return path
+
+
+def _manifest_edited(edit):
+    """A corruption that rewrites manifest.json after edit(manifest)."""
+
+    def corrupt(bundle):
+        path = bundle / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        return path
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_cut_in_header, _cut_in_tensors, _trailing_bytes, _manifest_without_threshold,
      _manifest_not_an_object, _flip_bit_in_header, _header_without_config,
      _malformed_shape, _flip_bit_in_tensor_name, _manifest_not_json,
      _vocab_not_json, _vocab_without_key_sequence, _vocab_key_sequence_not_a_list,
-     _vocab_repeated_key, _vocab_key_not_a_string],
+     _vocab_repeated_key, _vocab_key_not_a_string,
+     _manifest_edited(lambda m: m.update(threshold=None)),
+     _manifest_edited(lambda m: m.update(threshold=[0.5])),
+     _manifest_edited(lambda m: m.update(models=sorted(m["models"].values()))),
+     _manifest_edited(lambda m: m.update(models={k: 5 for k in m["models"]})),
+     _manifest_edited(lambda m: m.update(threshold="abc")),
+     _manifest_edited(lambda m: m.update(threshold=1.5)),
+     _manifest_edited(lambda m: m["models"].pop("root")),
+     _vocab_of_another_length],
     ids=["checkpoint-cut-in-header", "checkpoint-cut-in-tensors",
          "checkpoint-trailing-bytes", "manifest-without-threshold",
          "manifest-not-an-object", "checkpoint-bit-flip-in-header",
@@ -538,7 +565,11 @@ def _vocab_key_not_a_string(bundle):
          "checkpoint-bit-flip-in-tensor-name", "manifest-not-json",
          "vocab-not-json", "vocab-without-key-sequence",
          "vocab-key-sequence-not-a-list", "vocab-repeated-key",
-         "vocab-key-not-a-string"],
+         "vocab-key-not-a-string", "manifest-threshold-null",
+         "manifest-threshold-list", "manifest-models-list",
+         "manifest-model-file-not-a-string", "manifest-threshold-string",
+         "manifest-threshold-above-one", "manifest-wrong-model-keys",
+         "vocab-of-another-length"],
 )
 def test_eval_corrupt_bundle_names_file(pipeline, tmp_path, caplog, corrupt):
     bundle = tmp_path / "bundle"

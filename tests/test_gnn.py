@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -235,7 +237,7 @@ def test_batched_forward_matches_oracle_per_graph():
     got = embed_batch(batch, params, config)
     assert got.shape == (len(graphs), config.graph_embedding_dim)
     np.testing.assert_allclose(got, np.stack(want), rtol=0, atol=1e-12)
-    chunks = chunk_graphs(graphs)
+    chunks = list(chunk_graphs(graphs))
     assert all(c.n_nodes <= gnn.CHUNK_NODES or c.n_graphs == 1 for c in chunks)
     assert sum(c.n_graphs for c in chunks) == len(graphs)
     chunked = np.concatenate([embed_batch(c, params, config) for c in chunks])
@@ -457,6 +459,33 @@ def test_grad_step_matches_reference_step_bit_for_bit():
     assert 0.0 in losses and max(losses) > 0.0
 
 
+def test_grad_step_runs_equal_content_forward_once(monkeypatch):
+    """Two prepared objects of one graph, as under two refs, share one
+    forward in a step, and the step equals the one on a single object."""
+    graphs, vocab, config = _tiny_setup(seed=20)
+    a, b, c = (prepare_graph(g, vocab, config) for g in graphs[:3])
+    a_copy = prepare_graph(graphs[0], vocab, config)
+    assert a_copy is not a
+    calls = []
+    forward = gnn._forward
+
+    def counted(batch, *args, **kwargs):
+        calls.append(batch)
+        return forward(batch, *args, **kwargs)
+
+    monkeypatch.setattr(gnn, "_forward", counted)
+    state = init_train_state(config)
+    got, got_loss = grad_step(
+        [PreparedPair(a, b, 1), PreparedPair(c, a_copy, -1)], state, config
+    )
+    assert len(calls) == 3
+    want, want_loss = grad_step(
+        [PreparedPair(a, b, 1), PreparedPair(c, a, -1)], state, config
+    )
+    assert got_loss == want_loss
+    assert np.array_equal(got.flat_params, want.flat_params)
+
+
 def test_pair_loss_and_grads_matches_reference_bit_for_bit():
     graphs, vocab, config = _tiny_setup(seed=15)
     params = init_params(config)
@@ -597,6 +626,41 @@ def test_pair_distances_give_equal_content_one_row(monkeypatch):
         monkeypatch.setattr(gnn, "CHUNK_NODES", budget)
         got = gnn.pair_distances(pairs, [params], config)[0]
         assert got[-2] == 0.0 and got[-1] == 0.0
+
+
+def test_pair_distances_hold_one_stacked_batch_at_a_time(monkeypatch):
+    """Each stacked chunk embeds under every model and is freed before the
+    next one is embedded."""
+    graphs, vocab, config = _tiny_setup(seed=21, n_graphs=12)
+    models = [init_params(config), init_params(_tiny_config(
+        feature_dim=vocab.feature_dim, seed=1
+    ))]
+    preps = [prepare_graph(g, vocab, config) for g in graphs]
+    pairs = [(p, preps[(i + 1) % len(preps)]) for i, p in enumerate(preps)]
+    stacked = []
+    embedded = []
+    stack = gnn.batch_graphs
+    embed = gnn.embed_batch
+
+    def tracked_batch(chunk):
+        batch = stack(chunk)
+        if batch.n_graphs > 1:
+            stacked.append(weakref.ref(batch))
+        return batch
+
+    def tracked_embed(batch, params, config):
+        alive = [ref() for ref in stacked if ref() is not None]
+        assert all(other is batch for other in alive)
+        embedded.append(batch.n_graphs)
+        return embed(batch, params, config)
+
+    monkeypatch.setattr(gnn, "CHUNK_NODES", 8)
+    monkeypatch.setattr(gnn, "batch_graphs", tracked_batch)
+    monkeypatch.setattr(gnn, "embed_batch", tracked_embed)
+    gnn.pair_distances(pairs, models, config)
+    assert len(stacked) > 1
+    assert all(ref() is None for ref in stacked)
+    assert sum(embedded) == len(models) * len(preps)
 
 
 def test_pair_distances_take_every_model_in_one_call():
