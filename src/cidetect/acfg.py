@@ -384,7 +384,7 @@ class OpcodeVocabulary:
 
 
 def build_vocabulary(
-    corpus: Iterable[AttributedCFG], max_size: int = 256
+    corpus: Iterable[AttributedCFG], max_size: int
 ) -> OpcodeVocabulary:
     """Most frequent opcodes first; frequency ties break lexicographically."""
     if max_size < 1:

@@ -17,7 +17,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -49,15 +49,23 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Opt:
+    """One option; one that sets a field of the command's SynthConfig or
+    ModelConfig names that field and takes its default from there."""
+
     name: str
     convert: Callable[[str], object]
     default: object
     help: str
     required: bool = False
+    field: str = ""
 
     @property
     def dest(self) -> str:
         return self.name.replace("-", "_")
+
+
+def _field(name: str, convert: Callable[[str], object], field: str, help: str) -> Opt:
+    return Opt(name, convert, None, help, field=field)
 
 
 def _add_options(parser: argparse.ArgumentParser, opts: Sequence[Opt]) -> None:
@@ -67,8 +75,12 @@ def _add_options(parser: argparse.ArgumentParser, opts: Sequence[Opt]) -> None:
         )
 
 
-def _resolve(args: argparse.Namespace, opts: Sequence[Opt]) -> dict:
-    """Merge precedence: explicit flag, then config file, then default."""
+def _resolve(
+    args: argparse.Namespace, opts: Sequence[Opt], config: type | None = None
+) -> dict:
+    """Merge precedence: explicit flag, then config file, then default; the
+    default of a field option is the one its field has in config."""
+    defaults = {f.name: f.default for f in fields(config)} if config else {}
     file_values: dict[str, str] = {}
     if getattr(args, "config", None):
         file_values = _read_config_file(Path(args.config))
@@ -84,13 +96,18 @@ def _resolve(args: argparse.Namespace, opts: Sequence[Opt]) -> dict:
         if raw is None:
             if opt.required:
                 raise ValidationError(f"missing required option --{opt.name}")
-            resolved[opt.dest] = opt.default
+            resolved[opt.dest] = defaults[opt.field] if opt.field else opt.default
         else:
             try:
                 resolved[opt.dest] = opt.convert(raw)
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"bad value for --{opt.name}: {exc}") from exc
     return resolved
+
+
+def _config_fields(opts: Sequence[Opt], resolved: dict) -> dict:
+    """The resolved values of the field options, keyed by field."""
+    return {opt.field: resolved[opt.dest] for opt in opts if opt.field}
 
 
 def _read_config_file(path: Path) -> dict[str, str]:
@@ -126,39 +143,33 @@ def _grid_arg(text: str) -> str:
 
 _SYNTH_OPTS = [
     Opt("out", Path, None, "corpus output directory", required=True),
-    Opt("seed", int, 0, "generator seed"),
-    Opt("projects", int, 10, "number of projects"),
-    Opt("functions", int, 10, "functions per project"),
-    Opt("alphabet-size", int, 24, "opcode alphabet size"),
-    Opt("block-count", _parse_range, (3, 8), "blocks per function, lo:hi"),
-    Opt("block-size", _parse_range, (3, 8), "instructions per block, lo:hi"),
-    Opt("call-density", float, 1.2, "expected outgoing calls per function"),
-    Opt("extra-edge-prob", float, 0.15, "extra CFG edge probability"),
-    Opt("preferred-opcodes", int, 6, "per-function biased opcode subset size"),
-    Opt("preferred-weight", float, 0.85, "weight of the biased subset"),
-    Opt("inline-budget", int, 400, "instruction budget for inlined callees"),
-    Opt("inline-probability", float, 1.0, "per-call inline probability"),
-    Opt("mutation-rate", float, 0.0, "opcode perturbation rate, inline side"),
+    _field("seed", int, "seed", "generator seed"),
+    _field("projects", int, "n_projects", "number of projects"),
+    _field("functions", int, "functions_per_project", "functions per project"),
+    _field("alphabet-size", int, "opcode_alphabet_size", "opcode alphabet size"),
+    _field("block-count", _parse_range, "block_count_range",
+           "blocks per function, lo:hi"),
+    _field("block-size", _parse_range, "block_size_range",
+           "instructions per block, lo:hi"),
+    _field("call-density", float, "call_density",
+           "expected outgoing calls per function"),
+    _field("extra-edge-prob", float, "extra_edge_prob", "extra CFG edge probability"),
+    _field("preferred-opcodes", int, "preferred_opcodes",
+           "per-function biased opcode subset size"),
+    _field("preferred-weight", float, "preferred_weight",
+           "weight of the biased subset"),
+    _field("inline-budget", int, "inline_budget",
+           "instruction budget for inlined callees"),
+    _field("inline-probability", float, "inline_probability",
+           "per-call inline probability"),
+    _field("mutation-rate", float, "mutation_rate",
+           "opcode perturbation rate, inline side"),
 ]
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    opts = _resolve(args, _SYNTH_OPTS)
-    config = synth.SynthConfig(
-        n_projects=opts["projects"],
-        functions_per_project=opts["functions"],
-        opcode_alphabet_size=opts["alphabet_size"],
-        block_count_range=opts["block_count"],
-        block_size_range=opts["block_size"],
-        call_density=opts["call_density"],
-        extra_edge_prob=opts["extra_edge_prob"],
-        preferred_opcodes=opts["preferred_opcodes"],
-        preferred_weight=opts["preferred_weight"],
-        inline_budget=opts["inline_budget"],
-        inline_probability=opts["inline_probability"],
-        mutation_rate=opts["mutation_rate"],
-        seed=opts["seed"],
-    )
+    opts = _resolve(args, _SYNTH_OPTS, synth.SynthConfig)
+    config = synth.SynthConfig(**_config_fields(_SYNTH_OPTS, opts))
     corpus = synth.generate_corpus(config)
     synth.write_corpus(corpus, opts["out"])
     dist = labeling.pattern_distribution(corpus.ground_truth)
@@ -179,8 +190,8 @@ _LABEL_OPTS = [
 ]
 
 
-def _split_rows_by_dataset(corpus_dir: Path):
-    projects = synth.read_corpus_manifest(corpus_dir)["projects"].values()
+def build_index_from_corpus(corpus_dir: Path) -> labeling.BridgeIndex:
+    manifest = synth.read_corpus_manifest(corpus_dir)
     tables = corpus_dir / "tables"
     for name in ("addr2line.tsv", "binfuncs.tsv", "srcfuncs.tsv", "fcg.tsv"):
         if not (tables / name).is_file():
@@ -188,22 +199,15 @@ def _split_rows_by_dataset(corpus_dir: Path):
     addr2line = labeling.read_addr2line(tables / "addr2line.tsv")
     binfuncs = labeling.read_binfuncs(tables / "binfuncs.tsv")
     srcfuncs = labeling.read_srcfuncs(tables / "srcfuncs.tsv")
-    fcg_edges = labeling.read_fcg(tables / "fcg.tsv")
-    split = {}
-    for dataset in ("noinline", "inline"):
-        ids = {project["binaries"][dataset] for project in projects}
-        split[dataset] = (
+    fcg = labeling.build_fcg(labeling.read_fcg(tables / "fcg.tsv"))
+    mappings = []
+    for dataset in labeling.DATASETS:
+        ids = synth.binary_ids(manifest, manifest["projects"], dataset)
+        result = labeling.construct_mapping(
             [row for row in addr2line if row[0] in ids],
             [row for row in binfuncs if row[0] in ids],
+            srcfuncs,
         )
-    return split, srcfuncs, fcg_edges
-
-
-def build_index_from_corpus(corpus_dir: Path) -> labeling.BridgeIndex:
-    split, srcfuncs, fcg_edges = _split_rows_by_dataset(corpus_dir)
-    results = {}
-    for dataset, (addr_rows, bin_rows) in split.items():
-        result = labeling.construct_mapping(addr_rows, bin_rows, srcfuncs)
         by_kind: dict[str, list[str]] = {}
         for kind, detail in result.inconsistencies:
             by_kind.setdefault(kind, []).append(detail)
@@ -212,11 +216,8 @@ def build_index_from_corpus(corpus_dir: Path) -> labeling.BridgeIndex:
                 "%s: %d line-table rows with %s, e.g. %s",
                 dataset, len(details), kind, ", ".join(details[:_EXAMPLES]),
             )
-        results[dataset] = result.mappings
-    fcg = labeling.build_fcg(fcg_edges)
-    return labeling.build_bridge_index(
-        results["noinline"], results["inline"], fcg
-    )
+        mappings.append(result.mappings)
+    return labeling.build_bridge_index(*mappings, fcg)  # no-inline, inline
 
 
 def cmd_label(args: argparse.Namespace) -> int:
@@ -258,37 +259,11 @@ def _load_index_for(
     return build_index_from_corpus(corpus.root)
 
 
-def _sample_pairs(
-    index: labeling.BridgeIndex,
-    graphs: pairgen.GraphStore,
-    pattern: str,
-    n_pos: int,
-    n_neg: int,
-    seed_seq: list[int],
-) -> list[pairgen.FunctionPair]:
-    """Positive and negative pairs, shuffled together deterministically."""
-    if pattern == detector.MIXED_KEY:
-        patterns = labeling.CROSS_PATTERNS
-    else:
-        patterns = (labeling.Pattern(pattern),)
-    pairs: list[pairgen.FunctionPair] = []
-    for i, pat in enumerate(patterns):
-        pos_share = n_pos // len(patterns) + (1 if i < n_pos % len(patterns) else 0)
-        neg_share = n_neg // len(patterns) + (1 if i < n_neg % len(patterns) else 0)
-        if pos_share:
-            pairs.extend(
-                pairgen.generate_positive_pairs(
-                    index, pat, pos_share, seed_seq + [1, i], graphs
-                )
-            )
-        if neg_share:
-            pairs.extend(
-                pairgen.generate_negative_pairs(
-                    index, pat, neg_share, seed_seq + [2, i], graphs
-                )
-            )
-    rng = np.random.default_rng(seed_seq + [3])
-    return [pairs[i] for i in rng.permutation(len(pairs))]
+def _patterns(key: str) -> tuple[labeling.Pattern, ...]:
+    """The patterns a model key trains on: its own, or all three for mixed."""
+    if key == detector.MIXED_KEY:
+        return labeling.CROSS_PATTERNS
+    return (labeling.Pattern(key),)
 
 
 def cmd_pairs(args: argparse.Namespace) -> int:
@@ -301,10 +276,10 @@ def cmd_pairs(args: argparse.Namespace) -> int:
         if unknown:
             raise ValidationError(f"unknown projects: {sorted(unknown)}")
         index = pairgen.filter_index(index, corpus.source_functions(wanted))
-    pairs = _sample_pairs(
+    pairs = pairgen.sample_pairs(
         index,
         corpus.graphs,
-        opts["pattern"],
+        _patterns(opts["pattern"]),
         opts["num_pos"],
         opts["num_neg"],
         [opts["seed"], _SEED_PAIRS[opts["pattern"]]],
@@ -322,23 +297,23 @@ _TRAIN_OPTS = [
     Opt("index", Path, None, "bridge index JSON (default: relabel corpus)"),
     Opt("pattern", _pattern_arg, None, "leaf, root, internal or mixed", required=True),
     Opt("out", Path, None, "bundle output directory", required=True),
-    Opt("seed", int, 0, "master seed"),
+    _field("seed", int, "seed", "master seed"),
     Opt("epochs", int, 30, "training epochs"),
     Opt("epoch-size", int, 2000, "positive pairs per epoch (negatives match)"),
     Opt("val-pairs", int, 200, "validation pairs per label"),
     Opt("thresh-pairs", int, 300, "threshold-selection pairs per label per pattern"),
     Opt("grid", _grid_arg, "paper", "threshold grid preset"),
     Opt("vocab-size", int, 256, "opcode vocabulary cap"),
-    Opt("node-dim", int, 32, "node state width"),
-    Opt("embed-dim", int, 128, "graph embedding width"),
-    Opt("layers", int, 5, "propagation layers"),
-    Opt("encoder-hidden", _parse_hidden, (64,), "encoder hidden widths"),
-    Opt("update-hidden", _parse_hidden, (64,), "update hidden widths"),
-    Opt("output-hidden", _parse_hidden, (128,), "aggregator hidden widths"),
-    Opt("margin", float, 0.1, "loss margin"),
-    Opt("lr", float, 1e-3, "learning rate"),
-    Opt("batch-size", int, 32, "pairs per optimizer step"),
-    Opt("max-nodes", int, 2000, "reject graphs above this many blocks"),
+    _field("node-dim", int, "node_state_dim", "node state width"),
+    _field("embed-dim", int, "graph_embedding_dim", "graph embedding width"),
+    _field("layers", int, "propagation_layers", "propagation layers"),
+    _field("encoder-hidden", _parse_hidden, "encoder_hidden", "encoder hidden widths"),
+    _field("update-hidden", _parse_hidden, "update_hidden", "update hidden widths"),
+    _field("output-hidden", _parse_hidden, "output_hidden", "aggregator hidden widths"),
+    _field("margin", float, "margin", "loss margin"),
+    _field("lr", float, "learning_rate", "learning rate"),
+    _field("batch-size", int, "batch_size", "pairs per optimizer step"),
+    _field("max-nodes", int, "max_nodes", "reject graphs above this many blocks"),
 ]
 
 
@@ -354,11 +329,7 @@ def _train_setup(opts: dict):
     val_index = pairgen.filter_index(
         index, corpus.source_functions(split.validation)
     )
-    train_binaries = {
-        corpus.manifest["projects"][p]["binaries"][ds]
-        for p in split.train
-        for ds in ("noinline", "inline")
-    }
+    train_binaries = synth.binary_ids(corpus.manifest, split.train)
     vocab_graphs = [
         corpus.graphs[key]
         for key in sorted(corpus.graphs)
@@ -366,48 +337,34 @@ def _train_setup(opts: dict):
     ]
     vocab = acfg.build_vocabulary(vocab_graphs, max_size=opts["vocab_size"])
     config = gnn.ModelConfig(
-        feature_dim=vocab.feature_dim,
-        node_state_dim=opts["node_dim"],
-        graph_embedding_dim=opts["embed_dim"],
-        propagation_layers=opts["layers"],
-        encoder_hidden=opts["encoder_hidden"],
-        update_hidden=opts["update_hidden"],
-        output_hidden=opts["output_hidden"],
-        margin=opts["margin"],
-        learning_rate=opts["lr"],
-        batch_size=opts["batch_size"],
-        max_nodes=opts["max_nodes"],
-        seed=opts["seed"],
+        feature_dim=vocab.feature_dim, **_config_fields(_TRAIN_OPTS, opts)
     )
     return corpus, split, train_index, val_index, vocab, config
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    opts = _resolve(args, _TRAIN_OPTS)
+    opts = _resolve(args, _TRAIN_OPTS, gnn.ModelConfig)
     corpus, split, train_index, val_index, vocab, config = _train_setup(opts)
     pattern = opts["pattern"]
     seed = opts["seed"]
     out_dir: Path = opts["out"]
     detector.check_vocab(out_dir, vocab)  # fail before training, not after
 
-    def source(epoch: int) -> list[pairgen.FunctionPair]:
-        return _sample_pairs(
-            train_index,
-            corpus.graphs,
-            pattern,
-            opts["epoch_size"],
-            opts["epoch_size"],
-            [seed, _SEED_PAIRS[pattern], epoch],
+    def sample(
+        index: labeling.BridgeIndex, patterns: Sequence[labeling.Pattern],
+        count: int, *tags: int,
+    ) -> list[pairgen.FunctionPair]:
+        """count positives and count negatives, seeded by [seed, *tags]."""
+        return pairgen.sample_pairs(
+            index, corpus.graphs, patterns, count, count, [seed, *tags]
         )
 
-    val_pairs = _sample_pairs(
-        val_index,
-        corpus.graphs,
-        pattern,
-        opts["val_pairs"],
-        opts["val_pairs"],
-        [seed, _SEED_PAIRS[pattern], _SEED_VAL],
-    )
+    patterns, tag = _patterns(pattern), _SEED_PAIRS[pattern]
+
+    def source(epoch: int) -> list[pairgen.FunctionPair]:
+        return sample(train_index, patterns, opts["epoch_size"], tag, epoch)
+
+    val_pairs = sample(val_index, patterns, opts["val_pairs"], tag, _SEED_VAL)
     logger.info(
         "training %s model: %d epochs x %d+%d pairs, %d/%d/%d projects",
         pattern, opts["epochs"], opts["epoch_size"], opts["epoch_size"],
@@ -431,13 +388,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(f"bundle incomplete, still missing: {', '.join(missing)}")
         return 0
     # thresholds are picked on a mixed-pattern pool either way
-    thresh_pairs = _sample_pairs(
-        train_index,
-        corpus.graphs,
-        detector.MIXED_KEY,
-        3 * opts["thresh_pairs"],
-        3 * opts["thresh_pairs"],
-        [seed, _SEED_THRESH],
+    thresh_pairs = sample(
+        train_index, labeling.CROSS_PATTERNS, 3 * opts["thresh_pairs"], _SEED_THRESH
     )
     grid = detector.GRIDS[opts["grid"]]()
     provenance = {"corpus": str(opts["corpus"]), "seed": str(seed)}

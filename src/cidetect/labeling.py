@@ -10,7 +10,9 @@ cross-inlining pattern.
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import functools
 import logging
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -18,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .acfg import read_json, write_json
-from .errors import InconsistentTables
+from .errors import InconsistentTables, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -31,6 +33,11 @@ class Pattern(enum.Enum):
 
 
 CROSS_PATTERNS = (Pattern.LEAF, Pattern.ROOT, Pattern.INTERNAL)
+
+_CROSS_OF = {pattern.value: pattern for pattern in CROSS_PATTERNS}
+
+# the two builds of every project: without inlining, then with it
+DATASETS = DATASET_NOINLINE, DATASET_INLINE = ("noinline", "inline")
 
 
 @dataclass(frozen=True, order=True)
@@ -115,7 +122,12 @@ def _induced_calls(
 # ---------------------------------------------------------------------------
 # Table parsing
 
-def _parse_tsv(path: Path, n_cols: int) -> list[list[str]]:
+_HEX = functools.partial(int, base=16)
+
+
+def _parse_tsv(path: Path, n_cols: int, check: Sequence = ()) -> list[list[str]]:
+    """The rows of a TSV table; a cell that its column's converter in
+    `check` rejects raises InconsistentTables naming path:line."""
     rows = []
     with path.open("r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
@@ -125,35 +137,57 @@ def _parse_tsv(path: Path, n_cols: int) -> list[list[str]]:
             cols = line.split("\t")
             if len(cols) != n_cols:
                 raise InconsistentTables(
-                    f"{path.name}:{lineno}: expected {n_cols} columns, "
+                    f"{path}:{lineno}: expected {n_cols} columns, "
                     f"got {len(cols)}"
                 )
+            if check:  # given on the error path only; readers convert in bulk
+                for convert, cell in zip(check, cols):
+                    try:
+                        convert(cell)
+                    except ValueError as exc:
+                        raise InconsistentTables(f"{path}:{lineno}: {exc}") from None
             rows.append(cols)
     return rows
 
 
+@contextlib.contextmanager
+def _naming_bad_cells(path: Path, check: Sequence):
+    """Turn a failed conversion into InconsistentTables naming path:line."""
+    try:
+        yield
+    except ValueError:
+        _parse_tsv(path, len(check), check)
+        raise
+
+
 def read_addr2line(path: Path | str) -> list[tuple[str, int, str, int]]:
     """Rows (binary_id, address, file, line); addresses are 0x hex."""
-    return [
-        (bid, int(addr, 16), file, int(line))
-        for bid, addr, file, line in _parse_tsv(Path(path), 4)
-    ]
+    path = Path(path)
+    with _naming_bad_cells(path, (str, _HEX, str, int)):
+        return [
+            (bid, int(addr, 16), file, int(line))
+            for bid, addr, file, line in _parse_tsv(path, 4)
+        ]
 
 
 def read_binfuncs(path: Path | str) -> list[tuple[str, str, int, int]]:
     """Rows (binary_id, func_name, addr_start, addr_end), [start, end)."""
-    return [
-        (bid, name, int(start, 16), int(end, 16))
-        for bid, name, start, end in _parse_tsv(Path(path), 4)
-    ]
+    path = Path(path)
+    with _naming_bad_cells(path, (str, str, _HEX, _HEX)):
+        return [
+            (bid, name, int(start, 16), int(end, 16))
+            for bid, name, start, end in _parse_tsv(path, 4)
+        ]
 
 
 def read_srcfuncs(path: Path | str) -> list[tuple[str, str, int, int]]:
     """Rows (file, func_name, line_start, line_end), closed line range."""
-    return [
-        (file, name, int(start), int(end))
-        for file, name, start, end in _parse_tsv(Path(path), 4)
-    ]
+    path = Path(path)
+    with _naming_bad_cells(path, (str, str, int, int)):
+        return [
+            (file, name, int(start), int(end))
+            for file, name, start, end in _parse_tsv(path, 4)
+        ]
 
 
 def read_fcg(path: Path | str) -> list[tuple[str, str]]:
@@ -268,9 +302,6 @@ class BridgeIndex:
     excluded_no_inline: int = 0
     isolated_bridges: int = 0
 
-    def bridges(self) -> tuple[str, ...]:
-        return tuple(sorted(self.entries))
-
 
 def build_bridge_index(
     no_inline: Sequence[Binary2Source],
@@ -340,12 +371,9 @@ def _ref_to_json(ref: BinaryFunctionRef) -> list:
 
 
 def _ref_from_json(payload: list) -> BinaryFunctionRef:
-    return BinaryFunctionRef(
-        binary_id=payload[0],
-        name=payload[1],
-        addr_start=int(payload[2]),
-        addr_end=int(payload[3]),
-    )
+    if [type(value) for value in payload] != [str, str, int, int]:
+        raise TypeError(f"ref must be [str, str, int, int], got {payload!r}")
+    return BinaryFunctionRef(*payload)
 
 
 def index_to_json(index: BridgeIndex) -> dict:
@@ -373,7 +401,7 @@ def index_from_json(payload: dict) -> BridgeIndex:
         bridge: BridgeEntry(
             equal=tuple(_ref_from_json(r) for r in body["equal"]),
             cross_inlining=tuple(
-                (_ref_from_json(r), Pattern(p)) for r, p in body["cross_inlining"]
+                (_ref_from_json(r), _CROSS_OF[p]) for r, p in body["cross_inlining"]
             ),
         )
         for bridge, body in payload["entries"].items()
@@ -391,4 +419,11 @@ def save_index(index: BridgeIndex, path: Path | str) -> None:
 
 
 def load_index(path: Path | str) -> BridgeIndex:
-    return index_from_json(read_json(path, ["entries"]))
+    """The bridge index of a `save_index` file; a file that is not JSON or
+    holds an entry of the wrong shape raises ValidationError naming it."""
+    payload = read_json(path, ["entries"])
+    try:
+        return index_from_json(payload)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        kind = type(exc).__name__
+        raise ValidationError(f"{path}: bad index entry ({kind}: {exc})") from None

@@ -18,10 +18,9 @@ import numpy as np
 
 from .acfg import AttributedCFG, read_records, strip_name, write_records
 from .errors import Exhausted, TooFewProjects
-from .labeling import BridgeIndex, Pattern
-
-DATASET_NOINLINE = "noinline"
-DATASET_INLINE = "inline"
+from .labeling import (
+    DATASET_INLINE, DATASET_NOINLINE, BinaryFunctionRef, BridgeIndex, Pattern
+)
 
 GraphRef = tuple[str, str, str]  # (dataset_id, binary_id, func_name)
 GraphStore = Mapping[GraphRef, AttributedCFG]
@@ -65,6 +64,43 @@ def _stripped(graphs: GraphStore) -> Callable[[GraphRef], AttributedCFG]:
     return lookup
 
 
+def _pair(
+    lookup: Callable[[GraphRef], AttributedCFG], query: BinaryFunctionRef,
+    target: BinaryFunctionRef, label: int, pattern: Pattern, bridge: str | None = None,
+) -> FunctionPair:
+    query_ref = (DATASET_NOINLINE, query.binary_id, query.name)
+    target_ref = (DATASET_INLINE, target.binary_id, target.name)
+    return FunctionPair(
+        lookup(query_ref), lookup(target_ref), label, pattern,
+        query_ref, target_ref, bridge,
+    )
+
+
+def sample_pairs(
+    index: BridgeIndex,
+    graphs: GraphStore,
+    patterns: Sequence[Pattern],
+    n_pos: int,
+    n_neg: int,
+    seed: Sequence[int],
+) -> list[FunctionPair]:
+    """n_pos positives and n_neg negatives, shuffled together. Each pattern
+    gets an equal share of either count, the earlier patterns one more while
+    a remainder lasts; pattern i draws its positives from seed [*seed, 1, i]
+    and its negatives from [*seed, 2, i], and [*seed, 3] shuffles."""
+    pairs: list[FunctionPair] = []
+    for i, pattern in enumerate(patterns):
+        for stream, draw, count in (
+            (1, generate_positive_pairs, n_pos),
+            (2, generate_negative_pairs, n_neg),
+        ):
+            share = count // len(patterns) + (1 if i < count % len(patterns) else 0)
+            if share:
+                pairs.extend(draw(index, pattern, share, [*seed, stream, i], graphs))
+    rng = np.random.default_rng([*seed, 3])
+    return [pairs[i] for i in rng.permutation(len(pairs))]
+
+
 def generate_positive_pairs(
     index: BridgeIndex,
     pattern: Pattern,
@@ -89,19 +125,7 @@ def generate_positive_pairs(
         query = entry.equal[rng.integers(len(entry.equal))]
         targets = [ref for ref, p in entry.cross_inlining if p == pattern]
         target = targets[rng.integers(len(targets))]
-        query_ref = (DATASET_NOINLINE, query.binary_id, query.name)
-        target_ref = (DATASET_INLINE, target.binary_id, target.name)
-        pairs.append(
-            FunctionPair(
-                query=lookup(query_ref),
-                target=lookup(target_ref),
-                label=1,
-                pattern=pattern,
-                query_ref=query_ref,
-                target_ref=target_ref,
-                bridge=bridge,
-            )
-        )
+        pairs.append(_pair(lookup, query, target, 1, pattern, bridge))
     return pairs
 
 
@@ -149,18 +173,7 @@ def generate_negative_pairs(
         query = equal_pool[rng.integers(len(equal_pool))]
         k = int(rng.integers(n_complement))
         target = ref_by_key[universe[k + bisect_right(shifted, k)]]
-        query_ref = (DATASET_NOINLINE, query.binary_id, query.name)
-        target_ref = (DATASET_INLINE, target.binary_id, target.name)
-        pairs.append(
-            FunctionPair(
-                query=lookup(query_ref),
-                target=lookup(target_ref),
-                label=-1,
-                pattern=pattern,
-                query_ref=query_ref,
-                target_ref=target_ref,
-            )
-        )
+        pairs.append(_pair(lookup, query, target, -1, pattern))
     return pairs
 
 

@@ -28,6 +28,7 @@ from .acfg import (
 )
 from .errors import MalformedGraph, PatternStarvation, SiteNotFound, ValidationError
 from .labeling import (
+    DATASETS,
     BinaryFunctionRef,
     BridgeEntry,
     BridgeIndex,
@@ -373,14 +374,12 @@ def inline_transform(
     return graph, prov
 
 
-def apply_inlining_policy(
-    world: SourceWorld, config: SynthConfig | None = None
-) -> dict[str, tuple[AttributedCFG, Prov]]:
+def apply_inlining_policy(world: SourceWorld) -> dict[str, tuple[AttributedCFG, Prov]]:
     """Transitive bottom-up splicing: each call edge is inlined with the
-    configured probability when the callee's already-inlined body fits the
-    instruction budget. Optionally perturbs opcodes afterwards (never the
-    remaining calls, never the provenance tags)."""
-    config = world.config if config is None else config
+    world config's probability when the callee's already-inlined body fits
+    the instruction budget. Optionally perturbs opcodes afterwards (never
+    the remaining calls, never the provenance tags)."""
+    config = world.config
     rng = np.random.default_rng([config.seed, _SEED_POLICY])
     alphabet = opcode_alphabet(config)
     bodies: dict[str, tuple[AttributedCFG, Prov]] = {}
@@ -485,7 +484,7 @@ def _layout_binary(
 def generate_corpus(config: SynthConfig) -> SynthCorpus:
     """World, both binaries per project, tables, and ground-truth index."""
     world = gen_source_world(config)
-    inline_bodies = apply_inlining_policy(world, config)
+    inline_bodies = apply_inlining_policy(world)
     corpus = SynthCorpus(
         config=config,
         world=world,
@@ -505,17 +504,17 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
     cross: dict[str, list[tuple[BinaryFunctionRef, Pattern]]] = {}
     for project in sorted(world.projects):
         names = world.projects[project]
-        noinline_id = f"{project}-noinline"
-        inline_id = f"{project}-inline"
+        binaries = {dataset: f"{project}-{dataset}" for dataset in DATASETS}
+        corpus.projects[project] = {
+            "source_functions": sorted(names), "binaries": binaries
+        }
         base_bodies = {
             n: (world.functions[n].graph, world.functions[n].provenance)
             for n in names
         }
-        refs_no = _layout_binary(
-            noinline_id, names, base_bodies, world, corpus, "noinline"
-        )
-        refs_in = _layout_binary(
-            inline_id, names, inline_bodies, world, corpus, "inline"
+        refs_no, refs_in = (
+            _layout_binary(binaries[dataset], names, bodies, world, corpus, dataset)
+            for dataset, bodies in zip(DATASETS, (base_bodies, inline_bodies))
         )
         equal_refs.update(refs_no)
         for name in sorted(names):
@@ -541,16 +540,6 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
     corpus.addr2line.sort()
     corpus.binfuncs.sort()
     corpus.srcfuncs.sort()
-    corpus.projects = {
-        project: {
-            "source_functions": sorted(world.projects[project]),
-            "binaries": {
-                "noinline": f"{project}-noinline",
-                "inline": f"{project}-inline",
-            },
-        }
-        for project in sorted(world.projects)
-    }
 
     if config.inline_probability > 0 and config.call_density > 0:
         present = {
@@ -571,7 +560,7 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
 
 def write_corpus(corpus: SynthCorpus, directory: Path | str) -> None:
     directory = Path(directory)
-    for dataset in ("noinline", "inline"):
+    for dataset in DATASETS:
         (directory / "graphs" / dataset).mkdir(parents=True, exist_ok=True)
     (directory / "tables").mkdir(parents=True, exist_ok=True)
 
@@ -624,36 +613,46 @@ class LoadedCorpus:
         }
 
 
+def binary_ids(manifest: dict, projects: Iterable[str], dataset: str = "") -> set[str]:
+    """The ids of the given projects' binaries in one dataset, or in both."""
+    datasets = (dataset,) if dataset else DATASETS
+    listing = manifest["projects"]
+    return {listing[p]["binaries"][ds] for p in projects for ds in datasets}
+
+
 def read_corpus_manifest(directory: Path | str) -> dict:
     """The corpus manifest.json. Each project must list its source
-    functions and name its noinline and inline binaries; a project that
-    does not raises ValidationError naming the file."""
+    functions and name one binary per dataset by a plain file name; a
+    project that does not raises ValidationError naming the file."""
     path = Path(directory) / "manifest.json"
     manifest = read_json(path, ["projects"])
     try:
         for name, project in manifest["projects"].items():
             functions = project["source_functions"]
-            binaries = project["binaries"]["noinline"], project["binaries"]["inline"]
+            binaries = [project["binaries"][dataset] for dataset in DATASETS]
             if type(functions) is not list or not all(
                 type(value) is str for value in (*functions, *binaries)
             ):
                 raise TypeError(f"{name}: names must be strings in a list")
-    except (AttributeError, KeyError, TypeError) as exc:
+            if any(b in ("", ".", "..") or "/" in b or "\\" in b for b in binaries):
+                raise ValueError(f"{name}: a binary id is not a plain file name")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         kind = type(exc).__name__
         raise ValidationError(f"{path}: bad project ({kind}: {exc})") from None
     return manifest
 
 
 def load_corpus(directory: Path | str) -> LoadedCorpus:
+    """The manifest and the graphs of the binaries it lists, from their
+    graphs/<dataset>/<binary>.jsonl only; a missing file raises naming it."""
     directory = Path(directory)
     manifest = read_corpus_manifest(directory)
     graphs: dict[tuple[str, str, str], AttributedCFG] = {}
-    for dataset in ("noinline", "inline"):
-        dataset_dir = directory / "graphs" / dataset
-        if not dataset_dir.is_dir():
-            continue
-        for path in sorted(dataset_dir.glob("*.jsonl")):
-            binary_id = path.stem
+    for dataset in DATASETS:
+        for binary_id in sorted(binary_ids(manifest, manifest["projects"], dataset)):
+            path = directory / "graphs" / dataset / f"{binary_id}.jsonl"
+            if not path.is_file():
+                raise ValidationError(f"graph file not found: {path}")
             for graph in read_graphs(path):
                 graphs[(dataset, binary_id, graph.function_name)] = graph
     return LoadedCorpus(root=directory, manifest=manifest, graphs=graphs)

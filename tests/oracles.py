@@ -13,9 +13,10 @@ two forward passes per pair and an Adam loop over the tensors; they run on
 the library's own forward and backward passes. `_validation_auc` is the
 validation score before it moved onto the batched inference engine: it
 embedded one graph at a time with `embed_prepared` and ranked the pairs by
-`-euclidean_distance`. All are kept verbatim; the tests require the
-library's versions to produce the same graphs, pairs, counts, training
-states and validation AUCs.
+`-euclidean_distance`. `_sample_pairs` is the command line's own share,
+seed and shuffle logic before `pairgen.sample_pairs` took it over. All are
+kept verbatim; the tests require the library's versions to produce the
+same graphs, pairs, counts, training states and validation AUCs.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from cidetect import detector, labeling, pairgen
 from cidetect.acfg import strip_name
 from cidetect.errors import Exhausted, InvalidLabel, MalformedGraph, NonFiniteGradient
 from cidetect.gnn import (
@@ -286,6 +288,39 @@ def generate_negative_pairs(
             )
         )
     return pairs
+
+
+def _sample_pairs(
+    index: labeling.BridgeIndex,
+    graphs: pairgen.GraphStore,
+    pattern: str,
+    n_pos: int,
+    n_neg: int,
+    seed_seq: list[int],
+) -> list[pairgen.FunctionPair]:
+    """Positive and negative pairs, shuffled together deterministically."""
+    if pattern == detector.MIXED_KEY:
+        patterns = labeling.CROSS_PATTERNS
+    else:
+        patterns = (labeling.Pattern(pattern),)
+    pairs: list[pairgen.FunctionPair] = []
+    for i, pat in enumerate(patterns):
+        pos_share = n_pos // len(patterns) + (1 if i < n_pos % len(patterns) else 0)
+        neg_share = n_neg // len(patterns) + (1 if i < n_neg % len(patterns) else 0)
+        if pos_share:
+            pairs.extend(
+                pairgen.generate_positive_pairs(
+                    index, pat, pos_share, seed_seq + [1, i], graphs
+                )
+            )
+        if neg_share:
+            pairs.extend(
+                pairgen.generate_negative_pairs(
+                    index, pat, neg_share, seed_seq + [2, i], graphs
+                )
+            )
+    rng = np.random.default_rng(seed_seq + [3])
+    return [pairs[i] for i in rng.permutation(len(pairs))]
 
 
 def _is_isolated(bridge: str, mapped: frozenset[str], fcg: SourceFCG) -> bool:

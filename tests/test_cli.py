@@ -691,18 +691,122 @@ def _index_not_json(pipeline, tmp_path):
     ]
 
 
+def _bad_index(edit):
+    """An --index file that edit(payload) spoils, given to pairs."""
+
+    def corrupt(pipeline, tmp_path):
+        index = tmp_path / "index.json"
+        payload = json.loads(pipeline["index"].read_text())
+        edit(payload)
+        index.write_text(json.dumps(payload))
+        return index, [
+            "pairs", "--corpus", str(pipeline["corpus"]), "--index", str(index),
+            "--pattern", "leaf", "--out", str(tmp_path / "p.jsonl"),
+        ]
+
+    return corrupt
+
+
+def _first_entry(payload):
+    return next(iter(payload["entries"].values()))
+
+
+def _corpus_binary_id_with_a_path(pipeline, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    manifest = corpus / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    next(iter(payload["projects"].values()))["binaries"]["inline"] = "../p000-inline"
+    manifest.write_text(json.dumps(payload))
+    return manifest, [
+        "pairs", "--corpus", str(corpus), "--index", str(pipeline["index"]),
+        "--pattern", "leaf", "--out", str(tmp_path / "p.jsonl"),
+    ]
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_corpus_manifest_without_projects, _index_not_json,
-     _corpus_project_without_binaries, _corpus_project_functions_not_a_list],
+     _corpus_project_without_binaries, _corpus_project_functions_not_a_list,
+     _bad_index(lambda payload: payload.update(entries=[])),
+     _bad_index(lambda payload: payload.update(entries={"x": 5})),
+     _bad_index(lambda payload: _first_entry(payload).update(equal=[["p0-noinline"]])),
+     _bad_index(lambda payload: _first_entry(payload)["equal"][0].__setitem__(2, "a")),
+     _bad_index(lambda payload: _first_entry(payload).update(
+         cross_inlining=[[_first_entry(payload)["equal"][0], "equal"]])),
+     _corpus_binary_id_with_a_path],
     ids=["corpus-manifest-without-projects", "index-not-json",
-         "corpus-project-without-binaries", "corpus-project-functions-not-a-list"],
+         "corpus-project-without-binaries", "corpus-project-functions-not-a-list",
+         "index-entries-a-list", "index-entry-not-an-object",
+         "index-ref-of-one-element", "index-addr-start-not-an-int",
+         "index-equal-as-cross-pattern", "corpus-binary-id-with-a-path"],
 )
 def test_bad_json_input_names_file(pipeline, tmp_path, caplog, corrupt):
     path, argv = corrupt(pipeline, tmp_path)
     with caplog.at_level("ERROR", logger="cidetect.cli"):
         assert main(argv) == 2
     _assert_names(caplog, str(path))
+
+
+@pytest.mark.parametrize(
+    "table, column, value, shown",
+    [("addr2line.tsv", 1, "0xzz", "'0xzz'"), ("srcfuncs.tsv", 2, "abc", "'abc'"),
+     ("binfuncs.tsv", 3, "12g", "'12g'"), ("fcg.tsv", 2, "f", "expected 2 columns")],
+    ids=["addr2line-bad-address", "srcfuncs-bad-line", "binfuncs-bad-end",
+         "fcg-extra-column"],
+)
+def test_label_bad_table_value_names_file_and_line(
+    pipeline, tmp_path, caplog, table, column, value, shown
+):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    path = corpus / "tables" / table
+    lines = path.read_text().splitlines()
+    cells = lines[1].split("\t")
+    cells[column:column + 1] = [value]  # replaces the cell, or adds a column
+    # a comment line first, so the bad row is row 3 but line 4
+    rows = ["# comment", lines[0], lines[2], "\t".join(cells)]
+    path.write_text("\n".join(rows) + "\n")
+    argv = ["label", "--corpus", str(corpus), "--out", str(tmp_path / "i.json")]
+    with caplog.at_level("ERROR", logger="cidetect.cli"):
+        assert main(argv) == 2
+    _assert_names(caplog, f"{path}:4:")
+    _assert_names(caplog, shown)
+
+
+def test_pairs_missing_graph_file_names_it(pipeline, tmp_path, caplog):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    missing = corpus / "graphs" / "inline" / "p001-inline.jsonl"
+    missing.unlink()
+    with caplog.at_level("ERROR", logger="cidetect.cli"):
+        rc = main([
+            "pairs", "--corpus", str(corpus), "--index", str(pipeline["index"]),
+            "--pattern", "mixed", "--out", str(tmp_path / "p.jsonl"),
+        ])
+    assert rc == 2
+    _assert_names(caplog, str(missing))
+
+
+def test_corpus_reads_only_the_graph_files_its_manifest_lists(pipeline, tmp_path):
+    """A JSONL file the manifest does not list is never read, even a
+    malformed one; the graphs and the pairs sampled from them stay the same."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    graphs = corpus / "graphs"
+    (graphs / "inline" / "stray.jsonl").write_text("{not json\n")
+    noinline = graphs / "noinline"
+    shutil.copy(noinline / "p000-noinline.jsonl", noinline / "copy.jsonl")
+    loaded = synth.load_corpus(corpus)
+    assert loaded.graphs.keys() == synth.load_corpus(pipeline["corpus"]).graphs.keys()
+    assert {key[1] for key in loaded.graphs} == synth.binary_ids(
+        loaded.manifest, loaded.project_ids()
+    )
+    argv = ["pairs", "--index", str(pipeline["index"]), "--pattern", "mixed",
+            "--num-pos", "6", "--num-neg", "6", "--seed", "5"]
+    out = tmp_path / "pairs.jsonl"
+    assert main(argv + ["--corpus", str(corpus), "--out", str(out)]) == 0
+    assert out.read_bytes() == pipeline["pairs"].read_bytes()
 
 
 def test_eval_has_no_jobs_option(pipeline, tmp_path):

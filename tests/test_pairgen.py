@@ -3,6 +3,7 @@ import pytest
 
 from cidetect.errors import Exhausted, TooFewProjects
 from cidetect.labeling import (
+    CROSS_PATTERNS,
     Binary2Source,
     BinaryFunctionRef,
     Pattern,
@@ -16,6 +17,7 @@ from cidetect.pairgen import (
     generate_negative_pairs,
     generate_positive_pairs,
     read_pairs,
+    sample_pairs,
     split_projects,
     write_pairs,
 )
@@ -213,6 +215,27 @@ def test_negative_pairs_match_reference_sampler():
                     case_index, pattern, 60, seed, graphs
                 )
                 assert _pair_view(got) == _pair_view(want)
+
+
+def test_sample_pairs_match_reference_sampler():
+    """Same pairs in the same order as the command line's sampler before it
+    moved into pairgen: one pattern and all three, counts that leave a
+    remainder over three patterns, and a zero count on either side."""
+    corpus = generate_corpus(SynthConfig(n_projects=8, call_density=2.0, seed=4))
+    index = corpus.ground_truth
+    cases = [
+        ("leaf", (Pattern.LEAF,)), ("root", (Pattern.ROOT,)), ("mixed", CROSS_PATTERNS)
+    ]
+    for key, patterns in cases:
+        for n_pos, n_neg in ((7, 5), (5, 7), (0, 5), (7, 0), (0, 0)):
+            for seed in ([0, 104], [3, 101, 211]):
+                got = sample_pairs(index, corpus.graphs, patterns, n_pos, n_neg, seed)
+                want = oracles._sample_pairs(
+                    index, corpus.graphs, key, n_pos, n_neg, seed
+                )
+                assert _pair_view(got) == _pair_view(want)
+                assert sum(p.label == 1 for p in got) == n_pos
+                assert sum(p.label == -1 for p in got) == n_neg
 
 
 def test_each_ref_is_stripped_once_per_call(tmp_path):
