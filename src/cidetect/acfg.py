@@ -285,23 +285,34 @@ def strip_name(graph: AttributedCFG) -> AttributedCFG:
     return replace(graph, function_name="")
 
 
+def parse_record(
+    line: str | bytes,
+    convert: Callable[[dict], T],
+    where: str,
+    error: type[ValidationError] = ValidationError,
+) -> T:
+    """convert(record) of one JSONL line, text or UTF-8 bytes. A line that
+    is not UTF-8 or JSON, or whose record convert rejects, raises `error`
+    naming `where` (path:line)."""
+    try:
+        # json.loads decodes bytes by a slower path than str.decode
+        text = line.decode("utf-8") if isinstance(line, bytes) else line
+        return convert(json.loads(text))
+    except (ValidationError, KeyError, TypeError, ValueError) as exc:
+        raise error(f"{where}: {type(exc).__name__}: {exc}") from None
+
+
 def read_records(
     path: Path | str,
     convert: Callable[[dict], T],
     error: type[ValidationError] = ValidationError,
 ) -> Iterator[T]:
-    """convert(record) per non-blank line of a JSONL file. A line that is
-    not JSON, or whose record convert rejects, raises `error` naming
-    path:line."""
+    """convert(record) per non-blank line of a JSONL file, through
+    parse_record."""
     with Path(path).open("r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
             if line.strip():
-                try:
-                    value = convert(json.loads(line))
-                except (ValidationError, KeyError, TypeError, ValueError) as exc:
-                    kind = type(exc).__name__
-                    raise error(f"{path}:{lineno}: {kind}: {exc}") from None
-                yield value
+                yield parse_record(line, convert, f"{path}:{lineno}", error)
 
 
 def read_json(

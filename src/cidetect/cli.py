@@ -201,13 +201,14 @@ def build_index_from_corpus(corpus_dir: Path) -> labeling.BridgeIndex:
     srcfuncs = labeling.read_srcfuncs(tables / "srcfuncs.tsv")
     fcg = labeling.build_fcg(labeling.read_fcg(tables / "fcg.tsv"))
     mappings = []
+    kept = {"addr2line.tsv": 0, "binfuncs.tsv": 0}
     for dataset in labeling.DATASETS:
         ids = synth.binary_ids(manifest, manifest["projects"], dataset)
-        result = labeling.construct_mapping(
-            [row for row in addr2line if row[0] in ids],
-            [row for row in binfuncs if row[0] in ids],
-            srcfuncs,
-        )
+        rows = [row for row in addr2line if row[0] in ids]
+        funcs = [row for row in binfuncs if row[0] in ids]
+        kept["addr2line.tsv"] += len(rows)
+        kept["binfuncs.tsv"] += len(funcs)
+        result = labeling.construct_mapping(rows, funcs, srcfuncs)
         by_kind: dict[str, list[str]] = {}
         for kind, detail in result.inconsistencies:
             by_kind.setdefault(kind, []).append(detail)
@@ -217,6 +218,14 @@ def build_index_from_corpus(corpus_dir: Path) -> labeling.BridgeIndex:
                 dataset, len(details), kind, ", ".join(details[:_EXAMPLES]),
             )
         mappings.append(result.mappings)
+    listed = synth.binary_ids(manifest, manifest["projects"])
+    for name, table in (("addr2line.tsv", addr2line), ("binfuncs.tsv", binfuncs)):
+        if len(table) > kept[name]:
+            unlisted = sorted({row[0] for row in table} - listed)
+            logger.warning(
+                "%s: %d rows of binaries the manifest does not list, dropped: %s",
+                name, len(table) - kept[name], ", ".join(unlisted),
+            )
     return labeling.build_bridge_index(*mappings, fcg)  # no-inline, inline
 
 
@@ -276,14 +285,14 @@ def cmd_pairs(args: argparse.Namespace) -> int:
         if unknown:
             raise ValidationError(f"unknown projects: {sorted(unknown)}")
         index = pairgen.filter_index(index, corpus.source_functions(wanted))
-    pairs = pairgen.sample_pairs(
+    pairs = pairgen.draw_pairs(
         index,
-        corpus.graphs,
         _patterns(opts["pattern"]),
         opts["num_pos"],
         opts["num_neg"],
         [opts["seed"], _SEED_PAIRS[opts["pattern"]]],
     )
+    pairgen.check_refs(pairs, corpus.graphs)  # a pair file holds refs only
     pairgen.write_pairs(pairs, opts["out"])
     print(f"wrote {len(pairs)} pairs to {opts['out']}")
     return 0

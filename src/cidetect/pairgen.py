@@ -3,8 +3,10 @@
 Positives pair an equal-form binary of a bridge (query, compiled without
 inlining) with a cross-inlining binary whose code embeds that bridge
 (target). Negatives pair the same kind of query with a cross-inlining binary
-that does not embed the bridge. Queries and targets are stripped of symbol
-names before they reach a model.
+that does not embed the bridge. Pairs are drawn as refs into a corpus
+(PairRef), which is all a pair file holds; resolving them against the
+corpus's graphs gives FunctionPairs, whose queries and targets are stripped
+of symbol names before they reach a model.
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ GraphStore = Mapping[GraphRef, AttributedCFG]
 
 
 @dataclass(frozen=True)
-class FunctionPair:
-    query: AttributedCFG
-    target: AttributedCFG
-    label: int
-    pattern: Pattern
+class PairRef:
+    """A labelled pair as references into a corpus, without graphs."""
+
     query_ref: GraphRef
     target_ref: GraphRef
+    label: int
+    pattern: Pattern
     bridge: str | None = None
 
     def __post_init__(self) -> None:
@@ -47,9 +49,22 @@ class FunctionPair:
             raise ValueError("negative pair must not carry a bridge")
 
 
-def _stripped(graphs: GraphStore) -> Callable[[GraphRef], AttributedCFG]:
-    """Look refs up in graphs; each graph is stripped once per returned
-    function, and pairs that share a ref share the stripped copy."""
+@dataclass(frozen=True, kw_only=True)
+class FunctionPair(PairRef):
+    """A pair with its query and target graphs, stripped of their names."""
+
+    query: AttributedCFG
+    target: AttributedCFG
+
+
+def _no_entry(ref: GraphRef) -> KeyError:
+    return KeyError(f"graph store has no entry for {ref}")
+
+
+def _resolver(graphs: GraphStore) -> Callable[[PairRef], FunctionPair]:
+    """A function that gives a pair its graphs from graphs; each graph is
+    stripped once per resolver, and pairs that share a ref share the
+    stripped copy."""
     memo: dict[GraphRef, AttributedCFG] = {}
 
     def lookup(ref: GraphRef) -> AttributedCFG:
@@ -58,22 +73,66 @@ def _stripped(graphs: GraphStore) -> Callable[[GraphRef], AttributedCFG]:
             try:
                 graph = memo[ref] = strip_name(graphs[ref])
             except KeyError:
-                raise KeyError(f"graph store has no entry for {ref}") from None
+                raise _no_entry(ref) from None
         return graph
 
-    return lookup
+    def resolve(pair: PairRef) -> FunctionPair:
+        return FunctionPair(
+            query_ref=pair.query_ref, target_ref=pair.target_ref,
+            label=pair.label, pattern=pair.pattern, bridge=pair.bridge,
+            query=lookup(pair.query_ref), target=lookup(pair.target_ref),
+        )
+
+    return resolve
 
 
-def _pair(
-    lookup: Callable[[GraphRef], AttributedCFG], query: BinaryFunctionRef,
-    target: BinaryFunctionRef, label: int, pattern: Pattern, bridge: str | None = None,
-) -> FunctionPair:
-    query_ref = (DATASET_NOINLINE, query.binary_id, query.name)
-    target_ref = (DATASET_INLINE, target.binary_id, target.name)
-    return FunctionPair(
-        lookup(query_ref), lookup(target_ref), label, pattern,
-        query_ref, target_ref, bridge,
+def resolve_pairs(pairs: Iterable[PairRef], graphs: GraphStore) -> list[FunctionPair]:
+    """The pairs with their graphs; a ref graphs lacks raises KeyError."""
+    return list(map(_resolver(graphs), pairs))
+
+
+def check_refs(pairs: Iterable[PairRef], graphs: GraphStore) -> None:
+    """Raise KeyError for the first ref of pairs that graphs lacks, the
+    error resolve_pairs would raise, without building a graph."""
+    for pair in pairs:
+        for ref in (pair.query_ref, pair.target_ref):
+            if ref not in graphs:
+                raise _no_entry(ref)
+
+
+def _pair_ref(
+    query: BinaryFunctionRef, target: BinaryFunctionRef, label: int,
+    pattern: Pattern, bridge: str | None = None,
+) -> PairRef:
+    return PairRef(
+        (DATASET_NOINLINE, query.binary_id, query.name),
+        (DATASET_INLINE, target.binary_id, target.name),
+        label, pattern, bridge,
     )
+
+
+def draw_pairs(
+    index: BridgeIndex,
+    patterns: Sequence[Pattern],
+    n_pos: int,
+    n_neg: int,
+    seed: Sequence[int],
+) -> list[PairRef]:
+    """n_pos positives and n_neg negatives, shuffled together. Each pattern
+    gets an equal share of either count, the earlier patterns one more while
+    a remainder lasts; pattern i draws its positives from seed [*seed, 1, i]
+    and its negatives from [*seed, 2, i], and [*seed, 3] shuffles."""
+    pairs: list[PairRef] = []
+    for i, pattern in enumerate(patterns):
+        for stream, draw, count in (
+            (1, positive_refs, n_pos),
+            (2, negative_refs, n_neg),
+        ):
+            share = count // len(patterns) + (1 if i < count % len(patterns) else 0)
+            if share:
+                pairs.extend(draw(index, pattern, share, [*seed, stream, i]))
+    rng = np.random.default_rng([*seed, 3])
+    return [pairs[i] for i in rng.permutation(len(pairs))]
 
 
 def sample_pairs(
@@ -84,21 +143,8 @@ def sample_pairs(
     n_neg: int,
     seed: Sequence[int],
 ) -> list[FunctionPair]:
-    """n_pos positives and n_neg negatives, shuffled together. Each pattern
-    gets an equal share of either count, the earlier patterns one more while
-    a remainder lasts; pattern i draws its positives from seed [*seed, 1, i]
-    and its negatives from [*seed, 2, i], and [*seed, 3] shuffles."""
-    pairs: list[FunctionPair] = []
-    for i, pattern in enumerate(patterns):
-        for stream, draw, count in (
-            (1, generate_positive_pairs, n_pos),
-            (2, generate_negative_pairs, n_neg),
-        ):
-            share = count // len(patterns) + (1 if i < count % len(patterns) else 0)
-            if share:
-                pairs.extend(draw(index, pattern, share, [*seed, stream, i], graphs))
-    rng = np.random.default_rng([*seed, 3])
-    return [pairs[i] for i in rng.permutation(len(pairs))]
+    """The pairs of draw_pairs, with their graphs."""
+    return resolve_pairs(draw_pairs(index, patterns, n_pos, n_neg, seed), graphs)
 
 
 def generate_positive_pairs(
@@ -108,6 +154,24 @@ def generate_positive_pairs(
     seed: int | Sequence[int],
     graphs: GraphStore,
 ) -> list[FunctionPair]:
+    """The pairs of positive_refs, with their graphs."""
+    return resolve_pairs(positive_refs(index, pattern, count, seed), graphs)
+
+
+def generate_negative_pairs(
+    index: BridgeIndex,
+    pattern: Pattern,
+    count: int,
+    seed: int | Sequence[int],
+    graphs: GraphStore,
+) -> list[FunctionPair]:
+    """The pairs of negative_refs, with their graphs."""
+    return resolve_pairs(negative_refs(index, pattern, count, seed), graphs)
+
+
+def positive_refs(
+    index: BridgeIndex, pattern: Pattern, count: int, seed: int | Sequence[int]
+) -> list[PairRef]:
     """Sample `count` positive pairs of one pattern, with replacement."""
     eligible = [
         (bridge, entry)
@@ -118,24 +182,19 @@ def generate_positive_pairs(
     if not eligible:
         raise Exhausted(f"no bridge offers {pattern.value} positives")
     rng = np.random.default_rng(seed)
-    lookup = _stripped(graphs)
-    pairs: list[FunctionPair] = []
+    pairs: list[PairRef] = []
     for _ in range(count):
         bridge, entry = eligible[rng.integers(len(eligible))]
         query = entry.equal[rng.integers(len(entry.equal))]
         targets = [ref for ref, p in entry.cross_inlining if p == pattern]
         target = targets[rng.integers(len(targets))]
-        pairs.append(_pair(lookup, query, target, 1, pattern, bridge))
+        pairs.append(_pair_ref(query, target, 1, pattern, bridge))
     return pairs
 
 
-def generate_negative_pairs(
-    index: BridgeIndex,
-    pattern: Pattern,
-    count: int,
-    seed: int | Sequence[int],
-    graphs: GraphStore,
-) -> list[FunctionPair]:
+def negative_refs(
+    index: BridgeIndex, pattern: Pattern, count: int, seed: int | Sequence[int]
+) -> list[PairRef]:
     """Sample negatives: query from a bridge, target embedding other bridges.
 
     Targets are drawn from the corpus-wide pool of cross-inlining binaries
@@ -166,14 +225,13 @@ def generate_negative_pairs(
     if not eligible:
         raise Exhausted("no bridge has out-of-bridge targets for negatives")
     rng = np.random.default_rng(seed)
-    lookup = _stripped(graphs)
-    pairs: list[FunctionPair] = []
+    pairs: list[PairRef] = []
     for _ in range(count):
         equal_pool, n_complement, shifted = eligible[rng.integers(len(eligible))]
         query = equal_pool[rng.integers(len(equal_pool))]
         k = int(rng.integers(n_complement))
         target = ref_by_key[universe[k + bisect_right(shifted, k)]]
-        pairs.append(_pair(lookup, query, target, -1, pattern))
+        pairs.append(_pair_ref(query, target, -1, pattern))
     return pairs
 
 
@@ -219,7 +277,7 @@ def filter_index(index: BridgeIndex, bridges: Iterable[str]) -> BridgeIndex:
 # ---------------------------------------------------------------------------
 # Pair file exchange (refs only; graphs resolve against a corpus)
 
-def _pair_record(pair: FunctionPair) -> dict:
+def _pair_record(pair: PairRef) -> dict:
     record = {
         "query_ref": list(pair.query_ref),
         "target_ref": list(pair.target_ref),
@@ -231,26 +289,30 @@ def _pair_record(pair: FunctionPair) -> dict:
     return record
 
 
-def write_pairs(pairs: Sequence[FunctionPair], path: Path | str) -> None:
+def write_pairs(pairs: Iterable[PairRef], path: Path | str) -> None:
     write_records(path, map(_pair_record, pairs))
+
+
+def _record_pair(record: dict) -> PairRef:
+    """The pair of a record; a field of the wrong type raises ValueError."""
+    refs = record["query_ref"], record["target_ref"]
+    label, bridge = record["label"], record.get("bridge")
+    for ref in refs:
+        if type(ref) is not list or len(ref) != 3 or not all(
+            type(part) is str for part in ref
+        ):
+            raise ValueError(f"a ref must be [dataset, binary, name], got {ref!r}")
+    if type(label) is not int:
+        raise ValueError(f"label must be -1 or +1, got {label!r}")
+    if bridge is not None and type(bridge) is not str:
+        raise ValueError(f"bridge must be a string, got {bridge!r}")
+    return PairRef(
+        tuple(refs[0]), tuple(refs[1]), label, Pattern(record["pattern"]), bridge
+    )
 
 
 def read_pairs(path: Path | str, graphs: GraphStore) -> list[FunctionPair]:
     """The pairs of a pair file, resolved against graphs. A bad record or
     a ref missing from graphs raises ValidationError naming path:line."""
-    lookup = _stripped(graphs)
-
-    def pair(record: dict) -> FunctionPair:
-        query_ref = tuple(record["query_ref"])
-        target_ref = tuple(record["target_ref"])
-        return FunctionPair(
-            query=lookup(query_ref),
-            target=lookup(target_ref),
-            label=int(record["label"]),
-            pattern=Pattern(record["pattern"]),
-            query_ref=query_ref,
-            target_ref=target_ref,
-            bridge=record.get("bridge"),
-        )
-
-    return list(read_records(path, pair))
+    resolve = _resolver(graphs)
+    return list(read_records(path, lambda record: resolve(_record_pair(record))))

@@ -12,16 +12,19 @@ own ground truth.
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .acfg import (
     AttributedCFG,
     BasicBlock,
-    read_graphs,
+    build_acfg,
+    parse_record,
     read_json,
     write_function_records,
     write_json,
@@ -36,6 +39,7 @@ from .labeling import (
     Pattern,
     index_to_json,
 )
+from .pairgen import GraphRef
 
 CALL_OPCODE = "call"
 
@@ -596,11 +600,92 @@ def write_corpus(corpus: SynthCorpus, directory: Path | str) -> None:
     write_json(directory / "manifest.json", manifest)
 
 
+# The tail of a record line that write_records wrote: keys are sorted, so
+# "name" is the last top-level key of a function record. Inside a JSON string
+# every quote is escaped, so the match is the top-level name of a valid line.
+_NAME_TAIL = re.compile(rb'"name": ("(?:[^"\\]|\\.)*")\}\s*\Z')
+
+
+def _record_name(record: dict) -> str:
+    name = record["name"]
+    if type(name) is not str:
+        raise MalformedGraph("bad record: name must be a string")
+    return name
+
+
+def _line_name(line: bytes, path: Path, lineno: int) -> str | None:
+    """The function name of a record line, read from its tail when it has
+    the written shape and from the whole record otherwise; None for a blank
+    line. A line that is not JSON, or names no function, raises
+    MalformedGraph naming path:lineno."""
+    start = line.rfind(b'"name": "')
+    match = _NAME_TAIL.match(line, start) if start >= 0 else None
+    if match is not None:
+        try:
+            return json.loads(match.group(1))
+        except ValueError:
+            pass  # the whole record's parse below names the defect
+    if not line.decode("utf-8", "replace").strip():
+        return None
+    return parse_record(line, _record_name, f"{path}:{lineno}", MalformedGraph)
+
+
+class CorpusGraphs(Mapping[GraphRef, AttributedCFG]):
+    """The graphs of a corpus, keyed by (dataset, binary_id, name). The keys
+    come from one scan of each graph file, which keeps only where each record
+    starts; a graph is built from its line on first access and kept. A bad
+    record raises MalformedGraph naming path:line when it is built."""
+
+    def __init__(self, where: dict[GraphRef, tuple[Path, int, int]]):
+        self._where = where  # key -> (path, line number, byte offset)
+        self._built: dict[GraphRef, AttributedCFG] = {}
+
+    @classmethod
+    def scan(cls, files: Iterable[tuple[str, str, Path]]) -> CorpusGraphs:
+        """Index the (dataset, binary_id, path) files; a name that a file
+        repeats is indexed at its later line."""
+        where: dict[GraphRef, tuple[Path, int, int]] = {}
+        for dataset, binary_id, path in files:
+            offset = 0
+            with path.open("rb") as handle:
+                for lineno, line in enumerate(handle, 1):
+                    name = _line_name(line, path, lineno)
+                    if name is not None:
+                        where[(dataset, binary_id, name)] = (path, lineno, offset)
+                    offset += len(line)
+        return cls(where)
+
+    def __getitem__(self, key: GraphRef) -> AttributedCFG:
+        graph = self._built.get(key)
+        if graph is None:
+            path, lineno, offset = self._where[key]
+            with path.open("rb") as handle:
+                handle.seek(offset)
+                line = handle.readline()
+            graph = parse_record(line, build_acfg, f"{path}:{lineno}", MalformedGraph)
+            if graph.function_name != key[2]:  # the file changed since the scan
+                raise MalformedGraph(
+                    f"{path}:{lineno}: holds {graph.function_name!r}, "
+                    f"not the indexed {key[2]!r}"
+                )
+            self._built[key] = graph
+        return graph
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._where
+
+    def __iter__(self) -> Iterator[GraphRef]:
+        return iter(self._where)
+
+    def __len__(self) -> int:
+        return len(self._where)
+
+
 @dataclass
 class LoadedCorpus:
     root: Path
     manifest: dict
-    graphs: dict[tuple[str, str, str], AttributedCFG]
+    graphs: CorpusGraphs
 
     def project_ids(self) -> list[str]:
         return sorted(self.manifest["projects"])
@@ -643,16 +728,18 @@ def read_corpus_manifest(directory: Path | str) -> dict:
 
 
 def load_corpus(directory: Path | str) -> LoadedCorpus:
-    """The manifest and the graphs of the binaries it lists, from their
-    graphs/<dataset>/<binary>.jsonl only; a missing file raises naming it."""
+    """The manifest and the graphs of the binaries it lists, indexed from
+    their graphs/<dataset>/<binary>.jsonl only and built on first use; a
+    missing file raises naming it."""
     directory = Path(directory)
     manifest = read_corpus_manifest(directory)
-    graphs: dict[tuple[str, str, str], AttributedCFG] = {}
+    files = []
     for dataset in DATASETS:
         for binary_id in sorted(binary_ids(manifest, manifest["projects"], dataset)):
             path = directory / "graphs" / dataset / f"{binary_id}.jsonl"
             if not path.is_file():
                 raise ValidationError(f"graph file not found: {path}")
-            for graph in read_graphs(path):
-                graphs[(dataset, binary_id, graph.function_name)] = graph
-    return LoadedCorpus(root=directory, manifest=manifest, graphs=graphs)
+            files.append((dataset, binary_id, path))
+    return LoadedCorpus(
+        root=directory, manifest=manifest, graphs=CorpusGraphs.scan(files)
+    )

@@ -1,8 +1,13 @@
-"""Property test: mutated function records never escape build_acfg as
-anything but a CIDetectError. Needs hypothesis (the dev extra); without it
-the module is skipped."""
+"""Property tests: mutated function records, graph-file lines and pair
+records never escape build_acfg, a loaded corpus or read_pairs as anything
+but a CIDetectError. Needs hypothesis (the dev extra); without it the module
+is skipped."""
 
 import copy
+import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +16,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cidetect.acfg import AttributedCFG, acfg_to_record, build_acfg  # noqa: E402
 from cidetect.errors import CIDetectError  # noqa: E402
-from cidetect.synth import SynthConfig, generate_corpus  # noqa: E402
+from cidetect.labeling import CROSS_PATTERNS  # noqa: E402
+from cidetect.pairgen import FunctionPair, _pair_record, read_pairs, sample_pairs  # noqa: E402
+from cidetect.synth import (  # noqa: E402
+    SynthConfig, generate_corpus, load_corpus, write_corpus
+)
 
 _CORPUS = generate_corpus(
     SynthConfig(n_projects=2, functions_per_project=4, call_density=2.0, seed=1)
@@ -93,6 +102,16 @@ def empty_block(record, data):
     _pick(data, record["blocks"])["insns"] = []
 
 
+def _mutated(base, mutations, data):
+    record = copy.deepcopy(base)
+    for mutate in mutations:
+        try:
+            mutate(record, data)
+        except (KeyError, TypeError, IndexError, AttributeError, ValueError):
+            break  # an earlier mutation broke the shape this one navigates
+    return record
+
+
 MUTATIONS = [
     drop_key, change_type, truncate_edges, reorder_addresses,
     duplicate_address, empty_opcode, empty_block,
@@ -106,16 +125,102 @@ MUTATIONS = [
     data=st.data(),
 )
 def test_mutated_records_raise_only_cidetect_errors(base, mutations, data):
-    record = copy.deepcopy(base)
-    for mutate in mutations:
-        try:
-            mutate(record, data)
-        except (KeyError, TypeError, IndexError, AttributeError, ValueError):
-            # an earlier mutation broke the shape this one navigates
-            break
+    record = _mutated(base, mutations, data)
     try:
         graph = build_acfg(record)
     except CIDetectError:
         return
     assert isinstance(graph, AttributedCFG)
     graph.validate()
+
+
+def _record_line(record, data):
+    """The record as a line, with its keys sorted as written or not."""
+    if isinstance(record, dict) and data.draw(st.booleans()):
+        record = dict(reversed(list(record.items())))
+        return json.dumps(record).encode()
+    return json.dumps(record, sort_keys=True).encode()
+
+
+def _spliced_line(line, data):
+    """line with a run of bytes replaced by a few drawn ones, half the
+    time in the tail that holds the function name."""
+    if data.draw(st.booleans()):
+        start = len(line) - data.draw(st.integers(0, min(len(line), 24)))
+    else:
+        start = data.draw(st.integers(0, len(line)))
+    stop = data.draw(st.integers(start, min(len(line), start + 8)))
+    return line[:start] + data.draw(st.binary(max_size=3)) + line[stop:]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    mutations=st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=2),
+    spliced=st.booleans(),
+    data=st.data(),
+)
+def test_mutated_graph_file_lines_raise_only_cidetect_errors(mutations, spliced, data):
+    """A corpus with one line changed, loaded and every graph built."""
+    with tempfile.TemporaryDirectory() as directory:
+        write_corpus(_CORPUS, directory)
+        path = _pick(data, sorted(Path(directory, "graphs").rglob("*.jsonl")))
+        lines = path.read_bytes().splitlines(keepends=True)
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if spliced:
+            lines[i] = _spliced_line(lines[i], data)
+        else:
+            record = _mutated(json.loads(lines[i]), mutations, data)
+            lines[i] = _record_line(record, data) + b"\n"
+        path.write_bytes(b"".join(lines))
+        try:
+            graphs = load_corpus(directory).graphs
+            built = {key: graphs[key] for key in graphs}
+        except CIDetectError:
+            return
+    for (_, _, name), graph in built.items():
+        assert isinstance(graph, AttributedCFG) and graph.function_name == name
+
+
+BASE_PAIR_RECORDS = [
+    _pair_record(pair)
+    for pair in sample_pairs(
+        _CORPUS.ground_truth, _CORPUS.graphs, CROSS_PATTERNS, 6, 6, [1]
+    )
+]
+
+# values a pair record may hold in place of a label, a ref or a ref part
+PAIR_JUNK = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 2**70, 1.5, -1.0, True, "1", -1]),
+    st.lists(st.sampled_from(["inline", "noinline", "p000-inline", 5]), max_size=4),
+)
+
+
+def change_pair_value(record, data):
+    containers = [c for c in _containers(record, []) if c]
+    target = record if data.draw(st.booleans()) else _pick(data, containers)
+    keys = sorted(target) if isinstance(target, dict) else range(len(target))
+    target[_pick(data, keys)] = data.draw(PAIR_JUNK)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    base=st.sampled_from(BASE_PAIR_RECORDS),
+    mutations=st.lists(
+        st.sampled_from([drop_key, change_type, change_pair_value]),
+        min_size=1, max_size=3,
+    ),
+    data=st.data(),
+)
+def test_mutated_pair_records_raise_only_cidetect_errors(base, mutations, data):
+    record = _mutated(base, mutations, data)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory, "pairs.jsonl")
+        path.write_text(json.dumps(record) + "\n")
+        try:
+            pairs = read_pairs(path, _CORPUS.graphs)
+        except CIDetectError:
+            return
+    (pair,) = pairs
+    assert isinstance(pair, FunctionPair) and pair.label in (-1, 1)
+    assert pair.query.nodes == _CORPUS.graphs[pair.query_ref].nodes
+    assert pair.target.nodes == _CORPUS.graphs[pair.target_ref].nodes

@@ -809,6 +809,141 @@ def test_corpus_reads_only_the_graph_files_its_manifest_lists(pipeline, tmp_path
     assert out.read_bytes() == pipeline["pairs"].read_bytes()
 
 
+def _count_builds(monkeypatch):
+    """The names of the records the corpus map builds, in order."""
+    built = []
+    original = synth.build_acfg
+
+    def counting(record):
+        built.append(record.get("name"))
+        return original(record)
+
+    monkeypatch.setattr(synth, "build_acfg", counting)
+    return built
+
+
+def _pairs_argv(corpus, index, out):
+    return [
+        "pairs", "--corpus", str(corpus), "--index", str(index),
+        "--pattern", "mixed", "--num-pos", "6", "--num-neg", "6",
+        "--seed", "5", "--out", str(out),
+    ]
+
+
+def test_pairs_builds_no_graph(pipeline, tmp_path, monkeypatch):
+    built = _count_builds(monkeypatch)
+    out = tmp_path / "pairs.jsonl"
+    assert main(_pairs_argv(pipeline["corpus"], pipeline["index"], out)) == 0
+    assert built == []
+    assert out.read_bytes() == pipeline["pairs"].read_bytes()
+
+
+def _pair_refs(path):
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    return {tuple(rec[side]) for rec in records for side in ("query_ref", "target_ref")}
+
+
+def test_eval_builds_only_the_refs_of_its_pairs(pipeline, tmp_path, monkeypatch):
+    built = _count_builds(monkeypatch)
+    assert _eval(pipeline, pipeline["pairs"], tmp_path / "report") == 0
+    refs = _pair_refs(pipeline["pairs"])
+    assert sorted(built) == sorted(ref[2] for ref in refs)
+    corpus = synth.load_corpus(pipeline["corpus"])
+    assert len(refs) < len(corpus.graphs)
+
+
+def test_pairs_with_a_ref_the_corpus_lacks_fails(pipeline, tmp_path, caplog):
+    """The drawn refs are checked against the corpus though no graph is
+    built: a query function missing from its graph file exits 2."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    (corpus / "graphs" / "noinline" / "p000-noinline.jsonl").write_text("")
+    argv = _pairs_argv(corpus, pipeline["index"], tmp_path / "p.jsonl")
+    with caplog.at_level("ERROR", logger="cidetect.cli"):
+        assert main(argv + ["--projects", "p000"]) == 2
+    _assert_names(caplog, "graph store has no entry for ('noinline', 'p000-noinline'")
+
+
+def _corpus_with_bad_record(pipeline, tmp_path, named):
+    """A copy of the corpus where one record, valid JSON, lacks a block id:
+    a ref the pipeline's pair file names, or one it does not. Returns the
+    corpus and the record's path:line."""
+    refs = _pair_refs(pipeline["pairs"])
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    for dataset in ("noinline", "inline"):
+        for path in sorted((corpus / "graphs" / dataset).glob("*.jsonl")):
+            lines = path.read_text().splitlines()
+            for lineno, line in enumerate(lines, 1):
+                record = json.loads(line)
+                if ((dataset, path.stem, record["name"]) in refs) == named:
+                    lines[lineno - 1] = _drop_block_id(record)
+                    path.write_text("\n".join(lines) + "\n")
+                    return corpus, f"{path}:{lineno}:"
+    raise AssertionError("no record to spoil")
+
+
+def test_bad_record_no_pair_names_does_not_fail_pairs_or_eval(pipeline, tmp_path):
+    corpus, _ = _corpus_with_bad_record(pipeline, tmp_path, named=False)
+    out = tmp_path / "pairs.jsonl"
+    assert main(_pairs_argv(corpus, pipeline["index"], out)) == 0
+    assert out.read_bytes() == pipeline["pairs"].read_bytes()
+    assert main([
+        "eval", "--bundle", str(pipeline["bundle"]), "--corpus", str(corpus),
+        "--pairs", str(out), "--out", str(tmp_path / "report"),
+    ]) == 0
+
+
+def test_eval_of_a_pair_naming_a_bad_record_names_file_and_line(
+    pipeline, tmp_path, caplog
+):
+    corpus, place = _corpus_with_bad_record(pipeline, tmp_path, named=True)
+    with caplog.at_level("ERROR", logger="cidetect.cli"):
+        rc = main([
+            "eval", "--bundle", str(pipeline["bundle"]), "--corpus", str(corpus),
+            "--pairs", str(pipeline["pairs"]), "--out", str(tmp_path / "report"),
+        ])
+    assert rc == 2
+    _assert_names(caplog, place)
+    _assert_names(caplog, "lacks 'id'")
+
+
+def test_label_warns_of_rows_of_binaries_the_manifest_does_not_list(
+    pipeline, tmp_path, caplog
+):
+    """A manifest that renames a binary leaves its line-table rows unused:
+    label counts them per table, names the binary and still exits 0 with
+    the index those rows do not reach."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    manifest = corpus / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    payload["projects"]["p002"]["binaries"]["inline"] = "p002-other"
+    manifest.write_text(json.dumps(payload))
+    graphs = corpus / "graphs" / "inline"
+    shutil.copy(graphs / "p002-inline.jsonl", graphs / "p002-other.jsonl")
+    tables = corpus / "tables"
+    counts = {
+        name: sum(
+            line.startswith("p002-inline\t")
+            for line in (tables / name).read_text().splitlines()
+        )
+        for name in ("addr2line.tsv", "binfuncs.tsv")
+    }
+    assert all(counts.values())
+    out = tmp_path / "index.json"
+    with caplog.at_level("WARNING", logger="cidetect.cli"):
+        assert main(["label", "--corpus", str(corpus), "--out", str(out)]) == 0
+    warnings = [rec.getMessage() for rec in caplog.records if rec.levelname == "WARNING"]
+    for name, count in counts.items():
+        assert f"{name}: {count} rows of binaries the manifest does not list, " \
+            "dropped: p002-inline" in warnings
+    entries = json.loads(out.read_text())["entries"].values()
+    assert not any(
+        ref[0] == "p002-inline" for entry in entries for ref, _ in entry["cross_inlining"]
+    )
+
+
 def test_eval_has_no_jobs_option(pipeline, tmp_path):
     """Scoring runs in one thread: --jobs and a jobs= config key exit 2."""
     argv = [

@@ -13,6 +13,9 @@ from cidetect.labeling import (
 from cidetect.pairgen import (
     DATASET_INLINE,
     DATASET_NOINLINE,
+    PairRef,
+    check_refs,
+    draw_pairs,
     filter_index,
     generate_negative_pairs,
     generate_positive_pairs,
@@ -260,3 +263,31 @@ def test_each_ref_is_stripped_once_per_call(tmp_path):
     again = tmp_path / "again.jsonl"
     write_pairs(reread, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_drawn_refs_are_the_sampled_pairs_without_graphs(tmp_path):
+    """draw_pairs gives the refs of sample_pairs, and a pair file written
+    from them is the same; check_refs raises the error resolution would."""
+    corpus = generate_corpus(SynthConfig(n_projects=8, call_density=2.0, seed=4))
+    index = corpus.ground_truth
+    drawn = draw_pairs(index, CROSS_PATTERNS, 7, 5, [3, 104])
+    sampled = sample_pairs(index, corpus.graphs, CROSS_PATTERNS, 7, 5, [3, 104])
+    assert all(type(pair) is PairRef for pair in drawn)
+    assert [
+        PairRef(p.query_ref, p.target_ref, p.label, p.pattern, p.bridge)
+        for p in sampled
+    ] == drawn
+    paths = tmp_path / "drawn.jsonl", tmp_path / "sampled.jsonl"
+    write_pairs(drawn, paths[0])
+    write_pairs(sampled, paths[1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    check_refs(drawn, corpus.graphs)
+    missing = drawn[4].target_ref
+    partial = {ref: g for ref, g in corpus.graphs.items() if ref != missing}
+    with pytest.raises(KeyError, match="graph store has no entry for") as checked:
+        check_refs(drawn, partial)
+    with pytest.raises(KeyError) as resolved:
+        sample_pairs(index, partial, CROSS_PATTERNS, 7, 5, [3, 104])
+    assert str(checked.value) == str(resolved.value) == str(KeyError(
+        f"graph store has no entry for {missing}"
+    ))

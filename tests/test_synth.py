@@ -23,6 +23,8 @@ from cidetect.synth import (
     write_corpus,
 )
 
+from cidetect import synth as synth_module
+
 from helpers import OPCODE_POOL, call_pair, make_block
 
 
@@ -435,6 +437,119 @@ def test_write_corpus_round_trip(tmp_path):
     )
     manifest = loaded.manifest
     assert synth_config_from_json(manifest["config"]) == corpus.config
+
+
+def _written_corpus(tmp_path):
+    corpus = generate_corpus(_small_config())
+    write_corpus(corpus, tmp_path / "corpus")
+    path = tmp_path / "corpus" / "graphs" / "noinline" / "p000-noinline.jsonl"
+    return corpus, path, path.read_text().splitlines()
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(synth_module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(synth_module, name, counting)
+    return calls
+
+
+def test_load_corpus_builds_each_graph_on_first_access(tmp_path, monkeypatch):
+    corpus, _, _ = _written_corpus(tmp_path)
+    built = _count_calls(monkeypatch, "build_acfg")
+    loaded = load_corpus(tmp_path / "corpus")
+    assert set(loaded.graphs) == set(corpus.graphs)
+    assert len(loaded.graphs) == len(corpus.graphs)
+    key = sorted(corpus.graphs)[3]
+    assert key in loaded.graphs and ("noinline", "p000-noinline", "ghost") not in loaded.graphs
+    assert built == []
+    graph = loaded.graphs[key]
+    assert graph == corpus.graphs[key]
+    assert loaded.graphs[key] is graph
+    assert len(built) == 1
+    with pytest.raises(KeyError):
+        loaded.graphs[("noinline", "p000-noinline", "ghost")]
+
+
+def test_load_corpus_indexes_a_line_of_unsorted_keys_by_full_parse(
+    tmp_path, monkeypatch
+):
+    """Only a line that does not end in its name is parsed whole to index
+    it; the graph built from it is the same."""
+    corpus, path, lines = _written_corpus(tmp_path)
+    record = json.loads(lines[1])
+    name = record.pop("name")
+    lines[1] = json.dumps({"name": name, **record})
+    path.write_text("\r\n".join(lines) + "\r\n")
+    parsed = _count_calls(monkeypatch, "parse_record")
+    loaded = load_corpus(tmp_path / "corpus")
+    assert len(parsed) == 1 and json.loads(parsed[0][0])["name"] == name
+    key = ("noinline", "p000-noinline", name)
+    assert loaded.graphs[key] == corpus.graphs[key]
+    assert loaded.graphs == corpus.graphs
+
+
+def test_load_corpus_reads_an_escaped_name_from_the_line_tail(tmp_path):
+    corpus, path, lines = _written_corpus(tmp_path)
+    record = json.loads(lines[0])
+    record["name"] = 'q"\\u00e9}"name": "x'
+    lines[0] = json.dumps(record, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load_corpus(tmp_path / "corpus")
+    graph = loaded.graphs[("noinline", "p000-noinline", record["name"])]
+    assert graph.function_name == record["name"]
+
+
+def test_load_corpus_keeps_the_later_line_of_a_repeated_name(tmp_path):
+    corpus, path, lines = _written_corpus(tmp_path)
+    first, second = (json.loads(line) for line in lines[:2])
+    later = corpus.graphs[("noinline", "p000-noinline", second["name"])]
+    second["name"] = first["name"]
+    path.write_text("\n".join([lines[0], json.dumps(second, sort_keys=True)]) + "\n")
+    loaded = load_corpus(tmp_path / "corpus")
+    graph = loaded.graphs[("noinline", "p000-noinline", first["name"])]
+    assert graph.nodes == later.nodes
+
+
+@pytest.mark.parametrize(
+    "line, found",
+    [("{not json", "JSONDecodeError"), ('{"blocks": []}', "KeyError: 'name'"),
+     ('{"name": 5}', "name must be a string"), ("[1, 2]", "TypeError")],
+    ids=["not-json", "no-name", "name-not-a-string", "not-an-object"],
+)
+def test_load_corpus_fails_on_a_line_it_cannot_name(tmp_path, line, found):
+    _, path, lines = _written_corpus(tmp_path)
+    path.write_text("\n".join([lines[0], "", line]) + "\n")
+    with pytest.raises(MalformedGraph, match=found) as exc:
+        load_corpus(tmp_path / "corpus")
+    assert f"{path}:3: " in str(exc.value)
+
+
+def test_corpus_graph_of_a_bad_record_fails_on_access_naming_its_line(tmp_path):
+    _, path, lines = _written_corpus(tmp_path)
+    record = json.loads(lines[1])
+    del record["blocks"][0]["id"]
+    lines[1] = json.dumps(record, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load_corpus(tmp_path / "corpus")
+    loaded.graphs[("noinline", "p000-noinline", json.loads(lines[0])["name"])]
+    with pytest.raises(MalformedGraph, match="lacks 'id'") as exc:
+        loaded.graphs[("noinline", "p000-noinline", record["name"])]
+    assert f"{path}:2: " in str(exc.value)
+
+
+def test_corpus_graph_of_a_file_changed_since_the_scan_fails(tmp_path):
+    _, path, lines = _written_corpus(tmp_path)
+    loaded = load_corpus(tmp_path / "corpus")
+    path.write_text("\n".join([lines[1], lines[0]] + lines[2:]) + "\n")
+    name = json.loads(lines[0])["name"]
+    with pytest.raises(MalformedGraph, match="not the indexed") as exc:
+        loaded.graphs[("noinline", "p000-noinline", name)]
+    assert f"{path}:1: " in str(exc.value)
 
 
 def test_write_corpus_deterministic(tmp_path):
