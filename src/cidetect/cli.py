@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -511,10 +512,14 @@ _SWEEP_OPTS = [
 
 
 def _scored(record: dict) -> evaluation.Scored:
-    label = int(record["label"])
-    if label not in (-1, 1):
-        raise InvalidLabel(f"label must be -1 or +1, got {label}")
-    return float(record["score"]), label
+    """The score and label of a record: a finite number and the integer -1
+    or +1."""
+    score, label = record["score"], record["label"]
+    if type(score) not in (int, float) or not math.isfinite(score):
+        raise ValidationError(f"score must be a finite number, got {score!r}")
+    if type(label) is not int or label not in (-1, 1):
+        raise InvalidLabel(f"label must be -1 or +1, got {label!r}")
+    return float(score), label
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -548,13 +553,14 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands: dict = _COMMANDS) -> argparse.ArgumentParser:
+    """The parser of the given subcommands, by default all of them."""
     parser = argparse.ArgumentParser(
         prog="cidetect",
         description="cross-inlining binary function similarity detection",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (func, opts, help_text) in _COMMANDS.items():
+    for name, (func, opts, help_text) in commands.items():
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--config", type=str, default=None,
                          help="key=value config file (flags win)")
@@ -576,8 +582,12 @@ def _setup_logging() -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse sets up a help formatter per option, so a run that names its
+    # subcommand builds that one alone; --help, no argument and an unknown
+    # command get the parser of all of them
+    named = {name: _COMMANDS[name] for name in argv[:1] if name in _COMMANDS}
+    args = build_parser(named or _COMMANDS).parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, ValueError, KeyError, OSError) as exc:

@@ -11,26 +11,27 @@ loss = max(0, margin - label * (1 - distance)), with Adam on analytic
 gradients. The backward pass is written out by hand so it can be checked
 against finite differences; no autograd framework is involved.
 
-One engine runs every embedding. It works on a PreparedBatch, the disjoint
-union of graphs used for batched graph networks (the GraphsTuple layout):
-stacked node features, edge endpoints offset into the stacked rows, and a
-node-to-graph segment id. The forward and backward passes are written once
-over that layout. A PreparedGraph is a batch of one and goes in as it is.
-embedding_rows alone decides which graphs share an embedding row, for
-training, validation, scoring and detect alike: one row per distinct graph
-content, whichever objects or refs carry it, so a graph is at distance
-exactly 0 from itself (two copies of a graph in a stacked chunk can differ
-in the last bits). A prepared graph keeps its content hash, as it keeps
-its scatter index. Everything that compares embeddings without a
-gradient (validation AUC, the detector's scoring and detect) is one
-pair_distances call on (query, target) pairs of prepared graphs: it stacks
-the rows one chunk of up to CHUNK_NODES nodes at a time (chunk_graphs) and
-embeds each chunk under every model before it stacks the next; embed_batch
-keeps no backward tape, and the pair distances are taken in blocks.
+One engine runs every embedding. Its forward pass works on the last two
+axes of a PreparedBatch: the (n, k) node features of one graph, or a
+bucket, the (B, n, k) stack of B graphs that share the node count n. The
+edge scatter flattens the node rows and reshapes them back, and pooling sums
+over the node axis. numpy's stacked matmul runs one GEMM per 2-D slice, with
+that slice's own shape, so a graph in a bucket gets the bits it gets in a
+bucket of one, whichever graphs share the bucket: a score depends only on
+its two graphs. embedding_rows alone decides which graphs share an
+embedding row, for training, validation, scoring and detect alike: one row
+per distinct graph content, whichever objects or refs carry it, so a graph
+is at distance exactly 0 from itself. A prepared graph keeps its content
+hash, as it keeps its scatter index. Everything that compares embeddings
+without a gradient (validation AUC, the detector's scoring and detect) is
+one pair_distances call on (query, target) pairs of prepared graphs: it
+stacks the rows one bucket of up to CHUNK_NODES nodes at a time (_buckets)
+and embeds each bucket under every model, with no backward tape, before it
+stacks the next; the pair distances are taken in blocks.
 
-A training step feeds the engine one row at a time instead, so its float
-summation order, and with it every checkpoint, stays fixed: stacking graphs
-changes the bits of BLAS matmul rows. A row runs forward with a tape at its
+A training step runs the engine one graph at a time instead, on the
+parameters as they are, and its backward pass is written for one graph, so
+every checkpoint keeps its bits. A row runs forward with a tape at its
 first pair, and the tape is dropped after the row's last pair. The step
 keeps the parameters and both Adam moments as one flat float64 vector each
 (TrainState; the name -> tensor dicts are views laid out by ParamLayout),
@@ -51,7 +52,7 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -226,39 +227,30 @@ def _mlp_backward(
 
 
 # ---------------------------------------------------------------------------
-# Graph preparation and batching
+# Graph preparation and bucketing
 
 _INT32_MAX = np.iinfo(np.int32).max
 
-# Node budget of one inference chunk: large enough that per-call overhead is
-# shared by about ten typical graphs, small enough to keep activations tiny.
-CHUNK_NODES = 128
+# Node budget of one bucket: large enough that per-call overhead is shared by
+# dozens of typical graphs, small enough to keep activations tiny.
+CHUNK_NODES = 512
 
 
 @dataclass(frozen=True)
 class PreparedBatch:
-    """Featurized graphs as one disjoint union (the GraphsTuple layout).
-
-    Node feature rows of every graph are stacked, edge endpoints index the
-    stacked rows, and ``segment`` maps each row to its graph. A batch of one
-    graph has no segment array.
-    """
+    """Featurized graphs of one node count n: features (n, k) for one graph
+    or (B, n, k) for a bucket of B. Edge endpoints index the feature rows
+    flattened to (B * n, k), so graph i's edges are offset by i * n."""
 
     features: np.ndarray
     src: np.ndarray
     dst: np.ndarray
-    segment: np.ndarray | None = None
-    n_graphs: int = 1
     _scatter: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
-        return self.features.shape[0]
-
-    @functools.cached_property
-    def content_hash(self) -> int:
-        """Hash of the features, src and dst bytes, taken on first use."""
-        return hash(_content(self))
+        """Nodes per graph."""
+        return self.features.shape[-2]
 
     def scatter_index(self, width: int) -> tuple[np.ndarray, np.ndarray]:
         """Flat _segment_sum indices that send rows `width` wide to their
@@ -273,19 +265,24 @@ class PreparedBatch:
                 (self.dst[:, None] * width + cols).ravel(),
                 (self.src[:, None] * width + cols).ravel(),
             )
-            if self.n_nodes * width <= _INT32_MAX:
+            if math.prod(self.features.shape[:-1]) * width <= _INT32_MAX:
                 index = (index[0].astype(np.int32), index[1].astype(np.int32))
             self._scatter[width] = index
         return index
 
 
-def _content(graph: PreparedBatch) -> tuple[bytes, bytes, bytes]:
+def _content(graph: PreparedGraph) -> tuple[bytes, bytes, bytes]:
     return graph.features.tobytes(), graph.src.tobytes(), graph.dst.tobytes()
 
 
 class PreparedGraph(PreparedBatch):
     """One featurized graph: node feature matrix plus positional edge arrays.
-    It is a batch of one and goes through the engine as it is."""
+    It goes through the engine as it is."""
+
+    @functools.cached_property
+    def content_hash(self) -> int:
+        """Hash of the features, src and dst bytes, taken on first use."""
+        return hash(_content(self))
 
 
 def prepare_graph(
@@ -306,70 +303,50 @@ def prepare_graph(
     return PreparedGraph(features=features, src=src, dst=dst)
 
 
-def batch_graphs(graphs: Sequence[PreparedGraph]) -> PreparedBatch:
-    """Stack graphs into one batch; graph i owns the rows where segment == i.
-    A single graph comes back as it is."""
-    if len(graphs) == 1:
-        return graphs[0]
-    sizes = np.array([g.n_nodes for g in graphs], dtype=np.intp)
-    offsets = np.cumsum(sizes) - sizes
+def _stack(graphs: Sequence[PreparedGraph]) -> PreparedBatch:
+    """Graphs of one node count n as one (len(graphs), n, k) bucket."""
+    n = graphs[0].n_nodes
     return PreparedBatch(
-        features=np.concatenate([g.features for g in graphs]),
-        src=np.concatenate([g.src + off for g, off in zip(graphs, offsets)]),
-        dst=np.concatenate([g.dst + off for g, off in zip(graphs, offsets)]),
-        segment=np.repeat(np.arange(len(graphs), dtype=np.intp), sizes),
-        n_graphs=len(graphs),
+        features=np.stack([g.features for g in graphs]),
+        src=np.concatenate([g.src + i * n for i, g in enumerate(graphs)]),
+        dst=np.concatenate([g.dst + i * n for i, g in enumerate(graphs)]),
     )
 
 
-def chunk_graphs(graphs: Iterable[PreparedGraph]) -> Iterator[PreparedBatch]:
-    """Consecutive graphs batched up to CHUNK_NODES nodes per batch; every
-    batch holds at least one graph, so a larger graph forms its own. Each
-    batch is stacked only when the previous one has been taken."""
-    chunk: list[PreparedGraph] = []
-    nodes = 0
-    for graph in graphs:
-        if chunk and nodes + graph.n_nodes > CHUNK_NODES:
-            yield batch_graphs(chunk)
-            chunk, nodes = [], 0
-        chunk.append(graph)
-        nodes += graph.n_nodes
-    if chunk:
-        yield batch_graphs(chunk)
+def _buckets(
+    graphs: Sequence[PreparedGraph],
+) -> Iterator[tuple[list[int], PreparedBatch]]:
+    """The positions of graphs that share a node count, up to CHUNK_NODES
+    nodes and at least one graph at a time, each with their stacked bucket.
+    A bucket is stacked only when the previous one has been taken."""
+    by_count: dict[int, list[int]] = {}
+    for i, graph in enumerate(graphs):
+        by_count.setdefault(graph.n_nodes, []).append(i)
+    for n, members in by_count.items():
+        size = max(1, CHUNK_NODES // n)
+        for start in range(0, len(members), size):
+            part = members[start : start + size]
+            yield part, _stack([graphs[i] for i in part])
 
 
 # ---------------------------------------------------------------------------
-# The engine: forward pass (with tape) and backward pass over a batch
+# The engine: forward pass (with tape) over one graph or a bucket, and the
+# backward pass over one graph
 
-def _segment_sum(rows: np.ndarray, flat: np.ndarray, n_out: int) -> np.ndarray:
+def _segment_sum(
+    rows: np.ndarray, flat: np.ndarray, shape: tuple[int, ...]
+) -> np.ndarray:
     """out[index[k]] += rows[k], k ascending, from zeros, where flat is
-    index spread over the row width (PreparedBatch.scatter_index).
+    index spread over the row width (PreparedBatch.scatter_index) and out
+    comes back in `shape`.
 
     Every output element gets its additions one at a time in row order, so
     the result equals np.add.at and a one-segment .sum(axis=0) bit for bit;
     bincount over a flat index is just the fastest way numpy has to do it.
     """
-    width = rows.shape[1]
-    out = np.bincount(flat, weights=rows.ravel(), minlength=n_out * width)
+    out = np.bincount(flat, weights=rows.ravel(), minlength=math.prod(shape))
     # bincount of nothing comes back as int64 zeros
-    return out.reshape(n_out, width).astype(rows.dtype, copy=False)
-
-
-def _pool(rows: np.ndarray, batch: PreparedBatch) -> np.ndarray:
-    """Per-graph row sums, (n_graphs, width). Several graphs pool through
-    a one-hot product, whose operands are a fraction of the rows' size."""
-    if batch.segment is None:
-        return rows.sum(axis=0, keepdims=True)
-    members = np.zeros((batch.n_graphs, batch.n_nodes))
-    members[batch.segment, np.arange(batch.n_nodes)] = 1.0
-    return members @ rows
-
-
-def _unpool(graph_rows: np.ndarray, batch: PreparedBatch) -> np.ndarray:
-    """Per-graph rows broadcast back to the nodes of each graph."""
-    if batch.segment is None:
-        return graph_rows
-    return graph_rows[batch.segment]
+    return out.reshape(shape).astype(rows.dtype, copy=False)
 
 
 def _prop_forward(
@@ -380,14 +357,14 @@ def _prop_forward(
     layer: int,
     tape: list | None,
 ) -> np.ndarray:
-    n, width = h.shape
-    to_dst, to_src = batch.scatter_index(width)
+    rows = h.reshape(-1, h.shape[-1])
+    to_dst, to_src = batch.scatter_index(h.shape[-1])
     in_w, out_w, update = _prop_keys(layer)
-    sum_in = _segment_sum(h[batch.src], to_dst, n)
-    sum_out = _segment_sum(h[batch.dst], to_src, n)
+    sum_in = _segment_sum(rows[batch.src], to_dst, h.shape)
+    sum_out = _segment_sum(rows[batch.dst], to_src, h.shape)
     m_in = sum_in @ params[in_w].T
     m_out = sum_out @ params[out_w].T
-    z = np.concatenate([h, m_in, m_out], axis=1)
+    z = np.concatenate([h, m_in, m_out], axis=-1)
     h_next, acts = _mlp_forward(z, params, update, len(config.update_sizes))
     if tape is not None:
         tape.append((sum_in, sum_out, acts))
@@ -397,7 +374,7 @@ def _prop_forward(
 def _prop_backward(
     dh_next: np.ndarray,
     tape: tuple,
-    batch: PreparedBatch,
+    graph: PreparedGraph,
     params: ModelParams,
     config: ModelConfig,
     layer: int,
@@ -414,17 +391,16 @@ def _prop_backward(
     dm_out = dz[:, 2 * d :]
     grads[in_w] += dm_in.T @ sum_in
     grads[out_w] += dm_out.T @ sum_out
-    if batch.src.size:
+    if graph.src.size:
         dsum_in = dm_in @ params[in_w]
         dsum_out = dm_out @ params[out_w]
-        np.add.at(dh, batch.src, dsum_in[batch.dst])
-        np.add.at(dh, batch.dst, dsum_out[batch.src])
+        np.add.at(dh, graph.src, dsum_in[graph.dst])
+        np.add.at(dh, graph.dst, dsum_out[graph.src])
     return dh
 
 
 def _agg_forward(
     h: np.ndarray,
-    batch: PreparedBatch,
     params: ModelParams,
     config: ModelConfig,
     tape: list | None,
@@ -432,7 +408,7 @@ def _agg_forward(
     gate_lin = h @ params["agg.gate.w"].T + params["agg.gate.b"]
     gate = 1.0 / (1.0 + np.exp(-gate_lin))
     proj = h @ params["agg.proj.w"].T + params["agg.proj.b"]
-    pooled = _pool(gate * proj, batch)
+    pooled = (gate * proj).sum(axis=-2, keepdims=True)
     out, acts = _mlp_forward(pooled, params, "agg.out", len(config.output_sizes))
     if tape is not None:
         tape.append((h, gate, proj, acts))
@@ -442,15 +418,13 @@ def _agg_forward(
 def _agg_backward(
     demb: np.ndarray,
     tape: tuple,
-    batch: PreparedBatch,
     params: ModelParams,
     config: ModelConfig,
     grads: ModelParams,
 ) -> np.ndarray:
     h, gate, proj, acts = tape
-    dpooled = _unpool(
-        _mlp_backward(demb, acts, params, "agg.out", len(config.output_sizes), grads),
-        batch,
+    dpooled = _mlp_backward(
+        demb, acts, params, "agg.out", len(config.output_sizes), grads
     )
     dgate = dpooled * proj
     dproj = dpooled * gate
@@ -468,9 +442,10 @@ def _forward(
     config: ModelConfig,
     tape: list | None = None,
 ) -> np.ndarray:
-    """(n_graphs, embedding) rows. Given a tape list, every stage appends
-    what its backward pass reads (encoder, each layer, aggregator); without
-    one, each stage's activations are freed when it returns."""
+    """The embedding, (1, embedding) for one graph and (B, 1, embedding)
+    for a bucket of B. Given a tape list, every stage appends what its
+    backward pass reads (encoder, each layer, aggregator); without one, each
+    stage's activations are freed when it returns."""
     h, acts = _mlp_forward(
         batch.features, params, "encoder", len(config.encoder_sizes)
     )
@@ -478,36 +453,30 @@ def _forward(
         tape.append(acts)
     for t in range(config.propagation_layers):
         h = _prop_forward(h, batch, params, config, t, tape)
-    return _agg_forward(h, batch, params, config, tape)
+    return _agg_forward(h, params, config, tape)
 
 
 def _backward(
     demb: np.ndarray,
     tape: list,
-    batch: PreparedBatch,
+    graph: PreparedGraph,
     params: ModelParams,
     config: ModelConfig,
     grads: ModelParams,
 ) -> None:
-    """Accumulate into grads the gradients of sum(demb * embeddings)."""
+    """Accumulate into grads the gradients of sum(demb * embedding) of one
+    graph."""
     enc_acts, *layer_tapes, agg_tape = tape
-    dh = _agg_backward(demb, agg_tape, batch, params, config, grads)
+    dh = _agg_backward(demb, agg_tape, params, config, grads)
     for t in reversed(range(config.propagation_layers)):
-        dh = _prop_backward(dh, layer_tapes[t], batch, params, config, t, grads)
+        dh = _prop_backward(dh, layer_tapes[t], graph, params, config, t, grads)
     _mlp_backward(dh, enc_acts, params, "encoder", len(config.encoder_sizes), grads)
-
-
-def embed_batch(
-    batch: PreparedBatch, params: ModelParams, config: ModelConfig
-) -> np.ndarray:
-    """Embeddings of every graph in the batch, one row per graph."""
-    return _forward(batch, params, config)
 
 
 def embed_prepared(
     prep: PreparedGraph, params: ModelParams, config: ModelConfig
 ) -> np.ndarray:
-    return embed_batch(prep, params, config)[0]
+    return _forward(prep, params, config)[0]
 
 
 _PAIR_BLOCK = 128  # pairs per distance step; bounds the gathered rows
@@ -545,17 +514,19 @@ def pair_distances(
     """Embedding distance of each pair under each model, shape
     (len(models), len(pairs)).
 
-    The rows (embedding_rows) are stacked one chunk at a time
-    (chunk_graphs), each chunk embeds under every model before the next is
-    stacked, and the distances are taken _PAIR_BLOCK pairs at a time.
+    The rows (embedding_rows) are stacked one bucket at a time (_buckets),
+    each bucket embeds under every model before the next is stacked, and
+    the distances are taken _PAIR_BLOCK pairs at a time. The models embed
+    with Fortran-ordered weights (copies, unless they are Fortran-ordered
+    already, as a loaded checkpoint's are): w.T is then C-contiguous, which
+    the stacked products take by a faster path.
     """
     graphs, rows = embedding_rows(pairs)
+    models = [{name: np.asfortranarray(t) for name, t in m.items()} for m in models]
     emb = np.empty((len(models), len(graphs), config.graph_embedding_dim))
-    start = 0
-    for batch in chunk_graphs(graphs):
+    for members, bucket in _buckets(graphs):
         for out, params in zip(emb, models):
-            out[start : start + batch.n_graphs] = embed_batch(batch, params, config)
-        start += batch.n_graphs
+            out[members] = _forward(bucket, params, config)[:, 0]
     distance = np.empty((len(models), len(pairs)))
     for out, model_emb in zip(distance, emb):
         for start in range(0, len(pairs), _PAIR_BLOCK):
@@ -943,8 +914,10 @@ def _read_header(
 
 
 def load_checkpoint(path: Path | str) -> tuple[ModelParams, ModelConfig]:
-    """A file cut short, with trailing bytes or with a damaged header raises
-    CorruptArtifact naming the path."""
+    """The tensors come back Fortran-ordered, as pair_distances embeds with
+    them, so scoring a loaded model copies no weight. A file cut short, with
+    trailing bytes or with a damaged header raises CorruptArtifact naming
+    the path."""
     raw = Path(path).read_bytes()
     config, shapes, offset = _read_header(path, raw)
     names = sorted(shapes)
@@ -955,6 +928,6 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, ModelConfig]:
     params: ModelParams = {}
     for name, count in zip(names, counts):
         tensor = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        params[name] = tensor.reshape(shapes[name]).astype(np.float64)
+        params[name] = np.array(tensor.reshape(shapes[name]), np.float64, order="F")
         offset += count * 8
     return params, config

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from cidetect import detector, evaluation, pairgen, synth
+from cidetect import cli, detector, evaluation, pairgen, synth
 from cidetect.cli import build_index_from_corpus, main
 
 _SYNTH_ARGS = [
@@ -135,6 +135,29 @@ def _eval(pipeline, pairs, out):
         "--corpus", str(pipeline["corpus"]), "--pairs", str(pairs),
         "--out", str(out),
     ])
+
+
+def test_detect_equals_eval_bit_for_bit(pipeline, tmp_path, capsys):
+    """Each pair of the pair file gets from detect, where its two graphs
+    embed alone, the bits that eval gives it among all the others."""
+    report = tmp_path / "report"
+    assert _eval(pipeline, pipeline["pairs"], report) == 0
+    capsys.readouterr()
+    lines = (report / "scores.jsonl").read_text().splitlines()
+    scores = [json.loads(line)["score"] for line in lines]
+    records = [json.loads(line) for line in pipeline["pairs"].read_text().splitlines()]
+    assert len(scores) == len(records) == 12
+    graphs = pipeline["corpus"] / "graphs"
+    for record, score in zip(records, scores):
+        (q_set, q_bin, q_name), (t_set, t_bin, t_name) = (
+            record["query_ref"], record["target_ref"]
+        )
+        assert main([
+            "detect", "--bundle", str(pipeline["bundle"]),
+            "--query", str(graphs / q_set / f"{q_bin}.jsonl"), "--query-name", q_name,
+            "--target", str(graphs / t_set / f"{t_bin}.jsonl"), "--target-name", t_name,
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["final"] == score
 
 
 def test_eval_scores_once(pipeline, tmp_path, monkeypatch):
@@ -633,8 +656,14 @@ def test_eval_bad_pair_record_names_file_and_line(
         lambda line: _bad_record(line, lambda r: r.pop("score")),
         lambda line: _bad_record(line, lambda r: r.update(score="abc")),
         lambda line: _bad_record(line, lambda r: r.update(label=0)),
+        lambda line: _bad_record(line, lambda r: r.update(label=float("inf"))),
+        lambda line: _bad_record(line, lambda r: r.update(score=float("nan"))),
+        lambda line: _bad_record(line, lambda r: r.update(score=float("inf"))),
     ],
-    ids=["not-json", "missing-key", "bad-score", "bad-label"],
+    ids=[
+        "not-json", "missing-key", "bad-score", "bad-label",
+        "label-infinity", "score-nan", "score-infinity",
+    ],
 )
 def test_sweep_bad_score_record_names_file_and_line(
     pipeline, tmp_path, caplog, corrupt
@@ -965,4 +994,34 @@ def test_module_entry_point():
         capture_output=True, text=True,
     )
     assert result.returncode == 0
-    assert "synth" in result.stdout
+    for name in cli._COMMANDS:
+        assert name in result.stdout
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"]], ids=["no-argument", "unknown"])
+def test_usage_errors_list_every_command(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "{" + ",".join(cli._COMMANDS) + "}" in capsys.readouterr().err
+
+
+def test_a_named_subcommand_builds_only_its_own_parser(pipeline, monkeypatch, capsys):
+    built = []
+    add_options = cli._add_options
+
+    def tracked(parser, opts):
+        built.append(opts)
+        add_options(parser, opts)
+
+    monkeypatch.setattr(cli, "_add_options", tracked)
+    graphs = pipeline["corpus"] / "graphs"
+    assert main([
+        "detect", "--bundle", str(pipeline["bundle"]),
+        "--query", str(graphs / "noinline" / "p000-noinline.jsonl"),
+        "--query-name", "p000_f00",
+        "--target", str(graphs / "inline" / "p000-inline.jsonl"),
+        "--target-name", "p000_f01",
+    ]) == 0
+    assert built == [cli._DETECT_OPTS]
+    assert json.loads(capsys.readouterr().out)["final"] > 0.0

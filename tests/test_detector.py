@@ -163,32 +163,39 @@ def _pairs_from(graphs):
     return pairs
 
 
+def _full_size_detector(seed, n_graphs=40):
+    """Graphs of up to 8 blocks and an ensemble on the default model dims,
+    where graphs stacked into one 2-D product get other bits than alone."""
+    rng = np.random.default_rng(seed)
+    graphs = [
+        random_acfg(rng, f"f{i}", OPCODE_POOL[:8], max_nodes=8)
+        for i in range(n_graphs)
+    ]
+    vocab = build_vocabulary(graphs, max_size=6)
+    config = ModelConfig(feature_dim=vocab.feature_dim, seed=seed)
+    models = {
+        key: init_params(replace(config, seed=seed + i))
+        for i, key in enumerate(PATTERN_KEYS)
+    }
+    return graphs, EnsembleDetector(models, vocab, config, threshold=0.5)
+
+
 def test_score_pairs_matches_detect():
-    graphs, det = _tiny_detector(seed=3)
-    pairs = _pairs_from(graphs)
-    finals = score_pairs(det, pairs)
-    assert len(finals) == len(pairs)
-    for pair, final in zip(pairs, finals):
-        assert final == pytest.approx(detect(pair.query, pair.target, det).final, abs=1e-12)
+    for graphs, det in (_tiny_detector(seed=3), _full_size_detector(seed=3)):
+        pairs = _pairs_from(graphs)
+        finals = score_pairs(det, pairs)
+        assert len(finals) == len(pairs)
+        for pair, final in zip(pairs, finals):
+            assert final == detect(pair.query, pair.target, det).final
 
 
 def test_score_pairs_scores_a_function_against_itself_as_one():
     """A function paired with itself under a noinline and an inline ref,
     among other pairs, scores exactly 1, as detect does: both refs share
-    one embedding row. Full-size models, so that two copies of a graph in
-    a stacked chunk would differ in the last bits."""
+    one embedding row."""
     for seed in range(5):
-        rng = np.random.default_rng(seed)
-        graphs = [
-            random_acfg(rng, f"f{i}", OPCODE_POOL[:8], max_nodes=8) for i in range(40)
-        ]
-        vocab = build_vocabulary(graphs, max_size=6)
-        config = ModelConfig(feature_dim=vocab.feature_dim, seed=seed)
-        models = {
-            key: init_params(replace(config, seed=seed + i))
-            for i, key in enumerate(PATTERN_KEYS)
-        }
-        det = EnsembleDetector(models, vocab, config, threshold=0.5)
+        graphs, det = _full_size_detector(seed)
+
         def pair(q, t, label):
             return FunctionPair(
                 query=graphs[q],
@@ -212,14 +219,23 @@ def test_score_pairs_scores_a_function_against_itself_as_one():
 
 
 def test_score_pairs_chunking_changes_no_score(monkeypatch):
-    graphs, det = _tiny_detector(seed=5)
+    graphs, det = _full_size_detector(seed=5)
     pairs = _pairs_from(graphs)
     default = score_pairs(det, pairs)
     for budget in (1, 7, 10_000):
         monkeypatch.setattr(gnn, "CHUNK_NODES", budget)
-        np.testing.assert_allclose(
-            score_pairs(det, pairs), default, rtol=0, atol=1e-12
-        )
+        np.testing.assert_array_equal(score_pairs(det, pairs), default)
+
+
+def test_a_score_depends_only_on_its_pair():
+    """Each pair's score keeps every bit when the pair list is reversed or
+    cut to that one pair."""
+    graphs, det = _full_size_detector(seed=6)
+    pairs = _pairs_from(graphs)
+    finals = score_pairs(det, pairs)
+    assert score_pairs(det, pairs[::-1]) == finals[::-1]
+    for pair, final in zip(pairs, finals):
+        assert score_pairs(det, [pair]) == [final]
 
 
 # ---------------------------------------------------------------------------

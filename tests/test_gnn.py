@@ -16,12 +16,9 @@ from cidetect.gnn import (
     ModelConfig,
     PreparedGraph,
     PreparedPair,
-    batch_graphs,
-    chunk_graphs,
     clone_params,
     config_from_json,
     config_to_json,
-    embed_batch,
     embed_prepared,
     euclidean_distance,
     grad_step,
@@ -216,7 +213,7 @@ def _random_prep(rng, n_nodes, n_edges, feature_dim):
 
 def _mixed_graphs(config):
     """A one-node graph without edges, one graph twice, and a graph larger
-    than the inference chunk budget."""
+    than the bucket node budget."""
     rng = np.random.default_rng(12)
     lone = _random_prep(rng, 1, 0, config.feature_dim)
     small = _random_prep(rng, 5, 7, config.feature_dim)
@@ -231,53 +228,54 @@ def test_batched_forward_matches_oracle_per_graph():
     params = init_params(config)
     graphs = _mixed_graphs(config)
     want = [_oracle_embed(g, params, config) for g in graphs]
-    batch = batch_graphs(graphs)
-    assert batch.n_graphs == len(graphs)
-    assert batch.n_nodes == sum(g.n_nodes for g in graphs)
-    got = embed_batch(batch, params, config)
-    assert got.shape == (len(graphs), config.graph_embedding_dim)
-    np.testing.assert_allclose(got, np.stack(want), rtol=0, atol=1e-12)
-    chunks = list(chunk_graphs(graphs))
-    assert all(c.n_nodes <= gnn.CHUNK_NODES or c.n_graphs == 1 for c in chunks)
-    assert sum(c.n_graphs for c in chunks) == len(graphs)
-    chunked = np.concatenate([embed_batch(c, params, config) for c in chunks])
-    np.testing.assert_allclose(chunked, np.stack(want), rtol=0, atol=1e-12)
+    buckets = list(gnn._buckets(graphs))
+    assert [members for members, _ in buckets] == [[0, 2], [1], [3], [4]]
+    for members, bucket in buckets:
+        assert {graphs[i].n_nodes for i in members} == {bucket.n_nodes}
+        got = gnn._forward(bucket, params, config)
+        assert got.shape == (len(members), 1, config.graph_embedding_dim)
+        np.testing.assert_allclose(
+            got[:, 0], np.stack([want[i] for i in members]), rtol=0, atol=1e-12
+        )
 
 
-def test_batch_of_one_is_the_graph_itself():
-    _, vocab, config = _tiny_setup()
-    graph = _mixed_graphs(config)[0]
-    assert batch_graphs([graph]) is graph
-    params = init_params(config)
-    np.testing.assert_array_equal(
-        embed_batch(graph, params, config)[0], embed_prepared(graph, params, config)
+def test_bucketed_embedding_equals_bucket_of_one_bit_for_bit():
+    """A graph embeds to the same bits in a bucket of many as in a bucket of
+    one, under C-ordered and Fortran-ordered weights, on the model dims of
+    criterion 06: numpy's stacked matmul must run one product per graph.
+    Under the C-ordered weights that training uses, both equal the graph's
+    own forward pass. Covers a one-node graph without edges, graphs above
+    the node budget and buckets of one and of many."""
+    config = ModelConfig(
+        feature_dim=96, node_state_dim=24, graph_embedding_dim=64,
+        propagation_layers=2, encoder_hidden=(32,), update_hidden=(32,),
+        output_hidden=(64,),
     )
-
-
-def test_batched_backward_sums_per_graph_gradients():
-    """Backward over a multi-graph batch equals the per-graph backward
-    passes summed."""
-    _, vocab, config = _tiny_setup()
     params = init_params(config)
-    graphs = _mixed_graphs(config)
-    rng = np.random.default_rng(13)
-    demb = rng.standard_normal((len(graphs), config.graph_embedding_dim))
-
-    def zeros():
-        return {name: np.zeros_like(t) for name, t in params.items()}
-
-    batch = batch_graphs(graphs)
-    batched = zeros()
-    tape = []
-    gnn._forward(batch, params, config, tape)
-    gnn._backward(demb, tape, batch, params, config, batched)
-    separate = zeros()
-    for row, graph in zip(demb, graphs):
-        tape = []
-        gnn._forward(graph, params, config, tape)
-        gnn._backward(row[None, :], tape, graph, params, config, separate)
-    for name in params:
-        np.testing.assert_allclose(batched[name], separate[name], rtol=0, atol=1e-12)
+    orders = [params, {k: np.asfortranarray(t) for k, t in params.items()}]
+    rng = np.random.default_rng(23)
+    groups = [[_random_prep(rng, 1, 0, config.feature_dim) for _ in range(9)]]
+    groups += [
+        [_random_prep(rng, n, int(rng.integers(0, 3 * n)), config.feature_dim)
+         for _ in range(int(rng.integers(2, 12)))]
+        for n in (*range(2, 25), 40, 64, 100, 164)
+    ]
+    groups.append(
+        [_random_prep(rng, gnn.CHUNK_NODES + 1, gnn.CHUNK_NODES, config.feature_dim)
+         for _ in range(2)]
+    )
+    for graphs in groups:
+        for weights in orders:
+            many = gnn._forward(gnn._stack(graphs), weights, config)
+            for graph, row in zip(graphs, many):
+                alone = gnn._forward(gnn._stack([graph]), weights, config)
+                np.testing.assert_array_equal(row, alone[0])
+                if weights is params:
+                    own = gnn._forward(graph, params, config)
+                    np.testing.assert_array_equal(row, own)
+    # the budget splits a node count into buckets; a larger graph is alone
+    sizes = [len(members) for members, _ in gnn._buckets(groups[-1] + groups[0])]
+    assert sizes == [1, 1, 9]
 
 
 def test_euclidean_distance():
@@ -546,12 +544,12 @@ def test_train_model_history_and_determinism():
         np.testing.assert_array_equal(params_a[name], params_b[name])
 
 
-@pytest.mark.parametrize("chunk_nodes, pair_block", [(128, 128), (5, 3), (1, 1)])
+@pytest.mark.parametrize("bucket_nodes, pair_block", [(128, 128), (5, 3), (1, 1)])
 def test_validation_auc_matches_reference_every_epoch(
-    monkeypatch, chunk_nodes, pair_block
+    monkeypatch, bucket_nodes, pair_block
 ):
     """Validation on the batched engine gives, at every epoch, the AUC of
-    the reference that embedded one graph at a time, whatever the chunk and
+    the reference that embedded one graph at a time, whatever the bucket and
     pair block sizes."""
     graphs, vocab, config = _tiny_setup(seed=16)
     config = _tiny_config(feature_dim=vocab.feature_dim, learning_rate=0.05)
@@ -576,7 +574,7 @@ def test_validation_auc_matches_reference_every_epoch(
         pair(7, 5, -1), pair(3, 6, 1), pair(2, 5, -1),
     ]
     train = [pair(0, 2, 1), pair(1, 3, -1), pair(4, 5, 1), pair(6, 7, -1)]
-    monkeypatch.setattr(gnn, "CHUNK_NODES", chunk_nodes)
+    monkeypatch.setattr(gnn, "CHUNK_NODES", bucket_nodes)
     monkeypatch.setattr(gnn, "_PAIR_BLOCK", pair_block)
     seen = []
     batched = gnn._validation_auc
@@ -614,7 +612,7 @@ def test_pair_distances_match_per_graph_distances():
 
 def test_pair_distances_give_equal_content_one_row(monkeypatch):
     """Two prepared objects of one graph, as under two refs, share a row:
-    their distance is exactly 0 wherever the chunks cut."""
+    their distance is exactly 0 whatever the bucket budget."""
     graphs, vocab, config = _tiny_setup(seed=18)
     params = init_params(config)
     preps = [prepare_graph(g, vocab, config) for g in graphs]
@@ -629,7 +627,7 @@ def test_pair_distances_give_equal_content_one_row(monkeypatch):
 
 
 def test_pair_distances_hold_one_stacked_batch_at_a_time(monkeypatch):
-    """Each stacked chunk embeds under every model and is freed before the
+    """Each stacked bucket embeds under every model and is freed before the
     next one is embedded."""
     graphs, vocab, config = _tiny_setup(seed=21, n_graphs=12)
     models = [init_params(config), init_params(_tiny_config(
@@ -639,26 +637,25 @@ def test_pair_distances_hold_one_stacked_batch_at_a_time(monkeypatch):
     pairs = [(p, preps[(i + 1) % len(preps)]) for i, p in enumerate(preps)]
     stacked = []
     embedded = []
-    stack = gnn.batch_graphs
-    embed = gnn.embed_batch
+    stack = gnn._stack
+    forward = gnn._forward
 
-    def tracked_batch(chunk):
-        batch = stack(chunk)
-        if batch.n_graphs > 1:
-            stacked.append(weakref.ref(batch))
-        return batch
+    def tracked_stack(graphs):
+        bucket = stack(graphs)
+        stacked.append(weakref.ref(bucket))
+        return bucket
 
-    def tracked_embed(batch, params, config):
+    def tracked_forward(bucket, params, config):
         alive = [ref() for ref in stacked if ref() is not None]
-        assert all(other is batch for other in alive)
-        embedded.append(batch.n_graphs)
-        return embed(batch, params, config)
+        assert len(alive) == 1 and alive[0] is bucket
+        embedded.append(len(bucket.features))
+        return forward(bucket, params, config)
 
     monkeypatch.setattr(gnn, "CHUNK_NODES", 8)
-    monkeypatch.setattr(gnn, "batch_graphs", tracked_batch)
-    monkeypatch.setattr(gnn, "embed_batch", tracked_embed)
+    monkeypatch.setattr(gnn, "_stack", tracked_stack)
+    monkeypatch.setattr(gnn, "_forward", tracked_forward)
     gnn.pair_distances(pairs, models, config)
-    assert len(stacked) > 1
+    assert len(stacked) > len({p.n_nodes for p in preps}) > 1
     assert all(ref() is None for ref in stacked)
     assert sum(embedded) == len(models) * len(preps)
 
