@@ -283,7 +283,7 @@ def load_bundle(directory: Path | str) -> EnsembleDetector:
     keys = ["format_version", "models", "config_sha256", "threshold"]
     manifest = read_json(path, keys, CorruptArtifact)
     if manifest["format_version"] != _BUNDLE_VERSION:
-        raise ValueError(
+        raise CorruptArtifact(
             f"{path}: unsupported bundle version {manifest['format_version']}"
         )
     models, threshold = manifest["models"], manifest["threshold"]
@@ -297,5 +297,5 @@ def load_bundle(directory: Path | str) -> EnsembleDetector:
         raise CorruptArtifact(f"{path}: {exc}") from None
     det = _load_detector(path.parent, models, float(threshold))
     if config_hash(det.config) != manifest["config_sha256"]:
-        raise ValueError(f"{path}: config hash mismatch")
+        raise CorruptArtifact(f"{path}: config hash mismatch")
     return det

@@ -19,21 +19,23 @@ over the node axis. numpy's stacked matmul runs one GEMM per 2-D slice, with
 that slice's own shape, so a graph in a bucket gets the bits it gets in a
 bucket of one, whichever graphs share the bucket: a score depends only on
 its two graphs. embedding_rows alone decides which graphs share an
-embedding row, for training, validation, scoring and detect alike: one row
-per distinct graph content, whichever objects or refs carry it, so a graph
-is at distance exactly 0 from itself. A prepared graph keeps its content
-hash, as it keeps its scatter index. Everything that compares embeddings
-without a gradient (validation AUC, the detector's scoring and detect) is
-one pair_distances call on (query, target) pairs of prepared graphs: it
-stacks the rows one bucket of up to CHUNK_NODES nodes at a time (_buckets)
-and embeds each bucket under every model, with no backward tape, before it
-stacks the next; the pair distances are taken in blocks.
+embedding row: one row per distinct graph content, whichever objects or
+refs carry it, so a graph is at distance exactly 0 from itself. A prepared
+graph keeps its content hash. One driver, _embed_pairs, embeds the rows of
+a list of pairs for training, validation, scoring and detect alike: it
+stacks them one bucket of up to CHUNK_NODES nodes at a time (_buckets) and
+embeds each bucket under every model before it stacks the next.
+Everything that compares embeddings without a gradient (validation AUC,
+the detector's scoring and detect) is one pair_distances call on (query,
+target) pairs of prepared graphs, which keeps no tape and takes the pair
+distances in blocks.
 
-A training step runs the engine one graph at a time instead, on the
-parameters as they are, and its backward pass is written for one graph, so
-every checkpoint keeps its bits. A row runs forward with a tape at its
-first pair, and the tape is dropped after the row's last pair. The step
-keeps the parameters and both Adam moments as one flat float64 vector each
+A training step runs the driver on the parameters as they are, with a
+tape. A row's tape is its slice of every array in its bucket's tape,
+equal bit for bit to the graph's own one-graph tape, and the backward pass,
+written for one graph, runs on it, so every checkpoint keeps its bits. A
+step's tapes live until its last pair's backward. The step keeps the
+parameters and both Adam moments as one flat float64 vector each
 (TrainState; the name -> tensor dicts are views laid out by ParamLayout),
 so Adam and its finite check are a few elementwise operations over the
 whole vector. A pair's gradient goes into one reused vector and is added
@@ -254,9 +256,8 @@ class PreparedBatch:
 
     def scatter_index(self, width: int) -> tuple[np.ndarray, np.ndarray]:
         """Flat _segment_sum indices that send rows `width` wide to their
-        dst and to their src node, kept from the first call per width, as
-        int32 where that holds every index: training embeds the same graphs
-        over and over for a whole run.
+        dst and to their src node, kept from the first call per width for
+        the next propagation layers, as int32 where that holds every index.
         """
         index = self._scatter.get(width)
         if index is None:
@@ -277,7 +278,7 @@ def _content(graph: PreparedGraph) -> tuple[bytes, bytes, bytes]:
 
 class PreparedGraph(PreparedBatch):
     """One featurized graph: node feature matrix plus positional edge arrays.
-    It goes through the engine as it is."""
+    embed_prepared runs it through the engine as it is."""
 
     @functools.cached_property
     def content_hash(self) -> int:
@@ -506,6 +507,41 @@ def embedding_rows(
     return graphs, np.array(rows, dtype=np.intp).reshape(len(pairs), 2)
 
 
+def _row_tape(tape, j: int):
+    """Graph j's tape in a bucket's tape: slice j of every array in it, in
+    lists nested as the tape's lists and tuples are."""
+    if isinstance(tape, np.ndarray):
+        return tape[j]
+    return [_row_tape(part, j) for part in tape]
+
+
+def _embed_pairs(
+    pairs: Sequence[tuple[PreparedGraph, PreparedGraph]],
+    models: Sequence[ModelParams],
+    config: ModelConfig,
+    tapes: dict[int, list] | None = None,
+) -> tuple[list[PreparedGraph], np.ndarray, np.ndarray]:
+    """The rows of the pairs and each pair's two rows (embedding_rows), and
+    every row's embedding under each model, shape (len(models), rows, 1,
+    embedding).
+
+    The rows are stacked one bucket at a time (_buckets), and each bucket
+    embeds under every model before the next is stacked. Given a tapes
+    dict and one model, the forward keeps its tape, and tapes maps each row
+    to its slice of its bucket's tape (_row_tape).
+    """
+    graphs, rows = embedding_rows(pairs)
+    emb = np.empty((len(models), len(graphs), 1, config.graph_embedding_dim))
+    for members, bucket in _buckets(graphs):
+        for out, params in zip(emb, models):
+            tape = None if tapes is None else []
+            out[members] = _forward(bucket, params, config, tape)
+            if tapes is not None:
+                for j, row in enumerate(members):
+                    tapes[row] = _row_tape(tape, j)
+    return graphs, rows, emb
+
+
 def pair_distances(
     pairs: Sequence[tuple[PreparedGraph, PreparedGraph]],
     models: Sequence[ModelParams],
@@ -514,21 +550,16 @@ def pair_distances(
     """Embedding distance of each pair under each model, shape
     (len(models), len(pairs)).
 
-    The rows (embedding_rows) are stacked one bucket at a time (_buckets),
-    each bucket embeds under every model before the next is stacked, and
-    the distances are taken _PAIR_BLOCK pairs at a time. The models embed
-    with Fortran-ordered weights (copies, unless they are Fortran-ordered
+    The rows embed without a tape (_embed_pairs), and the distances are
+    taken _PAIR_BLOCK pairs at a time. The models embed with
+    Fortran-ordered weights (copies, unless they are Fortran-ordered
     already, as a loaded checkpoint's are): w.T is then C-contiguous, which
     the stacked products take by a faster path.
     """
-    graphs, rows = embedding_rows(pairs)
     models = [{name: np.asfortranarray(t) for name, t in m.items()} for m in models]
-    emb = np.empty((len(models), len(graphs), config.graph_embedding_dim))
-    for members, bucket in _buckets(graphs):
-        for out, params in zip(emb, models):
-            out[members] = _forward(bucket, params, config)[:, 0]
+    _, rows, emb = _embed_pairs(pairs, models, config)
     distance = np.empty((len(models), len(pairs)))
-    for out, model_emb in zip(distance, emb):
+    for out, model_emb in zip(distance, emb[:, :, 0]):
         for start in range(0, len(pairs), _PAIR_BLOCK):
             block = slice(start, start + _PAIR_BLOCK)
             diff = model_emb[rows[block, 0]] - model_emb[rows[block, 1]]
@@ -563,71 +594,58 @@ def pair_loss_and_grads(
     config: ModelConfig,
 ) -> tuple[float, ModelParams]:
     """Loss for one pair plus exact gradients for every parameter: the
-    per-pair code of grad_step, with the gradients as views into one vector.
+    gradient of grad_step on a batch of one, unscaled, as views into one
+    vector.
 
     At the hinge kink and at zero distance the subgradient 0 is used.
     """
     layout = ParamLayout.of(params)
-    flat = np.zeros(layout.size)
+    total, loss = _batch_gradient(
+        [PreparedPair(query, target, label)], params, config, layout
+    )
+    return loss, layout.views(total)
+
+
+def _batch_gradient(
+    batch: Sequence[PreparedPair],
+    params: ModelParams,
+    config: ModelConfig,
+    layout: ParamLayout,
+) -> tuple[np.ndarray, float]:
+    """The sums of the pair gradients (one flat vector laid out by layout)
+    and of the pair losses of the batch, in pair order.
+
+    Each distinct graph content runs forward once, in its bucket, with a
+    tape (_embed_pairs). A pair has a gradient when its hinge is active at
+    non-zero distance; its two backward passes, one graph each, then
+    overwrite flat, which grads views. A pair without one adds nothing to
+    the total: the total starts at +0.0, and a sum is -0.0 only when both
+    addends are, so the total is never -0.0 and an add of all zeros would
+    change no bit. The tapes are freed on return.
+    """
+    tapes: dict[int, list] = {}
+    graphs, rows, emb = _embed_pairs(
+        [(p.query, p.target) for p in batch], [params], config, tapes
+    )
+    total = np.zeros(layout.size)
+    flat = np.empty(layout.size)
     grads = layout.views(flat)
-    (taken,) = _step_tapes([(query, target)], params, config)
-    loss, _ = _pair_backward(query, target, label, taken, params, config, flat, grads)
-    return loss, grads
-
-
-def _step_tapes(
-    pairs: Sequence[tuple[PreparedGraph, PreparedGraph]],
-    params: ModelParams,
-    config: ModelConfig,
-) -> Iterator[tuple[tuple, tuple]]:
-    """The embedding and tape of each pair's query and target, in order,
-    while the parameters stay fixed. Each row of embedding_rows runs
-    forward alone with a tape at its first pair, and its tape is dropped
-    after its last pair."""
-    graphs, rows = embedding_rows(pairs)
-    rows = rows.tolist()
-    last = {r: i for i, pair_rows in enumerate(rows) for r in pair_rows}
-    held: dict[int, tuple[np.ndarray, list]] = {}  # row -> embedding, tape
-    for i, (q, t) in enumerate(rows):
-        for r in (q, t):
-            if r not in held:
-                tape: list = []
-                held[r] = (_forward(graphs[r], params, config, tape), tape)
-        yield held[q], held[t]
-        for r in {q, t}:
-            if last[r] == i:
-                del held[r]
-
-
-def _pair_backward(
-    query: PreparedGraph,
-    target: PreparedGraph,
-    label: int,
-    taken: tuple[tuple, tuple],
-    params: ModelParams,
-    config: ModelConfig,
-    flat: np.ndarray,
-    grads: ModelParams,
-) -> tuple[float, bool]:
-    """Loss of one pair and whether it has a gradient. If it has one (an
-    active hinge at non-zero distance), flat, which grads views, is
-    overwritten with it; otherwise its gradient is all zero and flat is
-    left as it was."""
-    (e1, tape1), (e2, tape2) = taken
-    diff = e1[0] - e2[0]
-    distance = float(np.sqrt(np.sum(diff**2)))
-    if not np.isfinite(distance):
-        # a NaN distance would otherwise read as an inactive hinge
-        raise NonFiniteGradient(f"non-finite pair distance {distance}")
-    loss = pair_loss(distance, label, config.margin)
-    if not (loss > 0.0 and distance > 0.0):
-        return loss, False
-    dd = float(label)
-    de1 = (dd * diff / distance)[None, :]
-    flat.fill(0.0)
-    _backward(de1, tape1, query, params, config, grads)
-    _backward(-de1, tape2, target, params, config, grads)
-    return loss, True
+    loss_sum = 0.0
+    for pair, (q, t) in zip(batch, rows.tolist()):
+        diff = emb[0, q] - emb[0, t]
+        distance = float(np.sqrt(np.sum(diff**2)))
+        if not np.isfinite(distance):
+            # a NaN distance would otherwise read as an inactive hinge
+            raise NonFiniteGradient(f"non-finite pair distance {distance}")
+        loss = pair_loss(distance, pair.label, config.margin)
+        loss_sum += loss
+        if loss > 0.0 and distance > 0.0:
+            de1 = float(pair.label) * diff / distance
+            flat.fill(0.0)
+            _backward(de1, tapes[q], graphs[q], params, config, grads)
+            _backward(-de1, tapes[t], graphs[t], params, config, grads)
+            total += flat
+    return total, loss_sum
 
 
 # ---------------------------------------------------------------------------
@@ -758,30 +776,10 @@ def _adam_update(
 def grad_step(
     batch: Sequence[PreparedPair], state: TrainState, config: ModelConfig
 ) -> tuple[TrainState, float]:
-    """One Adam update on the mean pair loss of the batch.
-
-    Each distinct graph content of the batch runs forward once
-    (_step_tapes). A pair without a gradient adds nothing to the total: the
-    total starts at +0.0, and a sum is -0.0 only when both addends are, so
-    the total is never -0.0 and an add of all zeros would change no bit.
-    """
+    """One Adam update on the mean pair loss of the batch (_batch_gradient)."""
     if not batch:
         raise ValueError("empty batch")
-    params = state.params
-    tapes = _step_tapes([(p.query, p.target) for p in batch], params, config)
-    total = np.zeros(state.layout.size)
-    flat = np.empty(state.layout.size)
-    grads = state.layout.views(flat)
-    loss_sum = 0.0
-    for pair in batch:
-        loss, has_grad = _pair_backward(
-            pair.query, pair.target, pair.label, next(tapes), params, config,
-            flat, grads,
-        )
-        loss_sum += loss
-        if has_grad:
-            total += flat
-    tapes.close()  # drops the last pair's tapes before Adam allocates
+    total, loss_sum = _batch_gradient(batch, state.params, config, state.layout)
     scale = 1.0 / len(batch)
     total *= scale
     return _adam_update(state, total, config), loss_sum * scale
@@ -884,10 +882,11 @@ def _read_header(
     path: Path | str, raw: bytes
 ) -> tuple[ModelConfig, dict[str, tuple[int, ...]], int]:
     """The config, the tensor shapes by name and the offset of the tensor
-    region. A damaged header, including a tensor list other than the
-    config's, raises CorruptArtifact."""
+    region. A file without the magic, an unknown version or a damaged
+    header, including a tensor list other than the config's, raises
+    CorruptArtifact."""
     if raw[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
+        raise CorruptArtifact(f"{path}: not a checkpoint file")
     offset = len(_CKPT_MAGIC) + 8
     header_len = int.from_bytes(raw[len(_CKPT_MAGIC) : offset], "little")
     if len(raw) < offset + header_len:
@@ -902,7 +901,7 @@ def _read_header(
             f"checkpoint {path}: unreadable header ({type(exc).__name__}: {exc})"
         ) from None
     if version != _CKPT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        raise CorruptArtifact(f"{path}: unsupported checkpoint version {version}")
     try:
         config = config_from_json(payload)
     except (KeyError, TypeError, ValueError) as exc:

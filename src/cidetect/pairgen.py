@@ -121,7 +121,11 @@ def draw_pairs(
     """n_pos positives and n_neg negatives, shuffled together. Each pattern
     gets an equal share of either count, the earlier patterns one more while
     a remainder lasts; pattern i draws its positives from seed [*seed, 1, i]
-    and its negatives from [*seed, 2, i], and [*seed, 3] shuffles."""
+    and its negatives from [*seed, 2, i], and [*seed, 3] shuffles. A
+    negative count raises ValueError naming it."""
+    for kind, count in (("positive", n_pos), ("negative", n_neg)):
+        if count < 0:
+            raise ValueError(f"{kind} pair count must be >= 0, got {count}")
     pairs: list[PairRef] = []
     for i, pattern in enumerate(patterns):
         for stream, draw, count in (

@@ -1,7 +1,8 @@
 """Property tests: mutated function records, graph-file lines and pair
-records never escape build_acfg, a loaded corpus or read_pairs as anything
-but a CIDetectError. Needs hypothesis (the dev extra); without it the module
-is skipped."""
+records never escape build_acfg, a loaded corpus or read_pairs, and a cut
+or bit-flipped checkpoint never escapes load_checkpoint, as anything but a
+CIDetectError. Needs hypothesis (the dev extra); without it the module is
+skipped."""
 
 import copy
 import json
@@ -16,6 +17,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cidetect.acfg import AttributedCFG, acfg_to_record, build_acfg  # noqa: E402
 from cidetect.errors import CIDetectError  # noqa: E402
+from cidetect.gnn import (  # noqa: E402
+    ModelConfig, init_params, load_checkpoint, param_shapes, save_checkpoint
+)
 from cidetect.labeling import CROSS_PATTERNS  # noqa: E402
 from cidetect.pairgen import FunctionPair, _pair_record, read_pairs, sample_pairs  # noqa: E402
 from cidetect.synth import (  # noqa: E402
@@ -224,3 +228,48 @@ def test_mutated_pair_records_raise_only_cidetect_errors(base, mutations, data):
     assert isinstance(pair, FunctionPair) and pair.label in (-1, 1)
     assert pair.query.nodes == _CORPUS.graphs[pair.query_ref].nodes
     assert pair.target.nodes == _CORPUS.graphs[pair.target_ref].nodes
+
+
+def _checkpoint_bytes():
+    config = ModelConfig(
+        feature_dim=3, node_state_dim=2, graph_embedding_dim=2,
+        propagation_layers=1, encoder_hidden=(), update_hidden=(2,),
+        output_hidden=(),
+    )
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory, "model.ckpt")
+        save_checkpoint(path, init_params(config), config)
+        return path.read_bytes()
+
+
+CHECKPOINT = _checkpoint_bytes()
+# the magic (8 bytes), the header length field (8 bytes) and the JSON header
+HEADER_END = 16 + int.from_bytes(CHECKPOINT[8:16], "little")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    length=st.one_of(
+        st.just(len(CHECKPOINT)), st.integers(0, len(CHECKPOINT) - 1)
+    ),
+    flips=st.lists(
+        st.tuples(st.integers(0, HEADER_END - 1), st.integers(0, 7)), max_size=3
+    ),
+)
+def test_damaged_checkpoints_raise_only_cidetect_errors(length, flips):
+    """A checkpoint cut at any length, with bits flipped in its magic, its
+    header length field or its header. A flip that leaves a valid header
+    (a digit of the learning rate, say) may load."""
+    raw = bytearray(CHECKPOINT)
+    for position, bit in flips:
+        raw[position] ^= 1 << bit
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory, "model.ckpt")
+        path.write_bytes(bytes(raw[:length]))
+        try:
+            params, config = load_checkpoint(path)
+        except CIDetectError:
+            return
+    assert length == len(CHECKPOINT)
+    shapes = param_shapes(config)
+    assert {name: t.shape for name, t in params.items()} == shapes

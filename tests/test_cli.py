@@ -437,6 +437,31 @@ def test_train_epoch_without_pairs_fails(pipeline, tmp_path):
     assert _train(pipeline, "leaf", tmp_path / "bundle", "--epoch-size", "0") == 2
 
 
+@pytest.mark.parametrize(
+    "command, flag, kind",
+    [("pairs", "--num-pos", "positive"), ("pairs", "--num-neg", "negative"),
+     ("train", "--val-pairs", "positive")],
+)
+def test_negative_pair_count_exits_2_before_any_work(
+    pipeline, tmp_path, caplog, command, flag, kind
+):
+    """A negative count is refused before pairs writes its file or train
+    trains: zero is the least count there is."""
+    out = tmp_path / "out"
+    argv = [
+        command, "--corpus", str(pipeline["corpus"]),
+        "--index", str(pipeline["index"]), "--pattern", "leaf", "--out", str(out),
+    ]
+    argv += _TRAIN_ARGS if command == "train" else []
+    with caplog.at_level("ERROR", logger="cidetect.cli"):
+        assert main(argv + [flag, "-1"]) == 2
+    assert any(
+        rec.getMessage() == f"{kind} pair count must be >= 0, got -1"
+        for rec in caplog.records
+    )
+    assert not out.exists()
+
+
 def _header_end(raw):
     return 16 + struct.unpack("<Q", raw[8:16])[0]
 

@@ -21,7 +21,7 @@ from cidetect.detector import (
     select_threshold,
     similarity,
 )
-from cidetect.errors import DegenerateLabels, NegativeDistance
+from cidetect.errors import CorruptArtifact, DegenerateLabels, NegativeDistance
 from cidetect.evaluation import confusion, precision_recall_f1
 from cidetect.gnn import ModelConfig, init_params
 from cidetect.labeling import Pattern
@@ -330,7 +330,7 @@ def test_bundle_rejects_config_hash_mismatch(tmp_path):
     manifest = json.loads(manifest_path.read_text())
     manifest["config_sha256"] = "0" * 64
     manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="hash mismatch"):
+    with pytest.raises(CorruptArtifact, match="hash mismatch"):
         load_bundle(tmp_path / "bundle")
 
 
@@ -340,7 +340,7 @@ def test_bundle_rejects_unknown_version(tmp_path):
     manifest = json.loads(manifest_path.read_text())
     manifest["format_version"] = 99
     manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="version"):
+    with pytest.raises(CorruptArtifact, match="unsupported bundle version 99"):
         load_bundle(tmp_path / "bundle")
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from cidetect.acfg import build_vocabulary
 from cidetect.errors import (
+    CorruptArtifact,
     Diverged,
     GraphTooLarge,
     InvalidLabel,
@@ -239,6 +240,15 @@ def test_batched_forward_matches_oracle_per_graph():
         )
 
 
+def _criterion_06_config(**overrides):
+    """The model dims of criterion 06."""
+    return ModelConfig(
+        feature_dim=96, node_state_dim=24, graph_embedding_dim=64,
+        propagation_layers=2, encoder_hidden=(32,), update_hidden=(32,),
+        output_hidden=(64,), **overrides,
+    )
+
+
 def test_bucketed_embedding_equals_bucket_of_one_bit_for_bit():
     """A graph embeds to the same bits in a bucket of many as in a bucket of
     one, under C-ordered and Fortran-ordered weights, on the model dims of
@@ -246,11 +256,7 @@ def test_bucketed_embedding_equals_bucket_of_one_bit_for_bit():
     Under the C-ordered weights that training uses, both equal the graph's
     own forward pass. Covers a one-node graph without edges, graphs above
     the node budget and buckets of one and of many."""
-    config = ModelConfig(
-        feature_dim=96, node_state_dim=24, graph_embedding_dim=64,
-        propagation_layers=2, encoder_hidden=(32,), update_hidden=(32,),
-        output_hidden=(64,),
-    )
+    config = _criterion_06_config()
     params = init_params(config)
     orders = [params, {k: np.asfortranarray(t) for k, t in params.items()}]
     rng = np.random.default_rng(23)
@@ -276,6 +282,42 @@ def test_bucketed_embedding_equals_bucket_of_one_bit_for_bit():
     # the budget splits a node count into buckets; a larger graph is alone
     sizes = [len(members) for members, _ in gnn._buckets(groups[-1] + groups[0])]
     assert sizes == [1, 1, 9]
+
+
+def _tape_arrays(tape):
+    """The arrays of a tape, in order."""
+    if isinstance(tape, np.ndarray):
+        return [tape]
+    return [array for part in tape for array in _tape_arrays(part)]
+
+
+def test_bucket_tape_slice_equals_own_tape_bit_for_bit():
+    """On the model dims of criterion 06, every array of a graph's slice of
+    its bucket's tape equals the graph's own one-graph tape bit for bit, in
+    buckets of one and of many: the one-graph backward pass of a training
+    step runs on that slice."""
+    config = _criterion_06_config()
+    params = init_params(config)
+    rng = np.random.default_rng(24)
+    groups = [[_random_prep(rng, 1, 0, config.feature_dim) for _ in range(7)]]
+    groups += [
+        [_random_prep(rng, n, int(rng.integers(0, 3 * n)), config.feature_dim)
+         for _ in range(int(rng.integers(2, 10)))]
+        for n in (*range(2, 25), 40, 64)
+    ]
+    for graphs in groups:
+        for bucket in (graphs, graphs[:1]):
+            tape = []
+            gnn._forward(gnn._stack(bucket), params, config, tape)
+            for j, graph in enumerate(bucket):
+                own = []
+                gnn._forward(graph, params, config, own)
+                got = _tape_arrays(gnn._row_tape(tape, j))
+                want = _tape_arrays(own)
+                assert len(got) == len(want)
+                for slice_array, own_array in zip(got, want):
+                    assert slice_array.shape == own_array.shape
+                    np.testing.assert_array_equal(slice_array, own_array)
 
 
 def test_euclidean_distance():
@@ -457,26 +499,69 @@ def test_grad_step_matches_reference_step_bit_for_bit():
     assert 0.0 in losses and max(losses) > 0.0
 
 
+def test_grad_step_matches_reference_step_on_criterion_06_dims():
+    """On the model dims of criterion 06, with batches whose graphs share
+    node counts and so share buckets, the bucketed step changes no bit of
+    the state or the loss against the reference, which runs every graph
+    alone."""
+    config = _criterion_06_config(learning_rate=0.01)
+    rng = np.random.default_rng(25)
+    preps = [
+        _random_prep(rng, n, int(rng.integers(0, 2 * n)), config.feature_dim)
+        for n in (1, 1, 3, 3, 3, 4, 4, 5, 5, 5, 5, 6, 8, 8)
+    ]
+    batches = []
+    for _ in range(3):
+        picks = rng.integers(len(preps), size=(12, 2))
+        labels = rng.choice([-1, 1], size=len(picks))
+        batch = [PreparedPair(preps[q], preps[t], int(label))
+                 for (q, t), label in zip(picks, labels)]
+        # a pair drawn twice and one graph on both sides
+        batches.append(batch + [batch[0], PreparedPair(preps[2], preps[2], -1)])
+    state = init_train_state(config)
+    reference = _reference_state(state)
+    losses = []
+    for step in range(6):
+        batch = batches[step % len(batches)]
+        losses += [
+            oracles.pair_loss_and_grads(
+                p.query, p.target, p.label, reference.params, config
+            )[0]
+            for p in batch
+        ]
+        state, loss = grad_step(batch, state, config)
+        reference, want = oracles.grad_step(batch, reference, config)
+        assert loss == want
+        for name in reference.params:
+            assert np.array_equal(state.params[name], reference.params[name]), name
+            assert np.array_equal(state.adam_m[name], reference.adam_m[name]), name
+            assert np.array_equal(state.adam_v[name], reference.adam_v[name]), name
+    # the batches held inactive pairs (zero loss) and active ones
+    assert 0.0 in losses and max(losses) > 0.0
+
+
 def test_grad_step_runs_equal_content_forward_once(monkeypatch):
     """Two prepared objects of one graph, as under two refs, share one
-    forward in a step, and the step equals the one on a single object."""
+    embedded graph in a step, and the step equals the one on a single
+    object."""
     graphs, vocab, config = _tiny_setup(seed=20)
     a, b, c = (prepare_graph(g, vocab, config) for g in graphs[:3])
     a_copy = prepare_graph(graphs[0], vocab, config)
     assert a_copy is not a
-    calls = []
+    embedded = []
     forward = gnn._forward
 
-    def counted(batch, *args, **kwargs):
-        calls.append(batch)
-        return forward(batch, *args, **kwargs)
+    def counted(bucket, params, config, tape=None):
+        assert tape is not None and bucket.features.ndim == 3
+        embedded.append(len(bucket.features))
+        return forward(bucket, params, config, tape)
 
     monkeypatch.setattr(gnn, "_forward", counted)
     state = init_train_state(config)
     got, got_loss = grad_step(
         [PreparedPair(a, b, 1), PreparedPair(c, a_copy, -1)], state, config
     )
-    assert len(calls) == 3
+    assert sum(embedded) == 3
     want, want_loss = grad_step(
         [PreparedPair(a, b, 1), PreparedPair(c, a, -1)], state, config
     )
@@ -645,11 +730,12 @@ def test_pair_distances_hold_one_stacked_batch_at_a_time(monkeypatch):
         stacked.append(weakref.ref(bucket))
         return bucket
 
-    def tracked_forward(bucket, params, config):
+    def tracked_forward(bucket, params, config, tape=None):
+        assert tape is None
         alive = [ref() for ref in stacked if ref() is not None]
         assert len(alive) == 1 and alive[0] is bucket
         embedded.append(len(bucket.features))
-        return forward(bucket, params, config)
+        return forward(bucket, params, config, tape)
 
     monkeypatch.setattr(gnn, "CHUNK_NODES", 8)
     monkeypatch.setattr(gnn, "_stack", tracked_stack)
@@ -703,5 +789,5 @@ def test_checkpoint_round_trip(tmp_path):
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
-    with pytest.raises(ValueError):
+    with pytest.raises(CorruptArtifact, match="not a checkpoint file"):
         load_checkpoint(path)
