@@ -205,7 +205,7 @@ def build_index_from_corpus(corpus_dir: Path) -> labeling.BridgeIndex:
     kept = {"addr2line.tsv": 0, "binfuncs.tsv": 0}
     for dataset in labeling.DATASETS:
         ids = synth.binary_ids(manifest, manifest["projects"], dataset)
-        rows = [row for row in addr2line if row[0] in ids]
+        rows = addr2line.of_binaries(ids)
         funcs = [row for row in binfuncs if row[0] in ids]
         kept["addr2line.tsv"] += len(rows)
         kept["binfuncs.tsv"] += len(funcs)
@@ -220,9 +220,13 @@ def build_index_from_corpus(corpus_dir: Path) -> labeling.BridgeIndex:
             )
         mappings.append(result.mappings)
     listed = synth.binary_ids(manifest, manifest["projects"])
+    present = {
+        "addr2line.tsv": set(addr2line.binaries),
+        "binfuncs.tsv": {row[0] for row in binfuncs},
+    }
     for name, table in (("addr2line.tsv", addr2line), ("binfuncs.tsv", binfuncs)):
         if len(table) > kept[name]:
-            unlisted = sorted({row[0] for row in table} - listed)
+            unlisted = sorted(present[name] - listed)
             logger.warning(
                 "%s: %d rows of binaries the manifest does not list, dropped: %s",
                 name, len(table) - kept[name], ", ".join(unlisted),
@@ -354,6 +358,12 @@ def _train_setup(opts: dict):
 
 def cmd_train(args: argparse.Namespace) -> int:
     opts = _resolve(args, _TRAIN_OPTS, gnn.ModelConfig)
+    # checked here, before any work: an epoch's pairs are drawn only once
+    # training runs, and the threshold pairs only after it
+    for flag in ("epoch-size", "thresh-pairs"):
+        count = opts[flag.replace("-", "_")]
+        if count < 0:
+            raise ValidationError(f"--{flag} must be >= 0, got {count}")
     corpus, split, train_index, val_index, vocab, config = _train_setup(opts)
     pattern = opts["pattern"]
     seed = opts["seed"]

@@ -6,18 +6,28 @@ graph. A binary function compiled from more than one source function has
 inlining; for each source function ("bridge") embedded in it, the bridge's
 position inside the call graph induced on the mapped source set gives the
 cross-inlining pattern.
+
+The tables are read as columns: one reader splits a whole file once and
+converts each column in one pass, and the address-to-line table stays a
+`LineTable` (binary ids, int64 addresses, files, int64 lines) from the file
+to the join. `construct_mapping` places the rows of each binary in its
+functions with one `np.searchsorted`, and the rows of each file in its
+source functions with another, and collects the distinct (binary function,
+source function) pairs with `np.unique`. A number that does not fit int64
+is refused, naming the line that holds it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import enum
-import functools
 import logging
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .acfg import read_json, write_json
 from .errors import InconsistentTables, ValidationError
@@ -122,76 +132,154 @@ def _induced_calls(
 # ---------------------------------------------------------------------------
 # Table parsing
 
-_HEX = functools.partial(int, base=16)
+_INT64 = np.iinfo(np.int64)
 
 
-def _parse_tsv(path: Path, n_cols: int, check: Sequence = ()) -> list[list[str]]:
-    """The rows of a TSV table; a cell that its column's converter in
-    `check` rejects raises InconsistentTables naming path:line."""
-    rows = []
+def _int64(cell: str, base: int) -> int:
+    """The integer a cell spells in base; ValueError if it spells none or
+    does not fit int64."""
+    value = int(cell, base)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"{cell!r} does not fit int64")
+    return value
+
+
+def _raise_at_bad_line(path: Path, bases: Sequence[int | None]) -> None:
+    """Raise InconsistentTables naming path:line of the first row of another
+    width or with a cell that is no int64 in its column's base."""
     with path.open("r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             cols = line.split("\t")
-            if len(cols) != n_cols:
+            if len(cols) != len(bases):
                 raise InconsistentTables(
-                    f"{path}:{lineno}: expected {n_cols} columns, "
+                    f"{path}:{lineno}: expected {len(bases)} columns, "
                     f"got {len(cols)}"
                 )
-            if check:  # given on the error path only; readers convert in bulk
-                for convert, cell in zip(check, cols):
+            for base, cell in zip(bases, cols):
+                if base is not None:
                     try:
-                        convert(cell)
+                        _int64(cell, base)
                     except ValueError as exc:
                         raise InconsistentTables(f"{path}:{lineno}: {exc}") from None
-            rows.append(cols)
-    return rows
 
 
 @contextlib.contextmanager
-def _naming_bad_cells(path: Path, check: Sequence):
+def _naming_bad_cells(path: Path, bases: Sequence[int | None]):
     """Turn a failed conversion into InconsistentTables naming path:line."""
     try:
         yield
-    except ValueError:
-        _parse_tsv(path, len(check), check)
+    except (ValueError, OverflowError):
+        _raise_at_bad_line(path, bases)
         raise
 
 
-def read_addr2line(path: Path | str) -> list[tuple[str, int, str, int]]:
-    """Rows (binary_id, address, file, line); addresses are 0x hex."""
-    path = Path(path)
-    with _naming_bad_cells(path, (str, _HEX, str, int)):
+def _read_tsv(path: Path, bases: Sequence[int | None]) -> list:
+    """The columns of a TSV table, one per entry of bases: a column of base
+    None is the list of its cells, any other the int64 array of the integers
+    its cells spell in that base. Blank lines and lines that start with #
+    are skipped. The file is split once and each column converted in one
+    pass; a row of another width, or a cell that is no int64, raises
+    InconsistentTables naming path:line."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = path.read_bytes()[: exc.start].count(b"\n") + 1
+        raise InconsistentTables(f"{path}:{lineno}: not UTF-8 text") from None
+    n_cols = len(bases)
+    with _naming_bad_cells(path, bases):
+        lines = [line for line in text.split("\n") if line and line[0] != "#"]
+        if set(map(str.count, lines, repeat("\t"))) - {n_cols - 1}:
+            raise ValueError("a row of another width")
+        cells = "\t".join(lines).split("\t") if lines else []
+        columns = [cells[i::n_cols] for i in range(n_cols)]
         return [
-            (bid, int(addr, 16), file, int(line))
-            for bid, addr, file, line in _parse_tsv(path, 4)
+            column if base is None
+            else np.fromiter(map(int, column, repeat(base)), np.int64, len(column))
+            for column, base in zip(columns, bases)
         ]
+
+
+def _codes(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct values in order of first appearance, and each value's
+    position among them."""
+    distinct = tuple(dict.fromkeys(values))
+    position = {value: i for i, value in enumerate(distinct)}
+    return distinct, np.fromiter(
+        map(position.__getitem__, values), np.intp, len(values)
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class LineTable:
+    """addr2line rows as columns. Row i is (binaries[binary_codes[i]],
+    addresses[i], files[file_codes[i]], lines[i]); addresses and lines are
+    int64."""
+
+    binaries: tuple[str, ...]
+    binary_codes: np.ndarray
+    addresses: np.ndarray
+    files: tuple[str, ...]
+    file_codes: np.ndarray
+    lines: np.ndarray
+
+    @classmethod
+    def from_columns(
+        cls, binaries: Sequence[str], addresses: np.ndarray,
+        files: Sequence[str], lines: np.ndarray,
+    ) -> LineTable:
+        return cls(*_codes(binaries), addresses, *_codes(files), lines)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple[str, int, str, int]]) -> LineTable:
+        binaries, addresses, files, lines = list(zip(*rows)) or [()] * 4
+        return cls.from_columns(
+            binaries, np.array(addresses, dtype=np.int64),
+            files, np.array(lines, dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.addresses)
+
+    def __iter__(self) -> Iterator[tuple[str, int, str, int]]:
+        return zip(
+            map(self.binaries.__getitem__, self.binary_codes.tolist()),
+            self.addresses.tolist(),
+            map(self.files.__getitem__, self.file_codes.tolist()),
+            self.lines.tolist(),
+        )
+
+    def of_binaries(self, ids: Container[str]) -> LineTable:
+        """The table of the rows whose binary is in ids, in row order."""
+        listed = np.array([bid in ids for bid in self.binaries], dtype=bool)
+        rows = listed[self.binary_codes]
+        return LineTable(
+            self.binaries, self.binary_codes[rows], self.addresses[rows],
+            self.files, self.file_codes[rows], self.lines[rows],
+        )
+
+
+def read_addr2line(path: Path | str) -> LineTable:
+    """Rows (binary_id, address, file, line); addresses are 0x hex."""
+    return LineTable.from_columns(*_read_tsv(Path(path), (None, 16, None, 10)))
 
 
 def read_binfuncs(path: Path | str) -> list[tuple[str, str, int, int]]:
     """Rows (binary_id, func_name, addr_start, addr_end), [start, end)."""
-    path = Path(path)
-    with _naming_bad_cells(path, (str, str, _HEX, _HEX)):
-        return [
-            (bid, name, int(start, 16), int(end, 16))
-            for bid, name, start, end in _parse_tsv(path, 4)
-        ]
+    bids, names, starts, ends = _read_tsv(Path(path), (None, None, 16, 16))
+    return list(zip(bids, names, starts.tolist(), ends.tolist()))
 
 
 def read_srcfuncs(path: Path | str) -> list[tuple[str, str, int, int]]:
     """Rows (file, func_name, line_start, line_end), closed line range."""
-    path = Path(path)
-    with _naming_bad_cells(path, (str, str, int, int)):
-        return [
-            (file, name, int(start), int(end))
-            for file, name, start, end in _parse_tsv(path, 4)
-        ]
+    files, names, starts, ends = _read_tsv(Path(path), (None, None, 10, 10))
+    return list(zip(files, names, starts.tolist(), ends.tolist()))
 
 
 def read_fcg(path: Path | str) -> list[tuple[str, str]]:
-    return [(caller, callee) for caller, callee in _parse_tsv(Path(path), 2)]
+    return list(zip(*_read_tsv(Path(path), (None, None))))
 
 
 # ---------------------------------------------------------------------------
@@ -209,24 +297,37 @@ class MappingResult:
     inconsistencies: list[tuple[str, str]] = field(default_factory=list)
 
 
-class _IntervalIndex:
-    """Sorted non-overlapping intervals with point lookup."""
-
-    def __init__(self, items: Sequence[tuple[int, int, object]]):
-        ordered = sorted(items, key=lambda it: it[0])
-        self._starts = [it[0] for it in ordered]
-        self._items = ordered
-
-    def find(self, point: int):
-        pos = bisect_right(self._starts, point) - 1
-        if pos < 0:
-            return None
-        start, end, payload = self._items[pos]
-        return payload if start <= point < end else None
+def _place(
+    points: np.ndarray,
+    codes: np.ndarray,
+    keys: Sequence[str],
+    intervals: dict[str, list[tuple[int, int, int]]],
+    below_end: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """For each point, the payload of the interval of its key that holds it,
+    or -1. Intervals are (start, end, payload), and a point at or after the
+    start is inside if below_end(point, end) holds. As with a bisect over
+    the starts, a point can fall only in the last interval that starts at or
+    before it, in start order and then in list order."""
+    found = np.full(len(points), -1, dtype=np.int64)
+    order = np.argsort(codes, kind="stable")
+    bounds = np.cumsum(np.bincount(codes, minlength=len(keys)))
+    for key, rows in zip(keys, np.split(order, bounds[:-1])):
+        items = intervals.get(key)
+        if not items or not len(rows):
+            continue
+        starts, ends, payloads = np.array(items, dtype=np.int64).T
+        by_start = np.argsort(starts, kind="stable")
+        starts, ends, payloads = starts[by_start], ends[by_start], payloads[by_start]
+        at = points[rows]
+        pos = np.searchsorted(starts, at, side="right") - 1
+        inside = (pos >= 0) & below_end(at, ends[pos])
+        found[rows[inside]] = payloads[pos[inside]]
+    return found
 
 
 def construct_mapping(
-    addr2line: Sequence[tuple[str, int, str, int]],
+    addr2line: LineTable | Sequence[tuple[str, int, str, int]],
     binfuncs: Sequence[tuple[str, str, int, int]],
     srcfuncs: Sequence[tuple[str, str, int, int]],
 ) -> MappingResult:
@@ -234,46 +335,55 @@ def construct_mapping(
 
     Each binary function maps to the set of source functions owning any line
     its addresses map to. Rows whose address or line falls inside no known
-    function are reported as inconsistencies and skipped; binary functions
-    with no resolvable rows at all are omitted from the result.
+    function are reported as inconsistencies, in row order, and skipped;
+    binary functions with no resolvable rows at all are omitted from the
+    result. A function listed twice under one (binary, name) is one
+    function, with the address range of its last row. The rows may be a
+    LineTable or (binary_id, address, file, line) tuples.
     """
-    bin_index: dict[str, _IntervalIndex] = {}
-    by_binary: dict[str, list[tuple[int, int, object]]] = {}
+    table = addr2line if isinstance(addr2line, LineTable) else LineTable.from_rows(addr2line)
     refs: dict[tuple[str, str], BinaryFunctionRef] = {}
     for bid, name, start, end in binfuncs:
-        ref = BinaryFunctionRef(binary_id=bid, name=name, addr_start=start, addr_end=end)
-        refs[(bid, name)] = ref
-        by_binary.setdefault(bid, []).append((start, end, ref))
-    for bid, items in by_binary.items():
-        bin_index[bid] = _IntervalIndex(items)
+        refs[(bid, name)] = BinaryFunctionRef(
+            binary_id=bid, name=name, addr_start=start, addr_end=end
+        )
+    keys = sorted(refs)
+    key_of = {key: i for i, key in enumerate(keys)}
+    by_binary: dict[str, list[tuple[int, int, int]]] = {}
+    for bid, name, start, end in binfuncs:
+        by_binary.setdefault(bid, []).append((start, end, key_of[(bid, name)]))
 
-    src_index: dict[str, _IntervalIndex] = {}
-    by_file: dict[str, list[tuple[int, int, object]]] = {}
+    names = sorted({name for _, name, _, _ in srcfuncs})
+    name_of = {name: i for i, name in enumerate(names)}
+    by_file: dict[str, list[tuple[int, int, int]]] = {}
     for file, name, lstart, lend in srcfuncs:
-        # closed line range, stored half-open for the shared index
-        by_file.setdefault(file, []).append((lstart, lend + 1, name))
-    for file, items in by_file.items():
-        src_index[file] = _IntervalIndex(items)
+        by_file.setdefault(file, []).append((lstart, lend, name_of[name]))
 
-    sets: dict[tuple[str, str], set[str]] = {}
-    problems: list[tuple[str, str]] = []
-    for bid, addr, file, line in addr2line:
-        index = bin_index.get(bid)
-        ref = index.find(addr) if index is not None else None
-        if ref is None:
-            problems.append((UNMAPPED_ADDRESS, f"{bid}@{addr:#x}"))
-            continue
-        file_index = src_index.get(file)
-        src_name = file_index.find(line) if file_index is not None else None
-        if src_name is None:
-            problems.append((UNMAPPED_LINE, f"{file}:{line}"))
-            continue
-        sets.setdefault((bid, ref.name), set()).add(src_name)
+    # address ranges are half-open, line ranges closed
+    func = _place(
+        table.addresses, table.binary_codes, table.binaries, by_binary, np.less
+    )
+    src = _place(table.lines, table.file_codes, table.files, by_file, np.less_equal)
 
+    resolved = (func >= 0) & (src >= 0)
+    width = max(len(names), 1)
+    pairs = np.unique(func[resolved] * width + src[resolved])
+    sets: dict[int, list[str]] = {}
+    for key, name in zip(*(part.tolist() for part in np.divmod(pairs, width))):
+        sets.setdefault(key, []).append(names[name])
     mappings = [
-        Binary2Source(function=refs[key], source_functions=frozenset(srcs))
-        for key, srcs in sorted(sets.items())
+        Binary2Source(function=refs[keys[key]], source_functions=frozenset(srcs))
+        for key, srcs in sets.items()
     ]
+
+    problems: list[tuple[str, str]] = []
+    for row in np.flatnonzero(~resolved).tolist():
+        if func[row] < 0:
+            bid = table.binaries[table.binary_codes[row]]
+            problems.append((UNMAPPED_ADDRESS, f"{bid}@{int(table.addresses[row]):#x}"))
+        else:
+            file = table.files[table.file_codes[row]]
+            problems.append((UNMAPPED_LINE, f"{file}:{int(table.lines[row])}"))
     for kind, detail in problems:
         logger.debug("mapping inconsistency: %s: %s", kind, detail)
     return MappingResult(mappings=mappings, inconsistencies=problems)

@@ -9,6 +9,19 @@ from __future__ import annotations
 import numpy as np
 
 from cidetect.acfg import AttributedCFG, BasicBlock, OpcodeVocabulary
+from cidetect.synth import SynthConfig
+
+# the corpora that differential tests compare the library and its frozen
+# references on: acceptance criterion 06's, and one with dense calls
+DIFFERENTIAL_CONFIGS = {
+    "criterion-06": SynthConfig(
+        n_projects=30, functions_per_project=10, seed=7, mutation_rate=0.05,
+        opcode_alphabet_size=32, preferred_opcodes=4, preferred_weight=0.9,
+        block_count_range=(4, 5), block_size_range=(6, 8),
+        inline_budget=65, call_density=0.9,
+    ),
+    "call-density-2": SynthConfig(n_projects=12, call_density=2.0, seed=7),
+}
 
 
 def make_block(block_id: int, opcodes, base_addr: int, operands=None) -> BasicBlock:

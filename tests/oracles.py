@@ -14,24 +14,35 @@ the library's own forward and backward passes. `_validation_auc` is the
 validation score before it moved onto the batched inference engine: it
 embedded one graph at a time with `embed_prepared` and ranked the pairs by
 `-euclidean_distance`. `_sample_pairs` is the command line's own share,
-seed and shuffle logic before `pairgen.sample_pairs` took it over. All are
-kept verbatim; the tests require the library's versions to produce the
-same graphs, pairs, counts, training states and validation AUCs.
+seed and shuffle logic before `pairgen.sample_pairs` took it over.
+`read_addr2line`, `read_binfuncs`, `read_srcfuncs` and `read_fcg` are the
+row-by-row table readers, and `construct_mapping` with its `_IntervalIndex`
+the one-bisect-per-row join, that the columnar line table replaced;
+`build_index_from_corpus` runs them as `label` did, without its warnings.
+All are kept verbatim; the tests require the library's versions to produce
+the same graphs, pairs, counts, training states, validation AUCs, mappings
+and bridge indexes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import logging
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from cidetect import detector, labeling, pairgen
+from cidetect import detector, labeling, pairgen, synth
 from cidetect.acfg import strip_name
-from cidetect.errors import Exhausted, InvalidLabel, MalformedGraph, NonFiniteGradient
+from cidetect.errors import (
+    Exhausted, InconsistentTables, InvalidLabel, MalformedGraph, NonFiniteGradient
+)
 from cidetect.gnn import (
     ModelConfig,
     ModelParams,
@@ -330,6 +341,164 @@ def _is_isolated(bridge: str, mapped: frozenset[str], fcg: SourceFCG) -> bool:
         if callee == bridge and caller in mapped:
             return False
     return True
+
+
+_HEX = functools.partial(int, base=16)
+
+
+def _parse_tsv(path: Path, n_cols: int, check: Sequence = ()) -> list[list[str]]:
+    """The rows of a TSV table; a cell that its column's converter in
+    `check` rejects raises InconsistentTables naming path:line."""
+    rows = []
+    with path.open("r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, 1):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            cols = line.split("\t")
+            if len(cols) != n_cols:
+                raise InconsistentTables(
+                    f"{path}:{lineno}: expected {n_cols} columns, "
+                    f"got {len(cols)}"
+                )
+            if check:  # given on the error path only; readers convert in bulk
+                for convert, cell in zip(check, cols):
+                    try:
+                        convert(cell)
+                    except ValueError as exc:
+                        raise InconsistentTables(f"{path}:{lineno}: {exc}") from None
+            rows.append(cols)
+    return rows
+
+
+@contextlib.contextmanager
+def _naming_bad_cells(path: Path, check: Sequence):
+    """Turn a failed conversion into InconsistentTables naming path:line."""
+    try:
+        yield
+    except ValueError:
+        _parse_tsv(path, len(check), check)
+        raise
+
+
+def read_addr2line(path: Path | str) -> list[tuple[str, int, str, int]]:
+    """Rows (binary_id, address, file, line); addresses are 0x hex."""
+    path = Path(path)
+    with _naming_bad_cells(path, (str, _HEX, str, int)):
+        return [
+            (bid, int(addr, 16), file, int(line))
+            for bid, addr, file, line in _parse_tsv(path, 4)
+        ]
+
+
+def read_binfuncs(path: Path | str) -> list[tuple[str, str, int, int]]:
+    """Rows (binary_id, func_name, addr_start, addr_end), [start, end)."""
+    path = Path(path)
+    with _naming_bad_cells(path, (str, str, _HEX, _HEX)):
+        return [
+            (bid, name, int(start, 16), int(end, 16))
+            for bid, name, start, end in _parse_tsv(path, 4)
+        ]
+
+
+def read_srcfuncs(path: Path | str) -> list[tuple[str, str, int, int]]:
+    """Rows (file, func_name, line_start, line_end), closed line range."""
+    path = Path(path)
+    with _naming_bad_cells(path, (str, str, int, int)):
+        return [
+            (file, name, int(start), int(end))
+            for file, name, start, end in _parse_tsv(path, 4)
+        ]
+
+
+def read_fcg(path: Path | str) -> list[tuple[str, str]]:
+    return [(caller, callee) for caller, callee in _parse_tsv(Path(path), 2)]
+
+
+class _IntervalIndex:
+    """Sorted non-overlapping intervals with point lookup."""
+
+    def __init__(self, items: Sequence[tuple[int, int, object]]):
+        ordered = sorted(items, key=lambda it: it[0])
+        self._starts = [it[0] for it in ordered]
+        self._items = ordered
+
+    def find(self, point: int):
+        pos = bisect_right(self._starts, point) - 1
+        if pos < 0:
+            return None
+        start, end, payload = self._items[pos]
+        return payload if start <= point < end else None
+
+
+def construct_mapping(
+    addr2line: Sequence[tuple[str, int, str, int]],
+    binfuncs: Sequence[tuple[str, str, int, int]],
+    srcfuncs: Sequence[tuple[str, str, int, int]],
+) -> labeling.MappingResult:
+    """Join line-table rows against the two function tables.
+
+    Each binary function maps to the set of source functions owning any line
+    its addresses map to. Rows whose address or line falls inside no known
+    function are reported as inconsistencies and skipped; binary functions
+    with no resolvable rows at all are omitted from the result.
+    """
+    bin_index: dict[str, _IntervalIndex] = {}
+    by_binary: dict[str, list[tuple[int, int, object]]] = {}
+    refs: dict[tuple[str, str], labeling.BinaryFunctionRef] = {}
+    for bid, name, start, end in binfuncs:
+        ref = labeling.BinaryFunctionRef(
+            binary_id=bid, name=name, addr_start=start, addr_end=end
+        )
+        refs[(bid, name)] = ref
+        by_binary.setdefault(bid, []).append((start, end, ref))
+    for bid, items in by_binary.items():
+        bin_index[bid] = _IntervalIndex(items)
+
+    src_index: dict[str, _IntervalIndex] = {}
+    by_file: dict[str, list[tuple[int, int, object]]] = {}
+    for file, name, lstart, lend in srcfuncs:
+        # closed line range, stored half-open for the shared index
+        by_file.setdefault(file, []).append((lstart, lend + 1, name))
+    for file, items in by_file.items():
+        src_index[file] = _IntervalIndex(items)
+
+    sets: dict[tuple[str, str], set[str]] = {}
+    problems: list[tuple[str, str]] = []
+    for bid, addr, file, line in addr2line:
+        index = bin_index.get(bid)
+        ref = index.find(addr) if index is not None else None
+        if ref is None:
+            problems.append((labeling.UNMAPPED_ADDRESS, f"{bid}@{addr:#x}"))
+            continue
+        file_index = src_index.get(file)
+        src_name = file_index.find(line) if file_index is not None else None
+        if src_name is None:
+            problems.append((labeling.UNMAPPED_LINE, f"{file}:{line}"))
+            continue
+        sets.setdefault((bid, ref.name), set()).add(src_name)
+
+    mappings = [
+        labeling.Binary2Source(function=refs[key], source_functions=frozenset(srcs))
+        for key, srcs in sorted(sets.items())
+    ]
+    return labeling.MappingResult(mappings=mappings, inconsistencies=problems)
+
+
+def build_index_from_corpus(corpus_dir: Path) -> labeling.BridgeIndex:
+    manifest = synth.read_corpus_manifest(corpus_dir)
+    tables = corpus_dir / "tables"
+    addr2line = read_addr2line(tables / "addr2line.tsv")
+    binfuncs = read_binfuncs(tables / "binfuncs.tsv")
+    srcfuncs = read_srcfuncs(tables / "srcfuncs.tsv")
+    fcg = labeling.build_fcg(read_fcg(tables / "fcg.tsv"))
+    mappings = []
+    for dataset in labeling.DATASETS:
+        ids = synth.binary_ids(manifest, manifest["projects"], dataset)
+        rows = [row for row in addr2line if row[0] in ids]
+        funcs = [row for row in binfuncs if row[0] in ids]
+        mappings.append(construct_mapping(rows, funcs, srcfuncs).mappings)
+    return labeling.build_bridge_index(*mappings, fcg)  # no-inline, inline
 
 
 def pair_loss_and_grads(

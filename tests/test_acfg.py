@@ -19,10 +19,13 @@ from cidetect.acfg import (
 )
 from cidetect.errors import EmptyCorpus, MalformedGraph
 
-from cidetect.synth import SynthConfig, generate_corpus, write_corpus
+from cidetect.synth import generate_corpus, write_corpus
 
 import oracles
-from helpers import DIAMOND_OPCODE_COUNTS, OPCODE_POOL, diamond, make_graph, random_acfg, tiny_vocab
+from helpers import (
+    DIAMOND_OPCODE_COUNTS, DIFFERENTIAL_CONFIGS, OPCODE_POOL, diamond, make_graph,
+    random_acfg, tiny_vocab,
+)
 
 
 def _block(block_id, *insns):
@@ -224,14 +227,6 @@ def test_vocabulary_json_round_trip():
 # ---------------------------------------------------------------------------
 # Differential check against the one-object-per-instruction parser
 
-CRITERION_06_CONFIG = SynthConfig(
-    n_projects=30, functions_per_project=10, seed=7, mutation_rate=0.05,
-    opcode_alphabet_size=32, preferred_opcodes=4, preferred_weight=0.9,
-    block_count_range=(4, 5), block_size_range=(6, 8),
-    inline_budget=65, call_density=0.9,
-)
-
-
 def _corpus_records(directory):
     return [
         record
@@ -285,9 +280,7 @@ def _view(graph):
 
 
 @pytest.mark.parametrize(
-    "config",
-    [CRITERION_06_CONFIG, SynthConfig(n_projects=12, call_density=2.0, seed=7)],
-    ids=["criterion-06", "call-density-2"],
+    "config", list(DIFFERENTIAL_CONFIGS.values()), ids=list(DIFFERENTIAL_CONFIGS)
 )
 def test_build_acfg_matches_reference_parser(tmp_path, config):
     write_corpus(generate_corpus(config), tmp_path)

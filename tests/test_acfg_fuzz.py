@@ -1,12 +1,13 @@
 """Property tests: mutated function records, graph-file lines and pair
-records never escape build_acfg, a loaded corpus or read_pairs, and a cut
-or bit-flipped checkpoint never escapes load_checkpoint, as anything but a
-CIDetectError. Needs hypothesis (the dev extra); without it the module is
-skipped."""
+records never escape build_acfg, a loaded corpus or read_pairs, damaged
+line tables never escape label's index build, and a cut or bit-flipped
+checkpoint never escapes load_checkpoint, as anything but a CIDetectError.
+Needs hypothesis (the dev extra); without it the module is skipped."""
 
 import copy
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -16,7 +17,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cidetect.acfg import AttributedCFG, acfg_to_record, build_acfg  # noqa: E402
-from cidetect.errors import CIDetectError  # noqa: E402
+from cidetect.cli import build_index_from_corpus  # noqa: E402
+from cidetect.errors import CIDetectError, InconsistentTables  # noqa: E402
 from cidetect.gnn import (  # noqa: E402
     ModelConfig, init_params, load_checkpoint, param_shapes, save_checkpoint
 )
@@ -228,6 +230,99 @@ def test_mutated_pair_records_raise_only_cidetect_errors(base, mutations, data):
     assert isinstance(pair, FunctionPair) and pair.label in (-1, 1)
     assert pair.query.nodes == _CORPUS.graphs[pair.query_ref].nodes
     assert pair.target.nodes == _CORPUS.graphs[pair.target_ref].nodes
+
+
+TABLES = ("addr2line.tsv", "binfuncs.tsv", "srcfuncs.tsv", "fcg.tsv")
+
+# what a damaged table may hold in place of a cell: numbers int() reads
+# or rejects, numbers beyond int64, the corpus's own names, and any short
+# text, tabs, newlines and comment marks included
+CELL_JUNK = st.one_of(
+    st.sampled_from([
+        "", "0x", "-0x10", "0X1F", "1_000", " 7 ", "+5", "nan", "#", "\t", "\n",
+        "0x8000000000000000", "-0x8000000000000001", "9223372036854775808",
+        "p000-inline", "p000-noinline", "p000.c", "p000_f00",
+    ]),
+    st.text(max_size=4),
+)
+
+
+def cut_cell(rows, data):
+    row = _pick(data, rows)
+    i = data.draw(st.integers(0, len(row) - 1))
+    row[i] = row[i][: data.draw(st.integers(0, len(row[i])))]
+
+
+def cut_column(rows, data):
+    i = data.draw(st.integers(0, len(rows[0]) - 1))
+    for row in rows if data.draw(st.booleans()) else [_pick(data, rows)]:
+        del row[i:i + 1]
+
+
+def cut_line(rows, data):
+    del rows[data.draw(st.integers(0, len(rows) - 1))]
+
+
+def duplicate_cell(rows, data):
+    row = _pick(data, rows)
+    i = data.draw(st.integers(0, len(row) - 1))
+    row.insert(i, row[i])
+
+
+def duplicate_column(rows, data):
+    i = data.draw(st.integers(0, len(rows[0]) - 1))
+    for row in rows:
+        row.insert(i, row[i] if i < len(row) else "")
+
+
+def duplicate_line(rows, data):
+    rows.insert(data.draw(st.integers(0, len(rows))), list(_pick(data, rows)))
+
+
+def garble_cell(rows, data):
+    row = _pick(data, rows)
+    row[data.draw(st.integers(0, len(row) - 1))] = data.draw(CELL_JUNK)
+
+
+def garble_line(rows, data):
+    rows[data.draw(st.integers(0, len(rows) - 1))] = [data.draw(CELL_JUNK)]
+
+
+TABLE_MUTATIONS = [
+    cut_cell, cut_column, cut_line, duplicate_cell, duplicate_column,
+    duplicate_line, garble_cell, garble_line,
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    table=st.sampled_from(TABLES),
+    mutations=st.lists(st.sampled_from(TABLE_MUTATIONS), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_damaged_line_tables_raise_only_cidetect_errors(table, mutations, data):
+    """One of the four tables with cells, columns or lines cut, duplicated
+    or garbled. The index build may fail only with a CIDetectError, and a
+    bad addr2line.tsv fails naming path:line of one of its lines."""
+    with tempfile.TemporaryDirectory() as directory:
+        write_corpus(_CORPUS, directory)
+        path = Path(directory, "tables", table)
+        rows = [line.split("\t") for line in path.read_text().splitlines()]
+        for mutate in mutations:
+            try:
+                mutate(rows, data)
+            except IndexError:
+                break  # an earlier mutation left nothing for this one
+        path.write_text("".join("\t".join(row) + "\n" for row in rows))
+        try:
+            build_index_from_corpus(Path(directory))
+        except CIDetectError as exc:
+            if table == "addr2line.tsv":
+                assert isinstance(exc, InconsistentTables), exc
+                named = re.match(rf"{re.escape(str(path))}:(\d+): ", str(exc))
+                assert named, exc
+                lines = path.read_text().split("\n")
+                assert 1 <= int(named.group(1)) <= len(lines), exc
 
 
 def _checkpoint_bytes():

@@ -438,27 +438,32 @@ def test_train_epoch_without_pairs_fails(pipeline, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, flag, kind",
-    [("pairs", "--num-pos", "positive"), ("pairs", "--num-neg", "negative"),
-     ("train", "--val-pairs", "positive")],
+    "command, pattern, flag, message",
+    [("pairs", "leaf", "--num-pos", "positive pair count must be >= 0, got -1"),
+     ("pairs", "leaf", "--num-neg", "negative pair count must be >= 0, got -1"),
+     ("train", "leaf", "--val-pairs", "positive pair count must be >= 0, got -1"),
+     ("train", "mixed", "--thresh-pairs", "--thresh-pairs must be >= 0, got -1"),
+     ("train", "leaf", "--epoch-size", "--epoch-size must be >= 0, got -1")],
+    ids=["pairs---num-pos-positive", "pairs---num-neg-negative",
+         "train---val-pairs-positive", "train-mixed---thresh-pairs",
+         "train---epoch-size"],
 )
 def test_negative_pair_count_exits_2_before_any_work(
-    pipeline, tmp_path, caplog, command, flag, kind
+    pipeline, tmp_path, caplog, command, pattern, flag, message
 ):
     """A negative count is refused before pairs writes its file or train
-    trains: zero is the least count there is."""
+    trains: zero is the least count there is. The mixed model finalizes its
+    bundle at once, so only a check before training keeps a bad
+    --thresh-pairs from writing the model first."""
     out = tmp_path / "out"
     argv = [
         command, "--corpus", str(pipeline["corpus"]),
-        "--index", str(pipeline["index"]), "--pattern", "leaf", "--out", str(out),
+        "--index", str(pipeline["index"]), "--pattern", pattern, "--out", str(out),
     ]
     argv += _TRAIN_ARGS if command == "train" else []
     with caplog.at_level("ERROR", logger="cidetect.cli"):
         assert main(argv + [flag, "-1"]) == 2
-    assert any(
-        rec.getMessage() == f"{kind} pair count must be >= 0, got -1"
-        for rec in caplog.records
-    )
+    assert any(rec.getMessage() == message for rec in caplog.records)
     assert not out.exists()
 
 
@@ -805,9 +810,14 @@ def test_bad_json_input_names_file(pipeline, tmp_path, caplog, corrupt):
 @pytest.mark.parametrize(
     "table, column, value, shown",
     [("addr2line.tsv", 1, "0xzz", "'0xzz'"), ("srcfuncs.tsv", 2, "abc", "'abc'"),
-     ("binfuncs.tsv", 3, "12g", "'12g'"), ("fcg.tsv", 2, "f", "expected 2 columns")],
+     ("binfuncs.tsv", 3, "12g", "'12g'"), ("fcg.tsv", 2, "f", "expected 2 columns"),
+     ("addr2line.tsv", 1, "0x8000000000000000",
+      "'0x8000000000000000' does not fit int64"),
+     ("addr2line.tsv", 3, "-9223372036854775809",
+      "'-9223372036854775809' does not fit int64")],
     ids=["addr2line-bad-address", "srcfuncs-bad-line", "binfuncs-bad-end",
-         "fcg-extra-column"],
+         "fcg-extra-column", "addr2line-address-beyond-int64",
+         "addr2line-line-beyond-int64"],
 )
 def test_label_bad_table_value_names_file_and_line(
     pipeline, tmp_path, caplog, table, column, value, shown

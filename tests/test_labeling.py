@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from cidetect.cli import main
 from cidetect.errors import InconsistentTables
 from cidetect.labeling import (
+    DATASETS,
     Binary2Source,
     BinaryFunctionRef,
     Pattern,
@@ -20,9 +22,13 @@ from cidetect.labeling import (
     read_fcg,
     read_srcfuncs,
     save_index,
+    UNMAPPED_ADDRESS,
+    UNMAPPED_LINE,
 )
+from cidetect.synth import binary_ids, generate_corpus, read_corpus_manifest, write_corpus
 
 import oracles
+from helpers import DIFFERENTIAL_CONFIGS
 
 
 def _ref(bid, name, start=0x1000, end=0x1100):
@@ -120,7 +126,7 @@ def test_tsv_readers(tmp_path):
         "bin1\t0x1004\tmain.c\t11\n",
         encoding="utf-8",
     )
-    assert read_addr2line(a2l) == [
+    assert list(read_addr2line(a2l)) == [
         ("bin1", 0x1000, "main.c", 10),
         ("bin1", 0x1004, "main.c", 11),
     ]
@@ -142,6 +148,13 @@ def test_tsv_reader_rejects_bad_column_count(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("bin1\t0x1000\tmain.c\n", encoding="utf-8")
     with pytest.raises(InconsistentTables):
+        read_addr2line(bad)
+
+
+def test_tsv_reader_names_the_line_that_is_not_utf8(tmp_path):
+    bad = tmp_path / "addr2line.tsv"
+    bad.write_bytes(b"bin1\t0x1000\tmain.c\t10\nbin\xff\t0x1004\tmain.c\t11\n")
+    with pytest.raises(InconsistentTables, match=f"{bad}:2: not UTF-8"):
         read_addr2line(bad)
 
 
@@ -218,6 +231,128 @@ def test_construct_mapping_omits_unresolved_functions():
     addr2line = [("bin", 0x1000, "m.c", 2)]  # nothing resolves for g
     result = construct_mapping(addr2line, binfuncs, srcfuncs)
     assert [m.function.name for m in result.mappings] == ["f"]
+
+
+def _assert_same_result(got, expected):
+    assert got.mappings == expected.mappings
+    assert got.inconsistencies == expected.inconsistencies
+
+
+@pytest.mark.parametrize(
+    "config", list(DIFFERENTIAL_CONFIGS.values()), ids=list(DIFFERENTIAL_CONFIGS)
+)
+def test_label_matches_row_by_row_reference(tmp_path, config):
+    """Per dataset, the columnar join gives the frozen row-by-row join's
+    mappings and inconsistencies, and label writes its index byte for byte."""
+    corpus = tmp_path / "corpus"
+    write_corpus(generate_corpus(config), corpus)
+    tables = corpus / "tables"
+    rows = oracles.read_addr2line(tables / "addr2line.tsv")
+    table = read_addr2line(tables / "addr2line.tsv")
+    assert list(table) == rows
+    binfuncs = read_binfuncs(tables / "binfuncs.tsv")
+    srcfuncs = read_srcfuncs(tables / "srcfuncs.tsv")
+    assert binfuncs == oracles.read_binfuncs(tables / "binfuncs.tsv")
+    assert srcfuncs == oracles.read_srcfuncs(tables / "srcfuncs.tsv")
+    manifest = read_corpus_manifest(corpus)
+    for dataset in DATASETS:
+        ids = binary_ids(manifest, manifest["projects"], dataset)
+        funcs = [row for row in binfuncs if row[0] in ids]
+        expected = oracles.construct_mapping(
+            [row for row in rows if row[0] in ids], funcs, srcfuncs
+        )
+        assert expected.mappings
+        got = construct_mapping(table.of_binaries(ids), funcs, srcfuncs)
+        _assert_same_result(got, expected)
+
+    out, reference = tmp_path / "index.json", tmp_path / "reference.json"
+    assert main(["label", "--corpus", str(corpus), "--out", str(out)]) == 0
+    save_index(oracles.build_index_from_corpus(corpus), reference)
+    assert out.read_bytes() == reference.read_bytes()
+
+
+def _random_tables(rng):
+    """Line tables with every kind of row the join must resolve or report:
+    rows of a binary or file that no function table lists, addresses and
+    lines in no function, functions that overlap or repeat a (binary, name),
+    one source name in several files, tables in no order, and numbers from
+    one end of int64 to the other."""
+    binfuncs = []
+    for b in range(int(rng.integers(1, 4))):
+        cursor = int(rng.integers(-64, 256)) * 4
+        for _ in range(int(rng.integers(0, 7))):
+            start = cursor - int(rng.integers(0, 3)) * 4 * int(rng.random() < 0.2)
+            end = start + int(rng.integers(0, 12)) * 4
+            binfuncs.append((f"b{b}", f"f{int(rng.integers(0, 6))}", start, end))
+            cursor = end + int(rng.integers(0, 3)) * 4
+    far = np.iinfo(np.int64)
+    binfuncs.append(("far", "top", far.max - 8, far.max))
+    binfuncs.append(("far", "bottom", far.min, far.min + 8))
+    srcfuncs = []
+    for f in range(int(rng.integers(1, 4))):
+        line = int(rng.integers(-5, 20))
+        for _ in range(int(rng.integers(0, 6))):
+            start = line - int(rng.integers(0, 3)) * int(rng.random() < 0.2)
+            end = start + int(rng.integers(-1, 8))
+            srcfuncs.append((f"s{f}.c", f"g{int(rng.integers(0, 6))}", start, end))
+            line = max(start, end) + int(rng.integers(1, 3))
+    srcfuncs.append(("far.c", "top", far.max - 2, far.max))
+    bids = sorted({row[0] for row in binfuncs}) + ["unlisted"]
+    files = sorted({row[0] for row in srcfuncs}) + ["other.c"]
+    addr2line = []
+    for _ in range(int(rng.integers(0, 80))):
+        bid = bids[int(rng.integers(len(bids)))]
+        if bid == "far":
+            addr = int(rng.choice([far.min, far.min + 4, far.max - 4, far.max]))
+        else:
+            addr = int(rng.integers(-300, 400)) * 4 + int(rng.integers(0, 4))
+        file = files[int(rng.integers(len(files)))]
+        line = int(rng.choice([far.max, far.max - 1])) if file == "far.c" else int(
+            rng.integers(-8, 60)
+        )
+        addr2line.append((bid, addr, file, line))
+    return (
+        addr2line,
+        [binfuncs[i] for i in rng.permutation(len(binfuncs))],
+        [srcfuncs[i] for i in rng.permutation(len(srcfuncs))],
+    )
+
+
+def _write_table(path, rows, formats, rng):
+    """rows as TSV lines, with blank and comment lines among them."""
+    lines = []
+    for row in rows:
+        if rng.random() < 0.1:
+            lines.append("" if rng.random() < 0.5 else "# a comment\twith a tab")
+        lines.append("\t".join(spec.format(cell) for spec, cell in zip(formats, row)))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_construct_mapping_matches_row_by_row_reference_on_random_tables(tmp_path):
+    rng = np.random.default_rng(31)
+    seen = {"mappings": 0, "address": 0, "line": 0, "duplicates": 0}
+    for trial in range(200):
+        addr2line, binfuncs, srcfuncs = _random_tables(rng)
+        a2l, bf, sf = (tmp_path / f"{name}.tsv" for name in ("a2l", "bf", "sf"))
+        _write_table(a2l, addr2line, ("{}", "{:#x}", "{}", "{}"), rng)
+        _write_table(bf, binfuncs, ("{}", "{}", "{:#x}", "{:#x}"), rng)
+        _write_table(sf, srcfuncs, ("{}", "{}", "{}", "{}"), rng)
+        rows = oracles.read_addr2line(a2l)
+        assert rows == addr2line
+        table = read_addr2line(a2l)
+        assert list(table) == rows
+        assert read_binfuncs(bf) == oracles.read_binfuncs(bf) == binfuncs
+        assert read_srcfuncs(sf) == oracles.read_srcfuncs(sf) == srcfuncs
+
+        expected = oracles.construct_mapping(rows, binfuncs, srcfuncs)
+        for given in (table, rows):  # a LineTable, or row tuples as probes pass
+            _assert_same_result(construct_mapping(given, binfuncs, srcfuncs), expected)
+        seen["mappings"] += len(expected.mappings)
+        for kind, key in ((UNMAPPED_ADDRESS, "address"), (UNMAPPED_LINE, "line")):
+            seen[key] += sum(k == kind for k, _ in expected.inconsistencies)
+        keys = [(bid, name) for bid, name, _, _ in binfuncs]
+        seen["duplicates"] += len(keys) - len(set(keys))
+    assert all(seen.values()), seen
 
 
 def _fixture_index():
