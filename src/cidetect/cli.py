@@ -41,6 +41,22 @@ def _parse_range(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
+def _at_least(low: int) -> Callable[[str], int]:
+    """An int converter that refuses values below low, so a bad count is
+    reported as a bad value for its flag before any work."""
+
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        return value
+
+    return convert
+
+
+_count = _at_least(0)
+
+
 def _parse_hidden(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -255,8 +271,8 @@ _PAIRS_OPTS = [
     Opt("corpus", Path, None, "corpus directory", required=True),
     Opt("index", Path, None, "bridge index JSON (default: relabel corpus)"),
     Opt("pattern", _pattern_arg, None, "leaf, root, internal or mixed", required=True),
-    Opt("num-pos", int, 100, "positive pairs"),
-    Opt("num-neg", int, 100, "negative pairs"),
+    Opt("num-pos", _count, 100, "positive pairs"),
+    Opt("num-neg", _count, 100, "negative pairs"),
     Opt("seed", int, 0, "sampling seed"),
     Opt("projects", str, "", "comma list restricting bridge projects"),
     Opt("out", Path, None, "pairs JSONL path", required=True),
@@ -312,12 +328,12 @@ _TRAIN_OPTS = [
     Opt("pattern", _pattern_arg, None, "leaf, root, internal or mixed", required=True),
     Opt("out", Path, None, "bundle output directory", required=True),
     _field("seed", int, "seed", "master seed"),
-    Opt("epochs", int, 30, "training epochs"),
-    Opt("epoch-size", int, 2000, "positive pairs per epoch (negatives match)"),
-    Opt("val-pairs", int, 200, "validation pairs per label"),
-    Opt("thresh-pairs", int, 300, "threshold-selection pairs per label per pattern"),
+    Opt("epochs", _count, 30, "training epochs"),
+    Opt("epoch-size", _count, 2000, "positive pairs per epoch (negatives match)"),
+    Opt("val-pairs", _count, 200, "validation pairs per label"),
+    Opt("thresh-pairs", _count, 300, "threshold-selection pairs per label per pattern"),
     Opt("grid", _grid_arg, "paper", "threshold grid preset"),
-    Opt("vocab-size", int, 256, "opcode vocabulary cap"),
+    Opt("vocab-size", _at_least(1), 256, "opcode vocabulary cap"),
     _field("node-dim", int, "node_state_dim", "node state width"),
     _field("embed-dim", int, "graph_embedding_dim", "graph embedding width"),
     _field("layers", int, "propagation_layers", "propagation layers"),
@@ -358,12 +374,6 @@ def _train_setup(opts: dict):
 
 def cmd_train(args: argparse.Namespace) -> int:
     opts = _resolve(args, _TRAIN_OPTS, gnn.ModelConfig)
-    # checked here, before any work: an epoch's pairs are drawn only once
-    # training runs, and the threshold pairs only after it
-    for flag in ("epoch-size", "thresh-pairs"):
-        count = opts[flag.replace("-", "_")]
-        if count < 0:
-            raise ValidationError(f"--{flag} must be >= 0, got {count}")
     corpus, split, train_index, val_index, vocab, config = _train_setup(opts)
     pattern = opts["pattern"]
     seed = opts["seed"]

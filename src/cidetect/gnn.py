@@ -12,23 +12,24 @@ gradients. The backward pass is written out by hand so it can be checked
 against finite differences; no autograd framework is involved.
 
 One engine runs every embedding. Its forward pass works on the last two
-axes of a PreparedBatch: the (n, k) node features of one graph, or a
-bucket, the (B, n, k) stack of B graphs that share the node count n. The
-edge scatter flattens the node rows and reshapes them back, and pooling sums
-over the node axis. numpy's stacked matmul runs one GEMM per 2-D slice, with
-that slice's own shape, so a graph in a bucket gets the bits it gets in a
-bucket of one, whichever graphs share the bucket: a score depends only on
-its two graphs. embedding_rows alone decides which graphs share an
-embedding row: one row per distinct graph content, whichever objects or
-refs carry it, so a graph is at distance exactly 0 from itself. A prepared
-graph keeps its content hash. One driver, _embed_pairs, embeds the rows of
-a list of pairs for training, validation, scoring and detect alike: it
-stacks them one bucket of up to CHUNK_NODES nodes at a time (_buckets) and
-embeds each bucket under every model before it stacks the next.
-Everything that compares embeddings without a gradient (validation AUC,
-the detector's scoring and detect) is one pair_distances call on (query,
-target) pairs of prepared graphs, which keeps no tape and takes the pair
-distances in blocks.
+axes of a PreparedGraph, the one record of prepared features and edges: the
+(n, k) node features of one graph, or a bucket, the (B, n, k) stack of B
+graphs that share the node count n. The edge scatter flattens the node rows
+and reshapes them back, through two flat indices that each forward call
+builds once for all its layers, and pooling sums over the node axis.
+numpy's stacked matmul runs one GEMM per 2-D slice, with that slice's own
+shape, so a graph in a bucket gets the bits it gets in a bucket of one,
+whichever graphs share the bucket: a score depends only on its two graphs.
+embedding_rows alone decides which graphs share an embedding row: one row
+per distinct graph content, whichever objects or refs carry it, so a graph
+is at distance exactly 0 from itself. A prepared graph keeps its content
+hash. One driver, _embed_pairs, embeds the rows of a list of pairs for
+training, validation, scoring and detect alike: it stacks them one bucket
+of up to CHUNK_NODES nodes at a time (_buckets) and embeds each bucket
+under every model before it stacks the next. Everything that compares
+embeddings without a gradient (validation AUC, the detector's scoring and
+detect) is one pair_distances call on (query, target) pairs of prepared
+graphs, which keeps no tape and takes the pair distances in blocks.
 
 A training step runs the driver on the parameters as they are, with a
 tape. A row's tape is its slice of every array in its bucket's tape,
@@ -101,6 +102,10 @@ class ModelConfig:
             raise ValueError("margin must be positive")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.max_nodes < 1:
             raise ValueError("bad optimizer settings")
+        for name in ("encoder_hidden", "update_hidden", "output_hidden"):
+            widths = getattr(self, name)
+            if any(width < 1 for width in widths):
+                raise ValueError(f"{name} widths must be >= 1, got {widths}")
 
     @property
     def encoder_sizes(self) -> list[tuple[int, int]]:
@@ -231,59 +236,35 @@ def _mlp_backward(
 # ---------------------------------------------------------------------------
 # Graph preparation and bucketing
 
-_INT32_MAX = np.iinfo(np.int32).max
-
 # Node budget of one bucket: large enough that per-call overhead is shared by
 # dozens of typical graphs, small enough to keep activations tiny.
 CHUNK_NODES = 512
 
 
 @dataclass(frozen=True)
-class PreparedBatch:
+class PreparedGraph:
     """Featurized graphs of one node count n: features (n, k) for one graph
-    or (B, n, k) for a bucket of B. Edge endpoints index the feature rows
-    flattened to (B * n, k), so graph i's edges are offset by i * n."""
+    or (B, n, k) for a bucket of B (_stack). Edge endpoints index the
+    feature rows flattened to (B * n, k), so graph i's edges are offset by
+    i * n. embed_prepared runs one graph through the engine as it is."""
 
     features: np.ndarray
     src: np.ndarray
     dst: np.ndarray
-    _scatter: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
         """Nodes per graph."""
         return self.features.shape[-2]
 
-    def scatter_index(self, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """Flat _segment_sum indices that send rows `width` wide to their
-        dst and to their src node, kept from the first call per width for
-        the next propagation layers, as int32 where that holds every index.
-        """
-        index = self._scatter.get(width)
-        if index is None:
-            cols = np.arange(width)
-            index = (
-                (self.dst[:, None] * width + cols).ravel(),
-                (self.src[:, None] * width + cols).ravel(),
-            )
-            if math.prod(self.features.shape[:-1]) * width <= _INT32_MAX:
-                index = (index[0].astype(np.int32), index[1].astype(np.int32))
-            self._scatter[width] = index
-        return index
-
-
-def _content(graph: PreparedGraph) -> tuple[bytes, bytes, bytes]:
-    return graph.features.tobytes(), graph.src.tobytes(), graph.dst.tobytes()
-
-
-class PreparedGraph(PreparedBatch):
-    """One featurized graph: node feature matrix plus positional edge arrays.
-    embed_prepared runs it through the engine as it is."""
-
     @functools.cached_property
     def content_hash(self) -> int:
         """Hash of the features, src and dst bytes, taken on first use."""
         return hash(_content(self))
+
+
+def _content(graph: PreparedGraph) -> tuple[bytes, bytes, bytes]:
+    return graph.features.tobytes(), graph.src.tobytes(), graph.dst.tobytes()
 
 
 def prepare_graph(
@@ -304,10 +285,10 @@ def prepare_graph(
     return PreparedGraph(features=features, src=src, dst=dst)
 
 
-def _stack(graphs: Sequence[PreparedGraph]) -> PreparedBatch:
+def _stack(graphs: Sequence[PreparedGraph]) -> PreparedGraph:
     """Graphs of one node count n as one (len(graphs), n, k) bucket."""
     n = graphs[0].n_nodes
-    return PreparedBatch(
+    return PreparedGraph(
         features=np.stack([g.features for g in graphs]),
         src=np.concatenate([g.src + i * n for i, g in enumerate(graphs)]),
         dst=np.concatenate([g.dst + i * n for i, g in enumerate(graphs)]),
@@ -316,7 +297,7 @@ def _stack(graphs: Sequence[PreparedGraph]) -> PreparedBatch:
 
 def _buckets(
     graphs: Sequence[PreparedGraph],
-) -> Iterator[tuple[list[int], PreparedBatch]]:
+) -> Iterator[tuple[list[int], PreparedGraph]]:
     """The positions of graphs that share a node count, up to CHUNK_NODES
     nodes and at least one graph at a time, each with their stacked bucket.
     A bucket is stacked only when the previous one has been taken."""
@@ -338,8 +319,8 @@ def _segment_sum(
     rows: np.ndarray, flat: np.ndarray, shape: tuple[int, ...]
 ) -> np.ndarray:
     """out[index[k]] += rows[k], k ascending, from zeros, where flat is
-    index spread over the row width (PreparedBatch.scatter_index) and out
-    comes back in `shape`.
+    index spread over the row width (_forward builds it) and out comes back
+    in `shape`.
 
     Every output element gets its additions one at a time in row order, so
     the result equals np.add.at and a one-segment .sum(axis=0) bit for bit;
@@ -352,14 +333,15 @@ def _segment_sum(
 
 def _prop_forward(
     h: np.ndarray,
-    batch: PreparedBatch,
+    batch: PreparedGraph,
+    scatter: tuple[np.ndarray, np.ndarray],
     params: ModelParams,
     config: ModelConfig,
     layer: int,
     tape: list | None,
 ) -> np.ndarray:
     rows = h.reshape(-1, h.shape[-1])
-    to_dst, to_src = batch.scatter_index(h.shape[-1])
+    to_dst, to_src = scatter
     in_w, out_w, update = _prop_keys(layer)
     sum_in = _segment_sum(rows[batch.src], to_dst, h.shape)
     sum_out = _segment_sum(rows[batch.dst], to_src, h.shape)
@@ -438,7 +420,7 @@ def _agg_backward(
 
 
 def _forward(
-    batch: PreparedBatch,
+    batch: PreparedGraph,
     params: ModelParams,
     config: ModelConfig,
     tape: list | None = None,
@@ -446,14 +428,22 @@ def _forward(
     """The embedding, (1, embedding) for one graph and (B, 1, embedding)
     for a bucket of B. Given a tape list, every stage appends what its
     backward pass reads (encoder, each layer, aggregator); without one, each
-    stage's activations are freed when it returns."""
+    stage's activations are freed when it returns. The two flat scatter
+    indices of the node states (_segment_sum) are built once per call, for
+    every propagation layer."""
     h, acts = _mlp_forward(
         batch.features, params, "encoder", len(config.encoder_sizes)
     )
     if tape is not None:
         tape.append(acts)
+    d = config.node_state_dim
+    cols = np.arange(d)
+    scatter = (
+        (batch.dst[:, None] * d + cols).ravel(),
+        (batch.src[:, None] * d + cols).ravel(),
+    )
     for t in range(config.propagation_layers):
-        h = _prop_forward(h, batch, params, config, t, tape)
+        h = _prop_forward(h, batch, scatter, params, config, t, tape)
     return _agg_forward(h, params, config, tape)
 
 

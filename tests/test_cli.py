@@ -438,23 +438,31 @@ def test_train_epoch_without_pairs_fails(pipeline, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, pattern, flag, message",
-    [("pairs", "leaf", "--num-pos", "positive pair count must be >= 0, got -1"),
-     ("pairs", "leaf", "--num-neg", "negative pair count must be >= 0, got -1"),
-     ("train", "leaf", "--val-pairs", "positive pair count must be >= 0, got -1"),
-     ("train", "mixed", "--thresh-pairs", "--thresh-pairs must be >= 0, got -1"),
-     ("train", "leaf", "--epoch-size", "--epoch-size must be >= 0, got -1")],
+    "command, pattern, flag, value, least",
+    [("pairs", "leaf", "--num-pos", "-1", 0),
+     ("pairs", "leaf", "--num-neg", "-1", 0),
+     ("train", "leaf", "--val-pairs", "-1", 0),
+     ("train", "mixed", "--thresh-pairs", "-1", 0),
+     ("train", "leaf", "--epoch-size", "-1", 0),
+     ("train", "leaf", "--epochs", "-1", 0),
+     ("train", "leaf", "--vocab-size", "0", 1)],
     ids=["pairs---num-pos-positive", "pairs---num-neg-negative",
          "train---val-pairs-positive", "train-mixed---thresh-pairs",
-         "train---epoch-size"],
+         "train---epoch-size", "train---epochs", "train---vocab-size"],
 )
 def test_negative_pair_count_exits_2_before_any_work(
-    pipeline, tmp_path, caplog, command, pattern, flag, message
+    pipeline, tmp_path, caplog, monkeypatch, command, pattern, flag, value, least
 ):
-    """A negative count is refused before pairs writes its file or train
-    trains: zero is the least count there is. The mixed model finalizes its
-    bundle at once, so only a check before training keeps a bad
-    --thresh-pairs from writing the model first."""
+    """A count below its least value is refused, naming the flag and the
+    value, before pairs or train reads the corpus, so nothing is written:
+    zero is the least count of pairs or epochs there is. The mixed model
+    finalizes its bundle at once, so only a check before training keeps a
+    bad --thresh-pairs from writing the model first."""
+
+    def unread(*args, **kwargs):
+        raise AssertionError("the corpus was read")
+
+    monkeypatch.setattr(synth, "load_corpus", unread)
     out = tmp_path / "out"
     argv = [
         command, "--corpus", str(pipeline["corpus"]),
@@ -462,8 +470,28 @@ def test_negative_pair_count_exits_2_before_any_work(
     ]
     argv += _TRAIN_ARGS if command == "train" else []
     with caplog.at_level("ERROR", logger="cidetect.cli"):
-        assert main(argv + [flag, "-1"]) == 2
+        assert main(argv + [flag, value]) == 2
+    message = f"bad value for {flag}: must be >= {least}, got {value}"
     assert any(rec.getMessage() == message for rec in caplog.records)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, widths, field",
+    [("--encoder-hidden", "0", "encoder_hidden"),
+     ("--update-hidden", "-3", "update_hidden"),
+     ("--output-hidden", "0,4", "output_hidden")],
+)
+def test_zero_width_hidden_layer_exits_2(pipeline, tmp_path, caplog, flag, widths, field):
+    """A hidden layer of no units would make every embedding equal; an empty
+    list, no hidden layer at all, stays valid (_TRAIN_ARGS)."""
+    out = tmp_path / "bundle"
+    with caplog.at_level("ERROR", logger="cidetect.cli"):
+        assert _train(pipeline, "leaf", out, flag, widths) == 2
+    assert any(
+        rec.getMessage().startswith(f"{field} widths must be >= 1")
+        for rec in caplog.records
+    )
     assert not out.exists()
 
 

@@ -84,6 +84,10 @@ def test_config_validation():
         _tiny_config(propagation_layers=-1)
     with pytest.raises(ValueError):
         _tiny_config(batch_size=0)
+    for field in ("encoder_hidden", "update_hidden", "output_hidden"):
+        for widths in ((0,), (-3,), (4, 0)):
+            with pytest.raises(ValueError, match=field):
+                _tiny_config(**{field: widths})
 
 
 def test_config_json_round_trip():
