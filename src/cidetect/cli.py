@@ -347,6 +347,18 @@ _TRAIN_OPTS = [
 ]
 
 
+def _check_model_flags(opts: dict) -> None:
+    """Refuse a train flag outside the range its ModelConfig field allows,
+    naming the flag, before any work: each field is checked alone, with the
+    feature dim, which needs the vocabulary, set to 1."""
+    for opt in _TRAIN_OPTS:
+        if opt.field:
+            try:
+                gnn.ModelConfig(feature_dim=1, **{opt.field: opts[opt.dest]})
+            except ValueError as exc:
+                raise ValidationError(f"bad value for --{opt.name}: {exc}") from None
+
+
 def _train_setup(opts: dict):
     corpus = synth.load_corpus(opts["corpus"])
     index = _load_index_for(corpus, opts["index"])
@@ -374,6 +386,7 @@ def _train_setup(opts: dict):
 
 def cmd_train(args: argparse.Namespace) -> int:
     opts = _resolve(args, _TRAIN_OPTS, gnn.ModelConfig)
+    _check_model_flags(opts)
     corpus, split, train_index, val_index, vocab, config = _train_setup(opts)
     pattern = opts["pattern"]
     seed = opts["seed"]
@@ -463,6 +476,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
     query = _load_single_graph(opts["query"], opts["query_name"])
     target = _load_single_graph(opts["target"], opts["target_name"])
     verdict = detector.detect(query, target, det)
+    if not all(math.isfinite(s) for s in verdict.similarities.values()):
+        raise NumericError("non-finite similarity while scoring the pair")
     payload = {
         "similarities": verdict.similarities,
         "final": verdict.final,

@@ -8,10 +8,10 @@ is supported as an ablation configuration.
 
 Scoring prepares its pairs with gnn.prepare_pairs, which prepares each
 distinct ref once, and makes one gnn.pair_distances call for every model.
-gnn decides which graphs share an embedding row (one per distinct graph
-content) and stacks them in buckets, so a function scores exactly 1 against
-itself, under one ref or two, and a pair's score depends only on its two
-graphs, never on the other pairs it is scored with. It runs in the calling
+gnn embeds graphs in buckets of one node count, where a graph's embedding
+depends only on the graph, so a pair's score depends only on its two
+graphs, never on the other pairs it is scored with, and a function scores
+exactly 1 against itself, under one ref or two. It runs in the calling
 thread; there is no worker pool. detect is the same call on a single pair.
 An eval scores its pair file once with score_pairs and builds every report
 from those scores (evaluation.reports_from_scores).

@@ -20,16 +20,16 @@ builds once for all its layers, and pooling sums over the node axis.
 numpy's stacked matmul runs one GEMM per 2-D slice, with that slice's own
 shape, so a graph in a bucket gets the bits it gets in a bucket of one,
 whichever graphs share the bucket: a score depends only on its two graphs.
-embedding_rows alone decides which graphs share an embedding row: one row
-per distinct graph content, whichever objects or refs carry it, so a graph
-is at distance exactly 0 from itself. A prepared graph keeps its content
-hash. One driver, _embed_pairs, embeds the rows of a list of pairs for
-training, validation, scoring and detect alike: it stacks them one bucket
-of up to CHUNK_NODES nodes at a time (_buckets) and embeds each bucket
-under every model before it stacks the next. Everything that compares
-embeddings without a gradient (validation AUC, the detector's scoring and
-detect) is one pair_distances call on (query, target) pairs of prepared
-graphs, which keeps no tape and takes the pair distances in blocks.
+So two prepared objects of one graph embed to equal bits, and a graph is
+at distance exactly 0 from itself under one ref or two. One driver,
+_embed_pairs, embeds the pairs of a list for training, validation, scoring
+and detect alike, one row per prepared object: it stacks the rows one
+bucket of up to CHUNK_NODES nodes at a time (_buckets) and embeds each
+bucket under every model before it stacks the next. One rule, _distances,
+takes every pair distance, with or without a gradient. Everything that
+compares embeddings without a gradient (validation AUC, the detector's
+scoring and detect) is one pair_distances call on (query, target) pairs of
+prepared graphs, which keeps no tape.
 
 A training step runs the driver on the parameters as they are, with a
 tape. A row's tape is its slice of every array in its bucket's tape,
@@ -94,14 +94,17 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.feature_dim < 1 or self.node_state_dim < 1:
-            raise ValueError("dimensions must be positive")
-        if self.graph_embedding_dim < 1 or self.propagation_layers < 0:
-            raise ValueError("bad embedding dim or layer count")
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.max_nodes < 1:
-            raise ValueError("bad optimizer settings")
+        """ValueError naming the first field out of its range."""
+        least = {"feature_dim": 1, "node_state_dim": 1, "graph_embedding_dim": 1,
+                 "propagation_layers": 0, "batch_size": 1, "max_nodes": 1}
+        for name, low in least.items():
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        for name in ("margin", "learning_rate"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be a finite number > 0, got {value}")
         for name in ("encoder_hidden", "update_hidden", "output_hidden"):
             widths = getattr(self, name)
             if any(width < 1 for width in widths):
@@ -256,15 +259,6 @@ class PreparedGraph:
     def n_nodes(self) -> int:
         """Nodes per graph."""
         return self.features.shape[-2]
-
-    @functools.cached_property
-    def content_hash(self) -> int:
-        """Hash of the features, src and dst bytes, taken on first use."""
-        return hash(_content(self))
-
-
-def _content(graph: PreparedGraph) -> tuple[bytes, bytes, bytes]:
-    return graph.features.tobytes(), graph.src.tobytes(), graph.dst.tobytes()
 
 
 def prepare_graph(
@@ -470,33 +464,6 @@ def embed_prepared(
     return _forward(prep, params, config)[0]
 
 
-_PAIR_BLOCK = 128  # pairs per distance step; bounds the gathered rows
-
-
-def embedding_rows(
-    pairs: Sequence[tuple[PreparedGraph, PreparedGraph]],
-) -> tuple[list[PreparedGraph], np.ndarray]:
-    """The distinct graphs of the pairs, keyed by content (features, src
-    and dst) in order of first appearance, and each pair's query and target
-    row among them as a (len(pairs), 2) array. Graphs with equal content
-    hashes are compared in full."""
-    row: dict[int, int] = {}  # id of a prepared graph -> its row
-    by_hash: dict[int, list[int]] = {}  # content hash -> rows with it
-    graphs: list[PreparedGraph] = []
-    for graph in (g for pair in pairs for g in pair):
-        if id(graph) not in row:
-            same = by_hash.setdefault(graph.content_hash, [])
-            row[id(graph)] = next(
-                (r for r in same if _content(graphs[r]) == _content(graph)),
-                len(graphs),
-            )
-            if row[id(graph)] == len(graphs):
-                same.append(len(graphs))
-                graphs.append(graph)
-    rows = [row[id(g)] for pair in pairs for g in pair]
-    return graphs, np.array(rows, dtype=np.intp).reshape(len(pairs), 2)
-
-
 def _row_tape(tape, j: int):
     """Graph j's tape in a bucket's tape: slice j of every array in it, in
     lists nested as the tape's lists and tuples are."""
@@ -511,16 +478,21 @@ def _embed_pairs(
     config: ModelConfig,
     tapes: dict[int, list] | None = None,
 ) -> tuple[list[PreparedGraph], np.ndarray, np.ndarray]:
-    """The rows of the pairs and each pair's two rows (embedding_rows), and
-    every row's embedding under each model, shape (len(models), rows, 1,
-    embedding).
+    """The distinct prepared graphs of the pairs (one row per object, in
+    order of first appearance), each pair's query and target row as a
+    (len(pairs), 2) array, and every row's embedding under each model,
+    shape (len(models), rows, 1, embedding).
 
     The rows are stacked one bucket at a time (_buckets), and each bucket
     embeds under every model before the next is stacked. Given a tapes
     dict and one model, the forward keeps its tape, and tapes maps each row
     to its slice of its bucket's tape (_row_tape).
     """
-    graphs, rows = embedding_rows(pairs)
+    graphs = list({id(g): g for pair in pairs for g in pair}.values())
+    row_of = {id(g): i for i, g in enumerate(graphs)}
+    rows = np.array(
+        [row_of[id(g)] for pair in pairs for g in pair], dtype=np.intp
+    ).reshape(len(pairs), 2)
     emb = np.empty((len(models), len(graphs), 1, config.graph_embedding_dim))
     for members, bucket in _buckets(graphs):
         for out, params in zip(emb, models):
@@ -532,6 +504,15 @@ def _embed_pairs(
     return graphs, rows, emb
 
 
+def _distances(emb: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The distance between the two rows of each pair: emb holds one model's
+    (rows, 1, embedding) embeddings, rows is _embed_pairs' (pairs, 2).
+    Each pair's squares are summed in one row-wise np.sum, which gives the
+    bits np.sum gives that pair alone."""
+    diff = emb[rows[:, 0], 0] - emb[rows[:, 1], 0]
+    return np.sqrt(np.sum(diff**2, axis=-1))
+
+
 def pair_distances(
     pairs: Sequence[tuple[PreparedGraph, PreparedGraph]],
     models: Sequence[ModelParams],
@@ -540,21 +521,14 @@ def pair_distances(
     """Embedding distance of each pair under each model, shape
     (len(models), len(pairs)).
 
-    The rows embed without a tape (_embed_pairs), and the distances are
-    taken _PAIR_BLOCK pairs at a time. The models embed with
+    The rows embed without a tape (_embed_pairs). The models embed with
     Fortran-ordered weights (copies, unless they are Fortran-ordered
     already, as a loaded checkpoint's are): w.T is then C-contiguous, which
     the stacked products take by a faster path.
     """
     models = [{name: np.asfortranarray(t) for name, t in m.items()} for m in models]
     _, rows, emb = _embed_pairs(pairs, models, config)
-    distance = np.empty((len(models), len(pairs)))
-    for out, model_emb in zip(distance, emb[:, :, 0]):
-        for start in range(0, len(pairs), _PAIR_BLOCK):
-            block = slice(start, start + _PAIR_BLOCK)
-            diff = model_emb[rows[block, 0]] - model_emb[rows[block, 1]]
-            out[block] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return distance
+    return np.array([_distances(model_emb, rows) for model_emb in emb])
 
 
 # ---------------------------------------------------------------------------
@@ -605,13 +579,14 @@ def _batch_gradient(
     """The sums of the pair gradients (one flat vector laid out by layout)
     and of the pair losses of the batch, in pair order.
 
-    Each distinct graph content runs forward once, in its bucket, with a
-    tape (_embed_pairs). A pair has a gradient when its hinge is active at
-    non-zero distance; its two backward passes, one graph each, then
-    overwrite flat, which grads views. A pair without one adds nothing to
-    the total: the total starts at +0.0, and a sum is -0.0 only when both
-    addends are, so the total is never -0.0 and an add of all zeros would
-    change no bit. The tapes are freed on return.
+    Each prepared graph runs forward once, in its bucket, with a tape
+    (_embed_pairs), and the pair distances are _distances'. A pair has a
+    gradient when its hinge is active at non-zero distance; its two
+    backward passes, one graph each, then overwrite flat, which grads
+    views. A pair without one adds nothing to the total: the total starts
+    at +0.0, and a sum is -0.0 only when both addends are, so the total is
+    never -0.0 and an add of all zeros would change no bit. The tapes are
+    freed on return.
     """
     tapes: dict[int, list] = {}
     graphs, rows, emb = _embed_pairs(
@@ -621,16 +596,15 @@ def _batch_gradient(
     flat = np.empty(layout.size)
     grads = layout.views(flat)
     loss_sum = 0.0
-    for pair, (q, t) in zip(batch, rows.tolist()):
-        diff = emb[0, q] - emb[0, t]
-        distance = float(np.sqrt(np.sum(diff**2)))
+    distances = _distances(emb[0], rows).tolist()
+    for pair, (q, t), distance in zip(batch, rows.tolist(), distances):
         if not np.isfinite(distance):
             # a NaN distance would otherwise read as an inactive hinge
             raise NonFiniteGradient(f"non-finite pair distance {distance}")
         loss = pair_loss(distance, pair.label, config.margin)
         loss_sum += loss
         if loss > 0.0 and distance > 0.0:
-            de1 = float(pair.label) * diff / distance
+            de1 = float(pair.label) * (emb[0, q] - emb[0, t]) / distance
             flat.fill(0.0)
             _backward(de1, tapes[q], graphs[q], params, config, grads)
             _backward(-de1, tapes[t], graphs[t], params, config, grads)
@@ -905,8 +879,9 @@ def _read_header(
 def load_checkpoint(path: Path | str) -> tuple[ModelParams, ModelConfig]:
     """The tensors come back Fortran-ordered, as pair_distances embeds with
     them, so scoring a loaded model copies no weight. A file cut short, with
-    trailing bytes or with a damaged header raises CorruptArtifact naming
-    the path."""
+    trailing bytes, with a damaged header or with a value that is not
+    finite (training raises Diverged before it saves one) raises
+    CorruptArtifact naming the path."""
     raw = Path(path).read_bytes()
     config, shapes, offset = _read_header(path, raw)
     names = sorted(shapes)
@@ -914,9 +889,15 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, ModelConfig]:
     end = offset + 8 * sum(counts)
     if end != len(raw):
         raise CorruptArtifact(f"checkpoint {path}: {len(raw)} bytes, header says {end}")
+    values = np.frombuffer(raw, dtype="<f8", offset=offset)
+    finite = np.isfinite(values)  # one check per file: detect loads every model
+    if not finite.all():
+        bad = np.searchsorted(np.cumsum(counts), np.argmin(finite), side="right")
+        raise CorruptArtifact(f"checkpoint {path}: non-finite value in {names[bad]}")
     params: ModelParams = {}
+    start = 0
     for name, count in zip(names, counts):
-        tensor = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        params[name] = np.array(tensor.reshape(shapes[name]), np.float64, order="F")
-        offset += count * 8
+        tensor = values[start : start + count].reshape(shapes[name])
+        params[name] = np.array(tensor, np.float64, order="F")
+        start += count
     return params, config

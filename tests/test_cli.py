@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cidetect import cli, detector, evaluation, pairgen, synth
@@ -102,6 +103,29 @@ def test_detect_to_stdout(pipeline, capsys):
     assert rc == 0
     verdict = json.loads(capsys.readouterr().out)
     assert "final" in verdict
+
+
+def _detect_self(pipeline, bundle):
+    """detect of p001_f02 against itself."""
+    graphs = pipeline["corpus"] / "graphs"
+    return main([
+        "detect", "--bundle", str(bundle),
+        "--query", str(graphs / "noinline" / "p001-noinline.jsonl"),
+        "--query-name", "p001_f02",
+        "--target", str(graphs / "noinline" / "p001-noinline.jsonl"),
+        "--target-name", "p001_f02",
+    ])
+
+
+def test_detect_non_finite_similarity_exits_3(pipeline, monkeypatch, capsys):
+    """As in eval, a similarity that is not a finite number ends detect with
+    exit 3 and no verdict."""
+    monkeypatch.setattr(
+        detector, "pair_distances",
+        lambda pairs, models, config: np.full((len(models), len(pairs)), np.nan),
+    )
+    assert _detect_self(pipeline, pipeline["bundle"]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_eval_and_sweep(pipeline, tmp_path):
@@ -489,9 +513,41 @@ def test_zero_width_hidden_layer_exits_2(pipeline, tmp_path, caplog, flag, width
     with caplog.at_level("ERROR", logger="cidetect.cli"):
         assert _train(pipeline, "leaf", out, flag, widths) == 2
     assert any(
-        rec.getMessage().startswith(f"{field} widths must be >= 1")
+        rec.getMessage().startswith(
+            f"bad value for {flag}: {field} widths must be >= 1"
+        )
         for rec in caplog.records
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--node-dim", "0", "node_state_dim must be >= 1, got 0"),
+     ("--embed-dim", "0", "graph_embedding_dim must be >= 1, got 0"),
+     ("--layers", "-1", "propagation_layers must be >= 0, got -1"),
+     ("--batch-size", "0", "batch_size must be >= 1, got 0"),
+     ("--max-nodes", "0", "max_nodes must be >= 1, got 0"),
+     ("--lr", "0", "learning_rate must be a finite number > 0, got 0.0"),
+     ("--lr", "inf", "learning_rate must be a finite number > 0, got inf"),
+     ("--margin", "0", "margin must be a finite number > 0, got 0.0")],
+)
+def test_model_flag_out_of_range_exits_2_before_any_work(
+    pipeline, tmp_path, caplog, monkeypatch, flag, value, message
+):
+    """A train flag outside the range of its ModelConfig field is refused,
+    naming the flag and the field, before the corpus is read: only the
+    feature dim needs the vocabulary."""
+
+    def unread(*args, **kwargs):
+        raise AssertionError("the corpus was read")
+
+    monkeypatch.setattr(synth, "load_corpus", unread)
+    out = tmp_path / "bundle"
+    with caplog.at_level("ERROR", logger="cidetect.cli"):
+        assert _train(pipeline, "leaf", out, flag, value) == 2
+    want = f"bad value for {flag}: {message}"
+    assert any(rec.getMessage() == want for rec in caplog.records)
     assert not out.exists()
 
 
@@ -552,6 +608,17 @@ def _cut_in_tensors(bundle):
 def _trailing_bytes(bundle):
     path = bundle / "model-root.ckpt"
     path.write_bytes(path.read_bytes() + b"\0" * 8)
+    return path
+
+
+def _nan_in_tensor(bundle):
+    """A NaN as the first value of model-leaf.ckpt's first tensor, which
+    would otherwise score as a NaN similarity (not JSON) in detect."""
+    path = bundle / "model-leaf.ckpt"
+    raw = bytearray(path.read_bytes())
+    start = _header_end(raw)
+    raw[start : start + 8] = struct.pack("<d", float("nan"))
+    path.write_bytes(bytes(raw))
     return path
 
 
@@ -638,7 +705,7 @@ def _manifest_edited(edit):
      _manifest_edited(lambda m: m.update(threshold="abc")),
      _manifest_edited(lambda m: m.update(threshold=1.5)),
      _manifest_edited(lambda m: m["models"].pop("root")),
-     _vocab_of_another_length],
+     _vocab_of_another_length, _nan_in_tensor],
     ids=["checkpoint-cut-in-header", "checkpoint-cut-in-tensors",
          "checkpoint-trailing-bytes", "manifest-without-threshold",
          "manifest-not-an-object", "checkpoint-bit-flip-in-header",
@@ -650,7 +717,7 @@ def _manifest_edited(edit):
          "manifest-threshold-list", "manifest-models-list",
          "manifest-model-file-not-a-string", "manifest-threshold-string",
          "manifest-threshold-above-one", "manifest-wrong-model-keys",
-         "vocab-of-another-length"],
+         "vocab-of-another-length", "checkpoint-nan-value"],
 )
 def test_eval_corrupt_bundle_names_file(pipeline, tmp_path, caplog, corrupt):
     bundle = tmp_path / "bundle"

@@ -191,8 +191,8 @@ def test_score_pairs_matches_detect():
 
 def test_score_pairs_scores_a_function_against_itself_as_one():
     """A function paired with itself under a noinline and an inline ref,
-    among other pairs, scores exactly 1, as detect does: both refs share
-    one embedding row."""
+    among other pairs, scores exactly 1, as detect does: the two refs'
+    prepared graphs embed to equal bits."""
     for seed in range(5):
         graphs, det = _full_size_detector(seed)
 
@@ -216,6 +216,21 @@ def test_score_pairs_scores_a_function_against_itself_as_one():
         for p, final in zip(pairs, finals):
             if p.label == 1:
                 assert final == 1.0 == detect(p.query, p.target, det).final
+
+
+def test_detect_scores_a_function_against_itself_as_one_at_any_bucket_budget(
+    monkeypatch,
+):
+    """detect prepares the query and the target apart, so a function
+    against itself is two prepared copies of one graph: they embed alone
+    (budget 1), in buckets of a few, or stacked together, and still score
+    exactly 1."""
+    graphs, det = _full_size_detector(seed=7)
+    for budget in (1, 5, 512):
+        monkeypatch.setattr(gnn, "CHUNK_NODES", budget)
+        for graph in graphs[:10]:
+            verdict = detect(graph, graph, det)
+            assert all(s == 1.0 for s in verdict.similarities.values())
 
 
 def test_score_pairs_chunking_changes_no_score(monkeypatch):

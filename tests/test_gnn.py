@@ -1,3 +1,4 @@
+import re
 import weakref
 
 import numpy as np
@@ -84,6 +85,16 @@ def test_config_validation():
         _tiny_config(propagation_layers=-1)
     with pytest.raises(ValueError):
         _tiny_config(batch_size=0)
+    for field, value, message in [
+        ("node_state_dim", 0, "must be >= 1, got 0"),
+        ("propagation_layers", -1, "must be >= 0, got -1"),
+        ("max_nodes", 0, "must be >= 1, got 0"),
+        ("learning_rate", 0.0, "must be a finite number > 0, got 0.0"),
+        ("learning_rate", float("inf"), "must be a finite number > 0, got inf"),
+        ("margin", float("nan"), "must be a finite number > 0, got nan"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{field} {re.escape(message)}$"):
+            _tiny_config(**{field: value})
     for field in ("encoder_hidden", "update_hidden", "output_hidden"):
         for widths in ((0,), (-3,), (4, 0)):
             with pytest.raises(ValueError, match=field):
@@ -544,10 +555,10 @@ def test_grad_step_matches_reference_step_on_criterion_06_dims():
     assert 0.0 in losses and max(losses) > 0.0
 
 
-def test_grad_step_runs_equal_content_forward_once(monkeypatch):
-    """Two prepared objects of one graph, as under two refs, share one
-    embedded graph in a step, and the step equals the one on a single
-    object."""
+def test_grad_step_runs_each_prepared_graph_forward_once(monkeypatch):
+    """Each prepared object of a step runs forward once, two objects of one
+    graph (as under two refs) included, and the step equals the one on a
+    single object bit for bit."""
     graphs, vocab, config = _tiny_setup(seed=20)
     a, b, c = (prepare_graph(g, vocab, config) for g in graphs[:3])
     a_copy = prepare_graph(graphs[0], vocab, config)
@@ -565,7 +576,7 @@ def test_grad_step_runs_equal_content_forward_once(monkeypatch):
     got, got_loss = grad_step(
         [PreparedPair(a, b, 1), PreparedPair(c, a_copy, -1)], state, config
     )
-    assert sum(embedded) == 3
+    assert sum(embedded) == 4
     want, want_loss = grad_step(
         [PreparedPair(a, b, 1), PreparedPair(c, a, -1)], state, config
     )
@@ -633,13 +644,11 @@ def test_train_model_history_and_determinism():
         np.testing.assert_array_equal(params_a[name], params_b[name])
 
 
-@pytest.mark.parametrize("bucket_nodes, pair_block", [(128, 128), (5, 3), (1, 1)])
-def test_validation_auc_matches_reference_every_epoch(
-    monkeypatch, bucket_nodes, pair_block
-):
+@pytest.mark.parametrize("bucket_nodes", [128, 5, 1])
+def test_validation_auc_matches_reference_every_epoch(monkeypatch, bucket_nodes):
     """Validation on the batched engine gives, at every epoch, the AUC of
-    the reference that embedded one graph at a time, whatever the bucket and
-    pair block sizes."""
+    the reference that embedded one graph at a time, whatever the bucket
+    size."""
     graphs, vocab, config = _tiny_setup(seed=16)
     config = _tiny_config(feature_dim=vocab.feature_dim, learning_rate=0.05)
 
@@ -664,7 +673,6 @@ def test_validation_auc_matches_reference_every_epoch(
     ]
     train = [pair(0, 2, 1), pair(1, 3, -1), pair(4, 5, 1), pair(6, 7, -1)]
     monkeypatch.setattr(gnn, "CHUNK_NODES", bucket_nodes)
-    monkeypatch.setattr(gnn, "_PAIR_BLOCK", pair_block)
     seen = []
     batched = gnn._validation_auc
 
@@ -699,9 +707,10 @@ def test_pair_distances_match_per_graph_distances():
     assert got[0, 2] == 0.0 and got[0, 0] == got[0, 1] and got[0, 3] == got[0, 4]
 
 
-def test_pair_distances_give_equal_content_one_row(monkeypatch):
-    """Two prepared objects of one graph, as under two refs, share a row:
-    their distance is exactly 0 whatever the bucket budget."""
+def test_pair_distances_put_equal_content_at_distance_zero(monkeypatch):
+    """Two prepared objects of one graph, as under two refs, get a row each
+    and embed to equal bits: their distance is exactly 0 whatever the
+    bucket budget."""
     graphs, vocab, config = _tiny_setup(seed=18)
     params = init_params(config)
     preps = [prepare_graph(g, vocab, config) for g in graphs]
@@ -788,6 +797,22 @@ def test_checkpoint_round_trip(tmp_path):
     assert set(loaded_params) == set(params)
     for name in params:
         np.testing.assert_array_equal(loaded_params[name], params[name])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_value(tmp_path, value):
+    """The message names the tensor that holds the value, at either end of
+    each tensor."""
+    _, _, config = _tiny_setup(seed=8)
+    path = tmp_path / "model.ckpt"
+    for name in init_params(config):
+        for position in (0, -1):
+            params = init_params(config)
+            params[name].reshape(-1)[position] = value
+            save_checkpoint(path, params, config)
+            message = f"{path}: non-finite value in {name}"
+            with pytest.raises(CorruptArtifact, match=re.escape(message) + "$"):
+                load_checkpoint(path)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
