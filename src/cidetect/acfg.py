@@ -12,20 +12,22 @@ per instruction; the model reads only the opcode column and the edges.
 The toolkit reads its JSON files here, with read_records (JSONL: graphs,
 pairs, scores) or read_json (one object per file); a bad one raises an
 error naming the file, and the line of a JSONL record. It writes them here
-too, with write_records and write_json, so each kind has one format.
+too, with write_records and write_json, so each kind has one format; every
+write goes through write_atomic, a temp file moved over the final name.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter, itemgetter, lt
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 import numpy as np
 
@@ -70,12 +72,6 @@ class AttributedCFG:
     @property
     def instruction_count(self) -> int:
         return sum(len(block.opcodes) for block in self.nodes)
-
-    def opcode_counts(self) -> Counter[str]:
-        counts: Counter[str] = Counter()
-        for block in self.nodes:
-            counts.update(block.opcodes)
-        return counts
 
     def validate(self) -> None:
         """Raise MalformedGraph unless every structural invariant holds."""
@@ -334,13 +330,32 @@ def read_json(
     return payload
 
 
-def write_records(path: Path | str, records: Iterable) -> None:
+def write_atomic(path: Path | str, data: bytes) -> None:
+    """Write data to path through a temp file in the same directory that
+    os.replace then moves over path, so path holds either its old bytes or
+    all of data, never a part: a write that fails, or a process killed
+    while writing, leaves no truncated file under the final name. An
+    OSError names path, not the temp file."""
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "wb") as handle:
+            handle.write(data)
+        os.replace(temp, path)
+    except BaseException as exc:
+        temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(temp):
+            exc.filename, exc.filename2 = str(path), None
+        raise
+
+
+def write_records(path: Path | str, records: Iterable) -> bytes:
     """One JSON record per line, keys sorted: the JSONL format that
-    read_records reads."""
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
+    read_records reads. Returns the bytes written."""
+    text = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    data = text.encode("utf-8")
+    write_atomic(path, data)
+    return data
 
 
 def json_text(payload: object) -> str:
@@ -350,7 +365,7 @@ def json_text(payload: object) -> str:
 
 
 def write_json(path: Path | str, payload: object) -> None:
-    Path(path).write_text(json_text(payload), encoding="utf-8")
+    write_atomic(path, json_text(payload).encode("utf-8"))
 
 
 def iter_function_records(path: Path | str) -> Iterator[dict]:
@@ -364,8 +379,8 @@ def read_graphs(path: Path | str) -> Iterator[AttributedCFG]:
     return read_records(path, build_acfg, MalformedGraph)
 
 
-def write_function_records(path: Path | str, graphs: Iterable[AttributedCFG]) -> None:
-    write_records(path, map(acfg_to_record, graphs))
+def write_function_records(path: Path | str, graphs: Iterable[AttributedCFG]) -> bytes:
+    return write_records(path, map(acfg_to_record, graphs))
 
 
 @dataclass(frozen=True)
@@ -394,16 +409,21 @@ class OpcodeVocabulary:
         return self.index.get(opcode, self.unk_index)
 
 
-def build_vocabulary(
-    corpus: Iterable[AttributedCFG], max_size: int
-) -> OpcodeVocabulary:
-    """Most frequent opcodes first; frequency ties break lexicographically."""
+def count_opcodes(graphs: Iterable[AttributedCFG]) -> Counter[str]:
+    """How often each opcode occurs in the graphs' blocks: the one counting
+    rule of the vocabulary, whether the counts come from graphs in memory or
+    from the corpus manifest that synth wrote from them."""
+    return Counter(
+        chain.from_iterable(block.opcodes for graph in graphs for block in graph.nodes)
+    )
+
+
+def build_vocabulary(counts: Mapping[str, int], max_size: int) -> OpcodeVocabulary:
+    """The max_size most frequent opcodes of counts (count_opcodes' result,
+    or a sum of them), most frequent first; frequency ties break
+    lexicographically."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    counts: Counter[str] = Counter()
-    for graph in corpus:
-        for block in graph.nodes:
-            counts.update(block.opcodes)
     if not counts:
         raise EmptyCorpus("no opcodes in corpus")
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))

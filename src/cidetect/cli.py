@@ -371,13 +371,10 @@ def _train_setup(opts: dict):
     val_index = pairgen.filter_index(
         index, corpus.source_functions(split.validation)
     )
-    train_binaries = synth.binary_ids(corpus.manifest, split.train)
-    vocab_graphs = [
-        corpus.graphs[key]
-        for key in sorted(corpus.graphs)
-        if key[1] in train_binaries
-    ]
-    vocab = acfg.build_vocabulary(vocab_graphs, max_size=opts["vocab_size"])
+    # the manifest's counts, checked against each file's sha256: train
+    # builds only the graphs of the pairs it samples
+    counts = corpus.opcode_counts(split.train)
+    vocab = acfg.build_vocabulary(counts, max_size=opts["vocab_size"])
     config = gnn.ModelConfig(
         feature_dim=vocab.feature_dim, **_config_fields(_TRAIN_OPTS, opts)
     )

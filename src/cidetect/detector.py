@@ -38,6 +38,7 @@ from .acfg import (
     read_json,
     vocabulary_from_json,
     vocabulary_to_json,
+    write_atomic,
     write_json,
 )
 from .errors import CorruptArtifact, DegenerateLabels, NegativeDistance, ValidationError
@@ -212,7 +213,7 @@ def save_models(
     directory.mkdir(parents=True, exist_ok=True)
     for key in sorted(models):
         save_checkpoint(directory / _model_file(key), models[key], config)
-    (directory / "vocab.json").write_text(_vocab_text(vocab), encoding="utf-8")
+    write_atomic(directory / "vocab.json", _vocab_text(vocab).encode("utf-8"))
 
 
 def missing_models(directory: Path | str, keys: Sequence[str]) -> list[str]:

@@ -67,6 +67,11 @@ class PatternStarvation(ValidationError):
     """Generator config permits all patterns but some never occurred."""
 
 
+class GraphFileChanged(ValidationError):
+    """A graph file's bytes differ from the sha256 its corpus manifest
+    records, so the opcode counts recorded beside it may be stale."""
+
+
 class CorruptArtifact(ValidationError):
     """A checkpoint or bundle manifest is truncated, padded or lacks a field."""
 

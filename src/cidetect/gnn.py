@@ -59,7 +59,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .acfg import AttributedCFG, OpcodeVocabulary, featurize_graph
+from .acfg import AttributedCFG, OpcodeVocabulary, featurize_graph, write_atomic
 from .errors import (
     CorruptArtifact,
     Diverged,
@@ -822,9 +822,9 @@ def save_checkpoint(
     path: Path | str, params: ModelParams, config: ModelConfig
 ) -> None:
     """Versioned container: JSON header (config, each tensor's name and
-    shape), then raw little-endian float64 tensors in sorted name order.
+    shape), then raw little-endian float64 tensors in sorted name order,
+    written whole (acfg.write_atomic).
     """
-    path = Path(path)
     names = sorted(params)
     header = {
         "format_version": _CKPT_VERSION,
@@ -832,14 +832,12 @@ def save_checkpoint(
         "tensors": [{"name": n, "shape": list(params[n].shape)} for n in names],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with path.open("wb") as handle:
-        handle.write(_CKPT_MAGIC)
-        handle.write(struct.pack("<Q", len(header_bytes)))
-        handle.write(header_bytes)
-        for name in names:
-            handle.write(
-                np.ascontiguousarray(params[name], dtype="<f8").tobytes()
-            )
+    write_atomic(path, b"".join([
+        _CKPT_MAGIC,
+        struct.pack("<Q", len(header_bytes)),
+        header_bytes,
+        *(np.ascontiguousarray(params[name], dtype="<f8").tobytes() for name in names),
+    ]))
 
 
 def _read_header(

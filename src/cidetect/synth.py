@@ -12,8 +12,10 @@ own ground truth.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -24,12 +26,19 @@ from .acfg import (
     AttributedCFG,
     BasicBlock,
     build_acfg,
+    count_opcodes,
     parse_record,
     read_json,
     write_function_records,
     write_json,
 )
-from .errors import MalformedGraph, PatternStarvation, SiteNotFound, ValidationError
+from .errors import (
+    GraphFileChanged,
+    MalformedGraph,
+    PatternStarvation,
+    SiteNotFound,
+    ValidationError,
+)
 from .labeling import (
     DATASETS,
     BinaryFunctionRef,
@@ -562,7 +571,19 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
 # ---------------------------------------------------------------------------
 # On-disk corpus
 
+_CORPUS_VERSION = 2
+_SHA256 = re.compile("[0-9a-f]{64}")
+
+
+def graph_file(directory: Path | str, dataset: str, binary_id: str) -> Path:
+    """Where a corpus keeps the function records of one binary."""
+    return Path(directory) / "graphs" / dataset / f"{binary_id}.jsonl"
+
+
 def write_corpus(corpus: SynthCorpus, directory: Path | str) -> None:
+    """The corpus directory. Its manifest.json lists the projects and, in
+    graph_files, each binary's opcode counts (acfg.count_opcodes) and the
+    sha256 of its graph file, hashed from the bytes written."""
     directory = Path(directory)
     for dataset in DATASETS:
         (directory / "graphs" / dataset).mkdir(parents=True, exist_ok=True)
@@ -571,11 +592,16 @@ def write_corpus(corpus: SynthCorpus, directory: Path | str) -> None:
     by_binary: dict[tuple[str, str], list[AttributedCFG]] = {}
     for (dataset, binary_id, name), graph in sorted(corpus.graphs.items()):
         by_binary.setdefault((dataset, binary_id), []).append(graph)
+    graph_files = {}
     for (dataset, binary_id), graphs in by_binary.items():
-        write_function_records(
-            directory / "graphs" / dataset / f"{binary_id}.jsonl",
-            sorted(graphs, key=lambda g: g.function_name),
+        graphs.sort(key=lambda g: g.function_name)
+        written = write_function_records(
+            graph_file(directory, dataset, binary_id), graphs
         )
+        graph_files[binary_id] = {
+            "opcode_counts": dict(count_opcodes(graphs)),
+            "sha256": hashlib.sha256(written).hexdigest(),
+        }
 
     tables = directory / "tables"
     with (tables / "addr2line.tsv").open("w", encoding="utf-8") as handle:
@@ -593,9 +619,10 @@ def write_corpus(corpus: SynthCorpus, directory: Path | str) -> None:
 
     write_json(directory / "ground_truth.json", index_to_json(corpus.ground_truth))
     manifest = {
-        "format_version": 1,
+        "format_version": _CORPUS_VERSION,
         "config": synth_config_to_json(corpus.config),
         "projects": corpus.projects,
+        "graph_files": graph_files,
     }
     write_json(directory / "manifest.json", manifest)
 
@@ -690,6 +717,27 @@ class LoadedCorpus:
     def project_ids(self) -> list[str]:
         return sorted(self.manifest["projects"])
 
+    def opcode_counts(self, projects: Iterable[str]) -> Counter[str]:
+        """The summed opcode counts of the projects' binaries, as synth
+        recorded them in the manifest's graph_files; no graph is built.
+        Each binary's graph file must still hash to the sha256 recorded
+        beside its counts, since an edited file's counts are stale: one
+        that does not raises GraphFileChanged naming it."""
+        projects = list(projects)
+        entries = self.manifest["graph_files"]
+        counts: Counter[str] = Counter()
+        for dataset in DATASETS:
+            for binary_id in sorted(binary_ids(self.manifest, projects, dataset)):
+                path = graph_file(self.root, dataset, binary_id)
+                entry = entries[binary_id]
+                if hashlib.sha256(path.read_bytes()).hexdigest() != entry["sha256"]:
+                    raise GraphFileChanged(
+                        f"{path}: sha256 is not the one manifest.json records; "
+                        "the file changed after synth wrote it"
+                    )
+                counts.update(entry["opcode_counts"])
+        return counts
+
     def source_functions(self, projects: Iterable[str]) -> set[str]:
         return {
             name
@@ -706,11 +754,20 @@ def binary_ids(manifest: dict, projects: Iterable[str], dataset: str = "") -> se
 
 
 def read_corpus_manifest(directory: Path | str) -> dict:
-    """The corpus manifest.json. Each project must list its source
-    functions and name one binary per dataset by a plain file name; a
-    project that does not raises ValidationError naming the file."""
+    """The corpus manifest.json, of format version 2. Each project must list
+    its source functions and name one binary per dataset by a plain file
+    name, and graph_files must give every listed binary the sha256 of its
+    graph file (64 lowercase hex digits) and its opcode counts (positive
+    ints). A manifest that does not raises ValidationError naming the
+    file."""
     path = Path(directory) / "manifest.json"
-    manifest = read_json(path, ["projects"])
+    manifest = read_json(path, ["format_version", "projects"])
+    version = manifest["format_version"]
+    if type(version) is not int or version != _CORPUS_VERSION:
+        raise ValidationError(
+            f"{path}: corpus format version {version!r} is not {_CORPUS_VERSION}; "
+            "write the corpus again with synth"
+        )
     try:
         for name, project in manifest["projects"].items():
             functions = project["source_functions"]
@@ -724,7 +781,30 @@ def read_corpus_manifest(directory: Path | str) -> dict:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         kind = type(exc).__name__
         raise ValidationError(f"{path}: bad project ({kind}: {exc})") from None
+    try:
+        entries = manifest["graph_files"]
+        for binary_id in sorted(binary_ids(manifest, manifest["projects"])):
+            _check_graph_file(binary_id, entries[binary_id])
+    except (KeyError, TypeError, ValueError) as exc:
+        kind = type(exc).__name__
+        raise ValidationError(f"{path}: bad graph_files ({kind}: {exc})") from None
     return manifest
+
+
+def _check_graph_file(binary_id: str, entry: object) -> None:
+    """TypeError or ValueError unless entry holds a sha256 and opcode
+    counts."""
+    if type(entry) is not dict:
+        raise TypeError(f"{binary_id}: not an object")
+    sha256, counts = entry["sha256"], entry["opcode_counts"]
+    if type(sha256) is not str or not _SHA256.fullmatch(sha256):
+        raise ValueError(f"{binary_id}: sha256 is not 64 lowercase hex digits")
+    if type(counts) is not dict or not all(
+        opcode and type(n) is int and n > 0 for opcode, n in counts.items()
+    ):
+        raise ValueError(
+            f"{binary_id}: opcode_counts must map opcodes to positive ints"
+        )
 
 
 def load_corpus(directory: Path | str) -> LoadedCorpus:
@@ -736,7 +816,7 @@ def load_corpus(directory: Path | str) -> LoadedCorpus:
     files = []
     for dataset in DATASETS:
         for binary_id in sorted(binary_ids(manifest, manifest["projects"], dataset)):
-            path = directory / "graphs" / dataset / f"{binary_id}.jsonl"
+            path = graph_file(directory, dataset, binary_id)
             if not path.is_file():
                 raise ValidationError(f"graph file not found: {path}")
             files.append((dataset, binary_id, path))

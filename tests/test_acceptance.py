@@ -78,7 +78,7 @@ def test_criterion_01_gradient_oracle():
             random_acfg(rng, f"g{trial}_{i}", OPCODE_POOL[:4], max_nodes=5)
             for i in range(2)
         ]
-        vocab = acfg.build_vocabulary(graphs, max_size=3)
+        vocab = acfg.build_vocabulary(acfg.count_opcodes(graphs), max_size=3)
         config = gnn.ModelConfig(
             feature_dim=vocab.feature_dim,
             node_state_dim=int(rng.integers(2, 5)),
@@ -277,7 +277,9 @@ def test_criterion_06_end_to_end_detection():
         for ds in ("noinline", "inline")
     }
     vocab = acfg.build_vocabulary(
-        [corpus.graphs[k] for k in sorted(corpus.graphs) if k[1] in train_binaries],
+        acfg.count_opcodes(
+            corpus.graphs[k] for k in sorted(corpus.graphs) if k[1] in train_binaries
+        ),
         max_size=96,
     )
     model_config = gnn.ModelConfig(
@@ -351,7 +353,7 @@ def _tiny_detector(seed):
         random_acfg(rng, f"d{seed}_g{i}", OPCODE_POOL[:5], max_nodes=4)
         for i in range(8)
     ]
-    vocab = acfg.build_vocabulary(graphs, max_size=4)
+    vocab = acfg.build_vocabulary(acfg.count_opcodes(graphs), max_size=4)
     base = gnn.ModelConfig(
         feature_dim=vocab.feature_dim, node_state_dim=3,
         graph_embedding_dim=4, propagation_layers=1,

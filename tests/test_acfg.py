@@ -10,12 +10,14 @@ from cidetect.acfg import (
     acfg_to_record,
     build_acfg,
     build_vocabulary,
+    count_opcodes,
     featurize_graph,
     iter_function_records,
     strip_name,
     vocabulary_from_json,
     vocabulary_to_json,
     write_function_records,
+    write_json,
 )
 from cidetect.errors import EmptyCorpus, MalformedGraph
 
@@ -49,7 +51,7 @@ def test_opcode_counts_against_counter_oracle():
     for block in graph.nodes:
         for opcode in block.opcodes:
             oracle[opcode] += 1
-    assert graph.opcode_counts() == oracle
+    assert count_opcodes([graph]) == oracle
     assert dict(oracle) == DIAMOND_OPCODE_COUNTS
 
 
@@ -156,6 +158,22 @@ def test_jsonl_round_trip(tmp_path):
     assert rebuilt == graphs
 
 
+def test_write_json_replaces_the_file_whole_and_names_it_on_failure(tmp_path):
+    """A write goes to a temp file that then replaces the target; a write
+    that cannot happen names the target, not the temp file, and leaves
+    nothing behind."""
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+    write_json(path, {"b": 1, "a": [2]})
+    assert path.read_text() == '{\n "a": [\n  2\n ],\n "b": 1\n}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+    missing = tmp_path / "no-such-dir" / "out.json"
+    with pytest.raises(FileNotFoundError) as exc:
+        write_json(missing, {})
+    assert exc.value.filename == str(missing) and str(missing) in str(exc.value)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
 def test_build_vocabulary_frequency_ranked():
     """Keys sorted by descending count, ties broken alphabetically; oracle
     computed with a plain Counter."""
@@ -163,9 +181,10 @@ def test_build_vocabulary_frequency_ranked():
     graphs = [random_acfg(rng, f"f{i}", OPCODE_POOL) for i in range(30)]
     oracle = Counter()
     for g in graphs:
-        oracle.update(g.opcode_counts())
+        for block in g.nodes:
+            oracle.update(block.opcodes)
     expected = tuple(sorted(oracle, key=lambda op: (-oracle[op], op)))
-    vocab = build_vocabulary(graphs, max_size=256)
+    vocab = build_vocabulary(count_opcodes(graphs), max_size=256)
     assert vocab.key_sequence == expected
     assert vocab.feature_dim == len(expected) + 1
     assert vocab.unk_index == len(expected)
@@ -174,15 +193,16 @@ def test_build_vocabulary_frequency_ranked():
 def test_build_vocabulary_truncates():
     rng = np.random.default_rng(4)
     graphs = [random_acfg(rng, f"f{i}", OPCODE_POOL) for i in range(30)]
-    full = build_vocabulary(graphs, max_size=256)
-    small = build_vocabulary(graphs, max_size=4)
+    counts = count_opcodes(graphs)
+    full = build_vocabulary(counts, max_size=256)
+    small = build_vocabulary(counts, max_size=4)
     assert small.key_sequence == full.key_sequence[:4]
     assert small.feature_dim == 5
 
 
 def test_build_vocabulary_empty_corpus():
     with pytest.raises(EmptyCorpus):
-        build_vocabulary([], max_size=16)
+        build_vocabulary(count_opcodes([]), max_size=16)
 
 
 def test_featurize_graph_one_block_worked_example():
@@ -204,7 +224,7 @@ def test_featurize_graph_one_block_counts_unknown():
 def test_featurize_graph_rows_match_nodes():
     rng = np.random.default_rng(5)
     graphs = [random_acfg(rng, f"f{i}", OPCODE_POOL) for i in range(10)]
-    vocab = build_vocabulary(graphs, max_size=6)
+    vocab = build_vocabulary(count_opcodes(graphs), max_size=6)
     for graph in graphs:
         mat = featurize_graph(graph, vocab)
         assert mat.shape == (len(graph.nodes), vocab.feature_dim)

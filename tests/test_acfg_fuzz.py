@@ -1,7 +1,8 @@
 """Property tests: mutated function records, graph-file lines and pair
-records never escape build_acfg, a loaded corpus or read_pairs, damaged
-line tables never escape label's index build, and a cut or bit-flipped
-checkpoint never escapes load_checkpoint, as anything but a CIDetectError.
+records never escape build_acfg, a loaded corpus or read_pairs, a mutated
+corpus manifest never escapes train's vocabulary path, damaged line tables
+never escape label's index build, and a cut or bit-flipped checkpoint never
+escapes load_checkpoint, as anything but a CIDetectError.
 Needs hypothesis (the dev extra); without it the module is skipped."""
 
 import copy
@@ -16,7 +17,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from cidetect.acfg import AttributedCFG, acfg_to_record, build_acfg  # noqa: E402
+from cidetect.acfg import (  # noqa: E402
+    AttributedCFG, acfg_to_record, build_acfg, build_vocabulary
+)
 from cidetect.cli import build_index_from_corpus  # noqa: E402
 from cidetect.errors import CIDetectError, InconsistentTables  # noqa: E402
 from cidetect.gnn import (  # noqa: E402
@@ -185,6 +188,57 @@ def test_mutated_graph_file_lines_raise_only_cidetect_errors(mutations, spliced,
             return
     for (_, _, name), graph in built.items():
         assert isinstance(graph, AttributedCFG) and graph.function_name == name
+
+
+def replace_field(manifest, data):
+    manifest[data.draw(st.sampled_from(["format_version", "graph_files"]))] = data.draw(JUNK)
+
+
+def _in_graph_files(mutate):
+    def mutate_graph_files(manifest, data):
+        mutate(manifest["graph_files"], data)
+
+    return mutate_graph_files
+
+
+MANIFEST_MUTATIONS = [replace_field, _in_graph_files(drop_key), _in_graph_files(change_type)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    mutations=st.lists(st.sampled_from(MANIFEST_MUTATIONS), max_size=3),
+    changed_file=st.booleans(),
+    data=st.data(),
+)
+def test_mutated_manifest_graph_files_raise_only_cidetect_errors(
+    mutations, changed_file, data
+):
+    """A corpus manifest with its format version, graph_files map, entries,
+    sha256 values or opcode counts dropped or replaced, and maybe a graph
+    file changed after synth: train's vocabulary path (load_corpus, the
+    summed counts with their hash check, build_vocabulary) may fail only
+    with a CIDetectError, and must fail on a changed file."""
+    with tempfile.TemporaryDirectory() as directory:
+        write_corpus(_CORPUS, directory)
+        path = Path(directory, "manifest.json")
+        manifest = json.loads(path.read_text())
+        for mutate in mutations:
+            try:
+                mutate(manifest, data)
+            except (KeyError, TypeError, IndexError, AttributeError, ValueError):
+                break  # an earlier mutation broke the shape this one navigates
+        path.write_text(json.dumps(manifest))
+        if changed_file:
+            graph_file = _pick(data, sorted(Path(directory, "graphs").rglob("*.jsonl")))
+            graph_file.write_bytes(graph_file.read_bytes() + b"\n")
+        try:
+            corpus = load_corpus(directory)
+            counts = corpus.opcode_counts(corpus.project_ids())
+            build_vocabulary(counts, 8)
+        except CIDetectError:
+            return
+    assert not changed_file
+    assert all(type(n) is int and n > 0 for n in counts.values())
 
 
 BASE_PAIR_RECORDS = [

@@ -6,11 +6,12 @@ import shutil
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cidetect import cli, detector, evaluation, pairgen, synth
+from cidetect import acfg, cli, detector, evaluation, pairgen, synth
 from cidetect.cli import build_index_from_corpus, main
 
 _SYNTH_ARGS = [
@@ -455,6 +456,58 @@ def test_train_refuses_a_bundle_with_another_vocabulary(pipeline, tmp_path, capl
     assert rc == 2
     assert any(str(bundle / "vocab.json") in rec.getMessage() for rec in caplog.records)
     assert {path.name: path.read_bytes() for path in bundle.iterdir()} == before
+
+
+class _HalfWriter:
+    """A file whose write puts down half its bytes, then fails."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, data):
+        self.handle.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize(
+    "name", ["model-internal.ckpt", "vocab.json", "history-internal.json", "manifest.json"]
+)
+def test_a_bundle_write_that_fails_midway_leaves_no_partial_file(
+    pipeline, tmp_path, monkeypatch, name
+):
+    """The train call that completes a bundle, with the write of one file
+    failing halfway: it exits 2, the file keeps its old bytes, and every
+    other bundle file holds either its old bytes or the whole bytes the
+    pipeline wrote; no temp file is left. (check_vocab, which would refuse
+    an old vocab.json of other bytes, is switched off.)"""
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    for kept in ("model-leaf.ckpt", "model-root.ckpt", "vocab.json",
+                 "history-leaf.json", "history-root.json"):
+        shutil.copy(pipeline["bundle"] / kept, bundle / kept)
+    (bundle / name).write_bytes(b"old bytes\n")
+    before = {path.name: path.read_bytes() for path in bundle.iterdir()}
+    real_open = open
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        handle = real_open(path, mode, *args, **kwargs)
+        return _HalfWriter(handle) if name in Path(path).name else handle
+
+    monkeypatch.setattr(acfg, "open", failing_open, raising=False)
+    monkeypatch.setattr(detector, "check_vocab", lambda directory, vocab: None)
+    assert _train(pipeline, "internal", bundle) == 2
+    assert (bundle / name).read_bytes() == b"old bytes\n"
+    assert not [path.name for path in bundle.iterdir() if path.name.startswith(".")]
+    for path in bundle.iterdir():
+        assert path.read_bytes() in (
+            before.get(path.name), (pipeline["bundle"] / path.name).read_bytes()
+        ), path.name
 
 
 def test_train_epoch_without_pairs_fails(pipeline, tmp_path):
@@ -902,6 +955,83 @@ def test_bad_json_input_names_file(pipeline, tmp_path, caplog, corrupt):
     _assert_names(caplog, str(path))
 
 
+def _graph_file_entry(payload):
+    return payload["graph_files"]["p001-inline"]
+
+
+_CORPUS_MANIFEST_EDITS = {
+    "format-version-1": lambda payload: payload.update(format_version=1),
+    "binary-without-graph-files-entry":
+        lambda payload: payload["graph_files"].pop("p001-inline"),
+    "sha256-in-upper-case": lambda payload: _graph_file_entry(payload).update(
+        sha256=_graph_file_entry(payload)["sha256"].upper()
+    ),
+    "sha256-of-63-digits": lambda payload: _graph_file_entry(payload).update(
+        sha256=_graph_file_entry(payload)["sha256"][1:]
+    ),
+    "count-true": lambda payload: _graph_file_entry(payload)["opcode_counts"].update(
+        mov=True
+    ),
+    "count-zero": lambda payload: _graph_file_entry(payload)["opcode_counts"].update(
+        mov=0
+    ),
+}
+
+
+def _corpus_command(pipeline, corpus, command, tmp_path):
+    if command == "label":
+        return ["label", "--corpus", str(corpus), "--out", str(tmp_path / "i.json")]
+    if command == "pairs":
+        return _pairs_argv(corpus, pipeline["index"], tmp_path / "p.jsonl")
+    return [
+        "train", "--corpus", str(corpus), "--index", str(pipeline["index"]),
+        "--pattern", "leaf", "--out", str(tmp_path / "bundle"),
+    ] + _TRAIN_ARGS
+
+
+@pytest.mark.parametrize("command", ["label", "pairs", "train"])
+@pytest.mark.parametrize("edit", sorted(_CORPUS_MANIFEST_EDITS))
+def test_corpus_manifest_without_good_graph_files_names_it(
+    pipeline, tmp_path, caplog, edit, command
+):
+    """A corpus manifest of format version 1, or one whose graph_files lack
+    an entry or hold a bad sha256 or count, exits 2 naming manifest.json
+    before any work."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    manifest = corpus / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    _CORPUS_MANIFEST_EDITS[edit](payload)
+    manifest.write_text(json.dumps(payload))
+    with caplog.at_level("ERROR", logger="cidetect.cli"):
+        assert main(_corpus_command(pipeline, corpus, command, tmp_path)) == 2
+    _assert_names(caplog, str(manifest))
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus"]
+
+
+def test_train_refuses_a_graph_file_changed_after_synth(pipeline, tmp_path, caplog):
+    """A training-split graph file edited after synth, still valid JSON with
+    one opcode changed, no longer matches the counts the manifest records:
+    train exits 2 naming the file and creates no bundle."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    loaded = synth.load_corpus(corpus)
+    split = pairgen.split_projects(loaded.project_ids(), [3, cli._SEED_VOCAB_SPLIT])
+    binary_id = synth.binary_ids(loaded.manifest, split.train[:1], "inline").pop()
+    path = synth.graph_file(corpus, "inline", binary_id)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[-1])
+    insn = record["blocks"][-1]["insns"][0]
+    insn["op"] = "nop" if insn["op"] != "nop" else "mov"
+    lines[-1] = json.dumps(record, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    bundle = tmp_path / "bundle"
+    with caplog.at_level("ERROR", logger="cidetect.cli"):
+        assert _train(pipeline, "leaf", bundle, "--corpus", str(corpus)) == 2
+    _assert_names(caplog, f"{path}: sha256")
+    assert not bundle.exists()
+
+
 @pytest.mark.parametrize(
     "table, column, value, shown",
     [("addr2line.tsv", 1, "0xzz", "'0xzz'"), ("srcfuncs.tsv", 2, "abc", "'abc'"),
@@ -1011,6 +1141,28 @@ def test_eval_builds_only_the_refs_of_its_pairs(pipeline, tmp_path, monkeypatch)
     assert len(refs) < len(corpus.graphs)
 
 
+def test_train_builds_only_the_refs_of_its_pairs(pipeline, tmp_path, monkeypatch):
+    """The vocabulary comes from the manifest's counts, so a train call
+    that does not finalize the bundle builds the graphs of its epoch and
+    validation pairs and no other."""
+    built = _count_builds(monkeypatch)
+    sampled = []
+    sample_pairs = pairgen.sample_pairs
+
+    def recording(*args):
+        pairs = sample_pairs(*args)
+        sampled.extend(pairs)
+        return pairs
+
+    monkeypatch.setattr(pairgen, "sample_pairs", recording)
+    assert _train(pipeline, "leaf", tmp_path / "bundle") == 0
+    assert not (tmp_path / "bundle" / "manifest.json").exists()
+    refs = {ref for pair in sampled for ref in (pair.query_ref, pair.target_ref)}
+    assert sorted(built) == sorted(ref[2] for ref in refs)
+    corpus = synth.load_corpus(pipeline["corpus"])
+    assert len(refs) < len(corpus.graphs)
+
+
 def test_pairs_with_a_ref_the_corpus_lacks_fails(pipeline, tmp_path, caplog):
     """The drawn refs are checked against the corpus though no graph is
     built: a query function missing from its graph file exits 2."""
@@ -1078,6 +1230,7 @@ def test_label_warns_of_rows_of_binaries_the_manifest_does_not_list(
     manifest = corpus / "manifest.json"
     payload = json.loads(manifest.read_text())
     payload["projects"]["p002"]["binaries"]["inline"] = "p002-other"
+    payload["graph_files"]["p002-other"] = payload["graph_files"].pop("p002-inline")
     manifest.write_text(json.dumps(payload))
     graphs = corpus / "graphs" / "inline"
     shutil.copy(graphs / "p002-inline.jsonl", graphs / "p002-other.jsonl")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cidetect import gnn
-from cidetect.acfg import build_vocabulary
+from cidetect.acfg import build_vocabulary, count_opcodes
 from cidetect.detector import (
     GRIDS,
     PATTERN_KEYS,
@@ -47,7 +47,7 @@ def _tiny_setup(seed=0, n_graphs=6):
         random_acfg(rng, f"f{i}", OPCODE_POOL[:5], max_nodes=4)
         for i in range(n_graphs)
     ]
-    vocab = build_vocabulary(graphs, max_size=4)
+    vocab = build_vocabulary(count_opcodes(graphs), max_size=4)
     config = ModelConfig(
         feature_dim=vocab.feature_dim,
         node_state_dim=3,
@@ -171,7 +171,7 @@ def _full_size_detector(seed, n_graphs=40):
         random_acfg(rng, f"f{i}", OPCODE_POOL[:8], max_nodes=8)
         for i in range(n_graphs)
     ]
-    vocab = build_vocabulary(graphs, max_size=6)
+    vocab = build_vocabulary(count_opcodes(graphs), max_size=6)
     config = ModelConfig(feature_dim=vocab.feature_dim, seed=seed)
     models = {
         key: init_params(replace(config, seed=seed + i))

@@ -163,7 +163,7 @@ def test_format_report_table():
 def test_evaluate_detector_groups_by_pattern():
     from dataclasses import replace
 
-    from cidetect.acfg import build_vocabulary
+    from cidetect.acfg import build_vocabulary, count_opcodes
     from cidetect.detector import EnsembleDetector, score_pairs
     from cidetect.gnn import ModelConfig, init_params
     from cidetect.labeling import Pattern
@@ -172,7 +172,7 @@ def test_evaluate_detector_groups_by_pattern():
 
     rng = np.random.default_rng(7)
     graphs = [random_acfg(rng, f"f{i}", OPCODE_POOL[:4], max_nodes=3) for i in range(6)]
-    vocab = build_vocabulary(graphs, max_size=4)
+    vocab = build_vocabulary(count_opcodes(graphs), max_size=4)
     config = ModelConfig(
         feature_dim=vocab.feature_dim,
         node_state_dim=3,

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cidetect.acfg import build_vocabulary
+from cidetect.acfg import build_vocabulary, count_opcodes
 from cidetect.errors import (
     CorruptArtifact,
     Diverged,
@@ -59,7 +59,7 @@ def _tiny_config(**overrides):
 def _tiny_setup(seed=0, n_graphs=8):
     rng = np.random.default_rng(seed)
     graphs = [random_acfg(rng, f"f{i}", OPCODE_POOL[:5], max_nodes=4) for i in range(n_graphs)]
-    vocab = build_vocabulary(graphs, max_size=3)
+    vocab = build_vocabulary(count_opcodes(graphs), max_size=3)
     config = _tiny_config(feature_dim=vocab.feature_dim)
     return graphs, vocab, config
 
@@ -478,7 +478,7 @@ def test_grad_step_matches_reference_step_bit_for_bit():
     graphs = [
         random_acfg(rng, f"f{i}", OPCODE_POOL[:6], max_nodes=6) for i in range(6)
     ]
-    vocab = build_vocabulary(graphs, max_size=5)
+    vocab = build_vocabulary(count_opcodes(graphs), max_size=5)
     config = _tiny_config(
         feature_dim=vocab.feature_dim, node_state_dim=5, learning_rate=0.05
     )

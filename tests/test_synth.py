@@ -1,18 +1,22 @@
+import hashlib
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cidetect.acfg import AttributedCFG
-from cidetect.errors import MalformedGraph, PatternStarvation, SiteNotFound
+from cidetect.acfg import AttributedCFG, build_vocabulary, count_opcodes
+from cidetect.errors import GraphFileChanged, MalformedGraph, PatternStarvation, SiteNotFound
 from cidetect.labeling import Pattern
+from cidetect.pairgen import split_projects
 from cidetect.synth import (
     CALL_OPCODE,
     SourceFunction,
     SourceWorld,
     SynthConfig,
     apply_inlining_policy,
+    binary_ids,
     gen_source_world,
     generate_corpus,
     inline_transform,
@@ -25,7 +29,7 @@ from cidetect.synth import (
 
 from cidetect import synth as synth_module
 
-from helpers import OPCODE_POOL, call_pair, make_block
+from helpers import DIFFERENTIAL_CONFIGS, OPCODE_POOL, call_pair, make_block
 
 
 def test_synth_config_validation():
@@ -561,3 +565,62 @@ def test_write_corpus_deterministic(tmp_path):
     assert files_one == files_two
     for rel in files_one:
         assert (tmp_path / "one" / rel).read_bytes() == (tmp_path / "two" / rel).read_bytes()
+
+
+@pytest.fixture(scope="module", params=sorted(DIFFERENTIAL_CONFIGS))
+def written(request, tmp_path_factory):
+    """A differential corpus written by synth and loaded back."""
+    directory = tmp_path_factory.mktemp(request.param)
+    write_corpus(generate_corpus(DIFFERENTIAL_CONFIGS[request.param]), directory)
+    return load_corpus(directory)
+
+
+def test_manifest_records_each_binarys_counts_and_file_hash(written):
+    """Every binary's manifest counts are count_opcodes of its graphs read
+    back through load_corpus, and its sha256 is that of its file."""
+    entries = written.manifest["graph_files"]
+    by_binary = {}
+    for key in written.graphs:
+        by_binary.setdefault(key[:2], []).append(written.graphs[key])
+    assert {binary_id for _, binary_id in by_binary} == set(entries)
+    for (dataset, binary_id), graphs in by_binary.items():
+        assert entries[binary_id]["opcode_counts"] == count_opcodes(graphs)
+        path = written.root / "graphs" / dataset / f"{binary_id}.jsonl"
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert entries[binary_id]["sha256"] == digest
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 11])
+@pytest.mark.parametrize("max_size", [8, 256])
+def test_vocabulary_of_summed_counts_equals_vocabulary_of_graphs(
+    written, seed, max_size, monkeypatch
+):
+    """The vocabulary train builds from the manifest's counts of its
+    training projects is the one their graphs give, and building it
+    builds no graph."""
+    split = split_projects(written.project_ids(), [seed, 5])
+    train_binaries = binary_ids(written.manifest, split.train)
+    graphs = [
+        written.graphs[key] for key in sorted(written.graphs) if key[1] in train_binaries
+    ]
+    built = _count_calls(monkeypatch, "build_acfg")
+    counts = load_corpus(written.root).opcode_counts(split.train)
+    assert built == []
+    assert counts == count_opcodes(graphs)
+    assert build_vocabulary(counts, max_size) == build_vocabulary(
+        count_opcodes(graphs), max_size
+    )
+
+
+def test_opcode_counts_refuse_a_graph_file_changed_after_synth(tmp_path):
+    corpus, path, lines = _written_corpus(tmp_path)
+    record = json.loads(lines[0])
+    insn = record["blocks"][0]["insns"][0]
+    insn["op"] = "nop" if insn["op"] != "nop" else "mov"
+    lines[0] = json.dumps(record, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load_corpus(tmp_path / "corpus")
+    with pytest.raises(GraphFileChanged, match=f"^{re.escape(str(path))}: sha256"):
+        loaded.opcode_counts(["p000"])
+    other = sorted(set(loaded.project_ids()) - {"p000"})
+    assert loaded.opcode_counts(other)  # files that did not change still count
