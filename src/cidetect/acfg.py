@@ -24,7 +24,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from operator import attrgetter, itemgetter, lt
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
@@ -155,16 +155,8 @@ def _only(values: Iterable, *kinds: type) -> bool:
 
 
 _OP_ADDR = itemgetter("op", "addr")
-
-
-def _columns(insns: list) -> tuple[tuple, tuple, tuple]:
-    """Raw (opcodes, addresses, args) columns of one block's instructions."""
-    if type(insns) is not list:
-        raise TypeError("insns must be a list")
-    if not insns:
-        return (), (), ()
-    ops, addrs = zip(*map(_OP_ADDR, insns))
-    return ops, addrs, tuple([ins.get("args", ()) for ins in insns])
+_ID_INSNS = itemgetter("id", "insns")
+_OPCODES = attrgetter("opcodes")
 
 
 def build_acfg(record: dict) -> AttributedCFG:
@@ -180,6 +172,12 @@ def build_acfg(record: dict) -> AttributedCFG:
     duplicate edges merged. Blocks unreachable from the entry are dropped
     (with a warning); an entry or edge referencing a missing block is an
     error. Any defect raises MalformedGraph.
+
+    The record is read in one pass into flat columns over all its
+    instructions, and checked there: a record whose block ids and flat
+    addresses both strictly increase, as synth writes them, holds every
+    per-block invariant at once. Any other record is checked block by
+    block, by the rules validate() applies.
     """
     try:
         name = record["name"]
@@ -196,10 +194,16 @@ def build_acfg(record: dict) -> AttributedCFG:
         raise MalformedGraph(f"{name!r}: entry must be an integer")
     if type(raw_blocks) is not list or type(raw_edges) is not list:
         raise MalformedGraph(f"{name!r}: blocks and edges must be lists")
+    if not raw_blocks:
+        raise MalformedGraph(f"{name!r}: no basic blocks")
 
     try:
-        ids = [raw["id"] for raw in raw_blocks]
-        columns = [_columns(raw["insns"]) for raw in raw_blocks]
+        ids, insn_lists = zip(*map(_ID_INSNS, raw_blocks))
+        if not _only(insn_lists, list):
+            raise TypeError("insns must be a list")
+        insns = list(chain.from_iterable(insn_lists))
+        ops, addrs = zip(*map(_OP_ADDR, insns)) if insns else ((), ())
+        args = [ins.get("args", ()) for ins in insns]
     except KeyError as exc:
         raise MalformedGraph(
             f"{name!r}: block or instruction lacks {exc}"
@@ -207,43 +211,48 @@ def build_acfg(record: dict) -> AttributedCFG:
     except (TypeError, ValueError, AttributeError) as exc:
         raise MalformedGraph(f"{name!r}: bad block: {exc}") from None
     try:
-        edge_set = {(src, dst) for src, dst in raw_edges}
+        edge_set = set(map(tuple, raw_edges))
+        if set(map(len, edge_set)) - {2}:
+            raise ValueError("an edge is not two ends")
     except (TypeError, ValueError) as exc:
         raise MalformedGraph(
             f"{name!r}: edges must be [src, dst] pairs: {exc}"
         ) from None
     if not (
         _only(ids, int)
-        and _only(chain.from_iterable(addrs for _, addrs, _ in columns), int)
+        and _only(addrs, int)
         and _only(chain.from_iterable(edge_set), int)
     ):
         raise MalformedGraph(
             f"{name!r}: block ids, addresses and edge ends must be integers"
         )
-    if not _only(chain.from_iterable(ops for ops, _, _ in columns), str):
+    if not _only(ops, str):
         raise MalformedGraph(f"{name!r}: opcodes must be strings")
-    all_args = list(chain.from_iterable(args for _, _, args in columns))
-    if not (
-        _only(all_args, list, tuple) and _only(chain.from_iterable(all_args), str)
-    ):
+    if not (_only(args, list, tuple) and _only(chain.from_iterable(args), str)):
         raise MalformedGraph(f"{name!r}: args must be lists of strings")
 
-    blocks = sorted(
-        (
-            BasicBlock(
-                id=block_id,
-                opcodes=tuple(map(str.lower, ops)),
-                addresses=addrs,
-                operands=tuple(map(tuple, args)),
-            )
-            for block_id, (ops, addrs, args) in zip(ids, columns)
-        ),
-        key=attrgetter("id"),
-    )
+    lowered = tuple(map(str.lower, ops))
+    operands = tuple(map(tuple, args))
+    bounds = list(accumulate(map(len, insn_lists), initial=0))
+    blocks = [
+        BasicBlock(id_, lowered[start:stop], addrs[start:stop], operands[start:stop])
+        for id_, start, stop in zip(ids, bounds, bounds[1:])
+    ]
+    id_set = set(ids)
     edges = sorted(edge_set)
-    _check_topology(name, tuple(block.id for block in blocks), edges, entry)
-    _check_blocks(name, blocks)
-    keep = _reachable({block.id for block in blocks}, edges, entry)
+    if not (
+        all(map(lt, ids, ids[1:]))
+        and all(map(lt, addrs, addrs[1:]))
+        and all(insn_lists)
+        and "" not in ops
+        and entry in id_set
+        and id_set.issuperset(chain.from_iterable(edges))
+    ):
+        # the rules of validate(), which name the first defect in id order
+        blocks.sort(key=attrgetter("id"))
+        _check_topology(name, tuple(block.id for block in blocks), edges, entry)
+        _check_blocks(name, blocks)
+    keep = _reachable(id_set, edges, entry)
     if len(keep) < len(blocks):
         logger.warning(
             "%s: dropped %d unreachable block(s)", name, len(blocks) - len(keep)
@@ -437,12 +446,14 @@ def featurize_graph(graph: AttributedCFG, vocab: OpcodeVocabulary) -> np.ndarray
     dim = vocab.feature_dim
     slot = vocab.index.get
     unk = vocab.unk_index
-    flat = [
-        row * dim + slot(op, unk)
-        for row, block in enumerate(graph.nodes)
-        for op in block.opcodes
-    ]
     n = len(graph.nodes)
+    # each opcode's slot in the flattened matrix: its row's offset plus its
+    # vocabulary slot
+    flat = [
+        offset + slot(op, unk)
+        for offset, opcodes in zip(range(0, n * dim, dim), map(_OPCODES, graph.nodes))
+        for op in opcodes
+    ]
     counts = np.bincount(np.asarray(flat, dtype=np.intp), minlength=n * dim)
     return counts.reshape(n, dim).astype(np.float64)
 

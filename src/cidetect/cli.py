@@ -14,6 +14,7 @@ explicit flags win. All randomness derives from --seed. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import math
 import os
@@ -207,8 +208,13 @@ _LABEL_OPTS = [
 ]
 
 
-def build_index_from_corpus(corpus_dir: Path) -> labeling.BridgeIndex:
-    manifest = synth.read_corpus_manifest(corpus_dir)
+def build_index_from_corpus(
+    corpus_dir: Path, manifest: dict | None = None
+) -> labeling.BridgeIndex:
+    """The bridge index of the corpus's line tables. manifest is the corpus
+    manifest when the caller has read it already, as load_corpus has."""
+    if manifest is None:
+        manifest = synth.read_corpus_manifest(corpus_dir)
     tables = corpus_dir / "tables"
     for name in ("addr2line.tsv", "binfuncs.tsv", "srcfuncs.tsv", "fcg.tsv"):
         if not (tables / name).is_file():
@@ -286,7 +292,7 @@ def _load_index_for(
         if not index_path.is_file():
             raise ValidationError(f"index file not found: {index_path}")
         return labeling.load_index(index_path)
-    return build_index_from_corpus(corpus.root)
+    return build_index_from_corpus(corpus.root, corpus.manifest)
 
 
 def _patterns(key: str) -> tuple[labeling.Pattern, ...]:
@@ -620,6 +626,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     # command get the parser of all of them
     named = {name: _COMMANDS[name] for name in argv[:1] if name in _COMMANDS}
     args = build_parser(named or _COMMANDS).parse_args(argv)
+    # A command builds graphs, tapes and arrays by the thousand and keeps
+    # most of them to its end, while the reference cycles it leaves are a
+    # fixed few hundred objects whatever its input. The cyclic collector
+    # would rescan all that was built so far, again and again, so it is
+    # paused for the command and left as it was found on every way out.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ValidationError, ValueError, KeyError, OSError) as exc:
@@ -628,6 +641,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericError as exc:
         logger.error("numeric failure: %s", exc)
         return 3
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

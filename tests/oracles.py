@@ -2,9 +2,15 @@
 
 `build_acfg` is the one-object-per-instruction parser that the columnar
 `cidetect.acfg.build_acfg` replaced, together with the classes it built.
-`generate_negative_pairs` is the sampler that sorted a complement of the
-cross-inlining universe for every bridge, with `_lookup`, which stripped a
-fresh copy of the graph for every pair. `_is_isolated` is the full scan
+`columnar_build_acfg`, with `_columns` and the checks it ran
+(`_check_topology`, `_check_blocks`, `_only`), is that columnar parser
+before it became one pass over flat instruction columns, and
+`featurize_graph` the per-block featurizer of that time; both build the
+library's own `BasicBlock` and `AttributedCFG`, which the copy names
+`ColumnarBlock` and `ColumnarCFG`. `generate_negative_pairs` is the
+sampler that sorted a complement of the cross-inlining universe for every
+bridge, with `_lookup`, which stripped a fresh copy of the graph for every
+pair. `_is_isolated` is the full scan
 of the call graph's edges that the bridge index made for every (mapping,
 bridge) to count isolated bridges. `grad_step`, `pair_loss_and_grads` and
 `_adam_update`, with the dict-of-tensors `TrainState` they used, are the
@@ -20,8 +26,8 @@ row-by-row table readers, and `construct_mapping` with its `_IntervalIndex`
 the one-bisect-per-row join, that the columnar line table replaced;
 `build_index_from_corpus` runs them as `label` did, without its warnings.
 All are kept verbatim; the tests require the library's versions to produce
-the same graphs, pairs, counts, training states, validation AUCs, mappings
-and bridge indexes.
+the same graphs, feature matrices, pairs, counts, training states,
+validation AUCs, mappings and bridge indexes.
 """
 
 from __future__ import annotations
@@ -33,13 +39,20 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter, itemgetter, lt
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from cidetect import detector, labeling, pairgen, synth
-from cidetect.acfg import strip_name
+from cidetect.acfg import (
+    AttributedCFG as ColumnarCFG,
+    BasicBlock as ColumnarBlock,
+    OpcodeVocabulary,
+    strip_name,
+)
 from cidetect.errors import (
     Exhausted, InconsistentTables, InvalidLabel, MalformedGraph, NonFiniteGradient
 )
@@ -239,6 +252,182 @@ def build_acfg(record: dict) -> AttributedCFG:
     graph = AttributedCFG(function_name=name, nodes=nodes, edges=edges, entry=entry)
     graph.validate()
     return graph
+
+
+# ---------------------------------------------------------------------------
+# The columnar parser and featurizer, before the one-pass build
+
+
+def _check_topology(
+    name: str,
+    ids: tuple[int, ...],
+    edges: Iterable[tuple[int, int]],
+    entry: int,
+) -> None:
+    """Block ids present, unique and sorted; entry and edge ends are blocks."""
+    if not ids:
+        raise MalformedGraph(f"{name!r}: no basic blocks")
+    id_set = set(ids)
+    if len(id_set) != len(ids):
+        raise MalformedGraph(f"{name!r}: duplicate block ids")
+    if list(ids) != sorted(ids):
+        raise MalformedGraph(f"{name!r}: nodes not sorted by id")
+    if entry not in id_set:
+        raise MalformedGraph(f"{name!r}: entry {entry} is not a block")
+    for src, dst in edges:
+        if src not in id_set or dst not in id_set:
+            raise MalformedGraph(f"{name!r}: dangling edge ({src}, {dst})")
+
+
+def _check_blocks(name: str, blocks: Iterable[ColumnarBlock]) -> None:
+    """Non-empty equal-length columns, no empty opcode, addresses strictly
+    increasing within a block and unique within the function."""
+    all_addrs: list[int] = []
+    for block in blocks:
+        n = len(block.opcodes)
+        if not n:
+            raise MalformedGraph(f"{name!r}: block {block.id} is empty")
+        if len(block.addresses) != n or len(block.operands) != n:
+            raise MalformedGraph(
+                f"{name!r}: block {block.id} has columns of unequal length"
+            )
+        if "" in block.opcodes:
+            raise MalformedGraph(f"{name!r}: empty opcode in block {block.id}")
+        addrs = block.addresses
+        if not all(map(lt, addrs, addrs[1:])):
+            raise MalformedGraph(
+                f"{name!r}: addresses not strictly increasing in block {block.id}"
+            )
+        all_addrs.extend(addrs)
+    if len(set(all_addrs)) != len(all_addrs):
+        seen: set[int] = set()
+        dup = next(a for a in all_addrs if a in seen or seen.add(a))
+        raise MalformedGraph(f"{name!r}: duplicate address {dup:#x}")
+
+
+def _only(values: Iterable, *kinds: type) -> bool:
+    """True when every value's exact type is one of `kinds` (so a bool is
+    no int)."""
+    return set(map(type, values)) <= set(kinds)
+
+
+_OP_ADDR = itemgetter("op", "addr")
+
+
+def _columns(insns: list) -> tuple[tuple, tuple, tuple]:
+    """Raw (opcodes, addresses, args) columns of one block's instructions."""
+    if type(insns) is not list:
+        raise TypeError("insns must be a list")
+    if not insns:
+        return (), (), ()
+    ops, addrs = zip(*map(_OP_ADDR, insns))
+    return ops, addrs, tuple([ins.get("args", ()) for ins in insns])
+
+
+def columnar_build_acfg(record: dict) -> ColumnarCFG:
+    """Construct a validated graph from one ingestion record.
+
+    Record shape, with the types enforced:
+      {"name": str, "entry": int,
+       "blocks": [{"id": int, "insns": [{"addr": int, "op": str,
+                                          "args": [str, ...]}]}],
+       "edges": [[int, int], ...]}
+
+    "args" may be left out. Opcodes are lowercased, operands kept verbatim,
+    duplicate edges merged. Blocks unreachable from the entry are dropped
+    (with a warning); an entry or edge referencing a missing block is an
+    error. Any defect raises MalformedGraph.
+    """
+    try:
+        name = record["name"]
+        raw_blocks = record["blocks"]
+        raw_edges = record["edges"]
+        entry = record["entry"]
+    except KeyError as exc:
+        raise MalformedGraph(f"bad record: missing key {exc}") from None
+    except TypeError:
+        raise MalformedGraph("bad record: not a JSON object") from None
+    if type(name) is not str:
+        raise MalformedGraph("bad record: name must be a string")
+    if type(entry) is not int:
+        raise MalformedGraph(f"{name!r}: entry must be an integer")
+    if type(raw_blocks) is not list or type(raw_edges) is not list:
+        raise MalformedGraph(f"{name!r}: blocks and edges must be lists")
+
+    try:
+        ids = [raw["id"] for raw in raw_blocks]
+        columns = [_columns(raw["insns"]) for raw in raw_blocks]
+    except KeyError as exc:
+        raise MalformedGraph(
+            f"{name!r}: block or instruction lacks {exc}"
+        ) from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise MalformedGraph(f"{name!r}: bad block: {exc}") from None
+    try:
+        edge_set = {(src, dst) for src, dst in raw_edges}
+    except (TypeError, ValueError) as exc:
+        raise MalformedGraph(
+            f"{name!r}: edges must be [src, dst] pairs: {exc}"
+        ) from None
+    if not (
+        _only(ids, int)
+        and _only(chain.from_iterable(addrs for _, addrs, _ in columns), int)
+        and _only(chain.from_iterable(edge_set), int)
+    ):
+        raise MalformedGraph(
+            f"{name!r}: block ids, addresses and edge ends must be integers"
+        )
+    if not _only(chain.from_iterable(ops for ops, _, _ in columns), str):
+        raise MalformedGraph(f"{name!r}: opcodes must be strings")
+    all_args = list(chain.from_iterable(args for _, _, args in columns))
+    if not (
+        _only(all_args, list, tuple) and _only(chain.from_iterable(all_args), str)
+    ):
+        raise MalformedGraph(f"{name!r}: args must be lists of strings")
+
+    blocks = sorted(
+        (
+            ColumnarBlock(
+                id=block_id,
+                opcodes=tuple(map(str.lower, ops)),
+                addresses=addrs,
+                operands=tuple(map(tuple, args)),
+            )
+            for block_id, (ops, addrs, args) in zip(ids, columns)
+        ),
+        key=attrgetter("id"),
+    )
+    edges = sorted(edge_set)
+    _check_topology(name, tuple(block.id for block in blocks), edges, entry)
+    _check_blocks(name, blocks)
+    keep = _reachable({block.id for block in blocks}, edges, entry)
+    if len(keep) < len(blocks):
+        logger.warning(
+            "%s: dropped %d unreachable block(s)", name, len(blocks) - len(keep)
+        )
+        blocks = [block for block in blocks if block.id in keep]
+        edges = [e for e in edges if e[0] in keep and e[1] in keep]
+    # every invariant validate() checks holds by construction from here
+    return ColumnarCFG(
+        function_name=name, nodes=tuple(blocks), edges=tuple(edges), entry=entry
+    )
+
+
+def featurize_graph(graph: ColumnarCFG, vocab: OpcodeVocabulary) -> np.ndarray:
+    """Node feature matrix (n_nodes, feature_dim), rows in node-id order:
+    row i counts block i's opcodes per vocabulary slot, the last slot
+    collecting out-of-vocabulary opcodes."""
+    dim = vocab.feature_dim
+    slot = vocab.index.get
+    unk = vocab.unk_index
+    flat = [
+        row * dim + slot(op, unk)
+        for row, block in enumerate(graph.nodes)
+        for op in block.opcodes
+    ]
+    n = len(graph.nodes)
+    counts = np.bincount(np.asarray(flat, dtype=np.intp), minlength=n * dim)
+    return counts.reshape(n, dim).astype(np.float64)
 
 
 def _lookup(graphs: GraphStore, ref: GraphRef) -> AttributedCFG:

@@ -245,7 +245,8 @@ def test_vocabulary_json_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# Differential check against the one-object-per-instruction parser
+# Differential checks against the one-object-per-instruction parser and the
+# columnar parser and featurizer frozen in tests/oracles.py
 
 def _corpus_records(directory):
     return [
@@ -307,7 +308,26 @@ def test_build_acfg_matches_reference_parser(tmp_path, config):
     records = _corpus_records(tmp_path) + _edge_records()
     assert len(records) > 4
     for record in records:
-        assert _view(build_acfg(record)) == _oracle_view(oracles.build_acfg(record))
+        graph = build_acfg(record)
+        assert _view(graph) == _oracle_view(oracles.build_acfg(record))
+        assert graph == oracles.columnar_build_acfg(record)
+
+
+@pytest.mark.parametrize(
+    "config", list(DIFFERENTIAL_CONFIGS.values()), ids=list(DIFFERENTIAL_CONFIGS)
+)
+def test_featurize_graph_matches_the_frozen_featurizer_bit_for_bit(config):
+    """Every graph of the corpus, under a vocabulary of all its opcodes and
+    under one that leaves most of them to the out-of-vocabulary slot."""
+    graphs = list(generate_corpus(config).graphs.values())
+    counts = count_opcodes(graphs)
+    for max_size in (len(counts), 4):
+        vocab = build_vocabulary(counts, max_size)
+        for graph in graphs:
+            got = featurize_graph(graph, vocab)
+            want = oracles.featurize_graph(graph, vocab)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_build_acfg_rejects_what_the_reference_parser_rejects():

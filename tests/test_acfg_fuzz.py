@@ -1,12 +1,15 @@
-"""Property tests: mutated function records, graph-file lines and pair
-records never escape build_acfg, a loaded corpus or read_pairs, a mutated
-corpus manifest never escapes train's vocabulary path, damaged line tables
-never escape label's index build, and a cut or bit-flipped checkpoint never
-escapes load_checkpoint, as anything but a CIDetectError.
+"""Property tests: mutated function records never escape build_acfg, and
+it decides on them as the columnar parser it replaced did; mutated
+graph-file lines and pair records never escape a loaded corpus or
+read_pairs, a mutated corpus manifest never escapes train's vocabulary
+path, damaged line tables never escape label's index build, and a cut or
+bit-flipped checkpoint never escapes load_checkpoint, as anything but a
+CIDetectError.
 Needs hypothesis (the dev extra); without it the module is skipped."""
 
 import copy
 import json
+import logging
 import math
 import re
 import tempfile
@@ -21,7 +24,9 @@ from cidetect.acfg import (  # noqa: E402
     AttributedCFG, acfg_to_record, build_acfg, build_vocabulary
 )
 from cidetect.cli import build_index_from_corpus  # noqa: E402
-from cidetect.errors import CIDetectError, InconsistentTables  # noqa: E402
+from cidetect.errors import (  # noqa: E402
+    CIDetectError, InconsistentTables, MalformedGraph
+)
 from cidetect.gnn import (  # noqa: E402
     ModelConfig, init_params, load_checkpoint, param_shapes, save_checkpoint
 )
@@ -30,6 +35,8 @@ from cidetect.pairgen import FunctionPair, _pair_record, read_pairs, sample_pair
 from cidetect.synth import (  # noqa: E402
     SynthConfig, generate_corpus, load_corpus, write_corpus
 )
+
+import oracles  # noqa: E402
 
 _CORPUS = generate_corpus(
     SynthConfig(n_projects=2, functions_per_project=4, call_density=2.0, seed=1)
@@ -111,6 +118,42 @@ def empty_block(record, data):
     _pick(data, record["blocks"])["insns"] = []
 
 
+def shuffle_blocks(record, data):
+    record["blocks"] = data.draw(st.permutations(record["blocks"]))
+
+
+def shift_block(record, data):
+    """One block's addresses moved below every other's, a valid layout."""
+    block = _pick(data, record["blocks"])
+    low = min(ins["addr"] for ins in _insns(record)) - 4 * len(block["insns"])
+    for i, ins in enumerate(block["insns"]):
+        ins["addr"] = low + 4 * i
+
+
+def swap_ids(record, data):
+    """Two blocks trade ids, so ids no longer rise with the addresses."""
+    first, second = _pick(data, record["blocks"]), _pick(data, record["blocks"])
+    first["id"], second["id"] = second["id"], first["id"]
+
+
+def retarget(record, data):
+    """The entry or an edge end set to a block id, or to one past them."""
+    block_id = data.draw(st.integers(-1, len(record["blocks"])))
+    if record["edges"] and data.draw(st.booleans()):
+        _pick(data, record["edges"])[data.draw(st.integers(0, 1))] = block_id
+    else:
+        record["entry"] = block_id
+
+
+def upper_opcode(record, data):
+    ins = _pick(data, _insns(record))
+    ins["op"] = ins["op"].upper()
+
+
+def drop_args(record, data):
+    del _pick(data, _insns(record))["args"]
+
+
 def _mutated(base, mutations, data):
     record = copy.deepcopy(base)
     for mutate in mutations:
@@ -141,6 +184,56 @@ def test_mutated_records_raise_only_cidetect_errors(base, mutations, data):
         return
     assert isinstance(graph, AttributedCFG)
     graph.validate()
+
+
+# mutations after which a record may still be valid, laid out or linked in
+# a way that synth does not write
+LAYOUT_MUTATIONS = [
+    shuffle_blocks, shift_block, swap_ids, retarget, upper_opcode, drop_args,
+]
+
+
+class _Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _outcome(build, record):
+    """build(record)'s graph, or the type of the error it raised, and the
+    warnings it logged."""
+    handler = _Warnings()
+    logger = logging.getLogger("cidetect.acfg")
+    logger.addHandler(handler)
+    try:
+        result = build(record)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        result = type(exc)
+    finally:
+        logger.removeHandler(handler)
+    return result, handler.messages
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    base=st.sampled_from(BASE_RECORDS),
+    mutations=st.one_of(
+        st.lists(st.sampled_from(MUTATIONS + LAYOUT_MUTATIONS), min_size=1, max_size=3),
+        st.lists(st.sampled_from(LAYOUT_MUTATIONS), min_size=1, max_size=3),
+    ),
+    data=st.data(),
+)
+def test_build_acfg_decides_as_the_frozen_columnar_parser(base, mutations, data):
+    """The one-pass parser raises MalformedGraph exactly when the columnar
+    parser before it does (tests/oracles.py), and otherwise builds an equal
+    graph with the same warnings."""
+    record = _mutated(base, mutations, data)
+    want = _outcome(oracles.columnar_build_acfg, copy.deepcopy(record))
+    assert _outcome(build_acfg, record) == want
+    assert want[0] is MalformedGraph or isinstance(want[0], AttributedCFG)
 
 
 def _record_line(record, data):

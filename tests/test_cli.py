@@ -1,6 +1,7 @@
 """End-to-end command line tests: one tiny corpus is pushed through every
 subcommand once, then the error paths are poked individually."""
 
+import gc
 import json
 import shutil
 import struct
@@ -13,6 +14,7 @@ import pytest
 
 from cidetect import acfg, cli, detector, evaluation, pairgen, synth
 from cidetect.cli import build_index_from_corpus, main
+from cidetect.errors import NumericError, ValidationError
 
 _SYNTH_ARGS = [
     "--seed", "3", "--projects", "4", "--functions", "8",
@@ -1161,6 +1163,104 @@ def test_train_builds_only_the_refs_of_its_pairs(pipeline, tmp_path, monkeypatch
     assert sorted(built) == sorted(ref[2] for ref in refs)
     corpus = synth.load_corpus(pipeline["corpus"])
     assert len(refs) < len(corpus.graphs)
+
+
+@pytest.mark.parametrize("command", ["label", "pairs", "train"])
+def test_a_corpus_command_reads_the_manifest_once(
+    pipeline, tmp_path, monkeypatch, command
+):
+    """label, and pairs and train without --index, which label the corpus
+    themselves from the manifest that load_corpus read."""
+    reads = []
+    read_corpus_manifest = synth.read_corpus_manifest
+
+    def counting(directory):
+        reads.append(directory)
+        return read_corpus_manifest(directory)
+
+    monkeypatch.setattr(synth, "read_corpus_manifest", counting)
+    argv = _corpus_command(pipeline, pipeline["corpus"], command, tmp_path)
+    if "--index" in argv:
+        at = argv.index("--index")
+        del argv[at:at + 2]
+    assert main(argv) == 0
+    assert reads == [pipeline["corpus"]]
+    if command == "pairs":
+        assert (tmp_path / "p.jsonl").read_bytes() == pipeline["pairs"].read_bytes()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "error, code", [(None, 0), (ValidationError, 2), (NumericError, 3)],
+    ids=["exit-0", "exit-2", "exit-3"],
+)
+def test_main_pauses_the_cyclic_collector_and_restores_it(
+    tmp_path, monkeypatch, collecting, error, code
+):
+    """A command runs with the collector paused and leaves it enabled or
+    disabled as it found it, however it exits."""
+    scores = tmp_path / "scores.jsonl"
+    acfg.write_records(
+        scores, [{"score": 0.9, "label": 1}, {"score": 0.2, "label": -1}]
+    )
+    during = []
+    threshold_sweep = evaluation.threshold_sweep
+
+    def recording(*args):
+        during.append(gc.isenabled())
+        if error is not None:
+            raise error("raised inside the command")
+        return threshold_sweep(*args)
+
+    monkeypatch.setattr(evaluation, "threshold_sweep", recording)
+    argv = ["sweep", "--scores", str(scores), "--out", str(tmp_path / "sweep.csv")]
+    if not collecting:
+        gc.disable()
+    try:
+        assert main(argv) == code
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+    assert during == [False]
+
+
+def _cyclic_garbage(command):
+    """How many objects command(), a main call, leaves that only the cyclic
+    collector frees: what piles up while a command runs with the collector
+    paused."""
+    gc.disable()
+    try:
+        gc.collect()
+        assert command() == 0
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_training_leaves_as_many_cycles_at_any_epoch_count(pipeline, tmp_path):
+    """A training step that left a reference cycle would pile one up per
+    step while the collector is paused: 1 and 3 epochs must leave the same
+    count. The first call fills the caches of first use."""
+    counts = [
+        _cyclic_garbage(
+            lambda: _train(pipeline, "leaf", tmp_path / name, "--epochs", epochs)
+        )
+        for name, epochs in (("warm-up", "1"), ("one", "1"), ("three", "3"))
+    ]
+    assert counts[1] == counts[2] > 0
+
+
+def test_synth_leaves_as_many_cycles_at_any_project_count(tmp_path):
+    counts = [
+        _cyclic_garbage(
+            lambda: main(
+                ["synth", "--out", str(tmp_path / name)]
+                + _SYNTH_ARGS + ["--projects", projects]
+            )
+        )
+        for name, projects in (("warm-up", "2"), ("two", "2"), ("six", "6"))
+    ]
+    assert counts[1] == counts[2] > 0
 
 
 def test_pairs_with_a_ref_the_corpus_lacks_fails(pipeline, tmp_path, caplog):
