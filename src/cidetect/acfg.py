@@ -7,7 +7,9 @@ out-of-vocabulary slot.
 
 A basic block is columnar: three equal-length tuples hold, per instruction,
 its lowercased opcode, its address and its operand tuple. There is no object
-per instruction; the model reads only the opcode column and the edges.
+per instruction; the model reads only the opcode column and the edges. A
+function record, the JSON form of a graph, holds the same columns over all
+its blocks at once, with each block's size (build_acfg, acfg_to_record).
 
 The toolkit reads its JSON files here, with read_records (JSONL: graphs,
 pairs, scores) or read_json (one object per file); a bad one raises an
@@ -154,37 +156,42 @@ def _only(values: Iterable, *kinds: type) -> bool:
     return set(map(type, values)) <= set(kinds)
 
 
-_OP_ADDR = itemgetter("op", "addr")
-_ID_INSNS = itemgetter("id", "insns")
 _OPCODES = attrgetter("opcodes")
+
+# in the order a missing key is reported, the name first
+_RECORD_KEYS = ("name", "entry", "edges", "block_ids", "block_sizes",
+                "insn_ops", "insn_addrs", "insn_args")
+_RECORD = itemgetter(*_RECORD_KEYS)
 
 
 def build_acfg(record: dict) -> AttributedCFG:
-    """Construct a validated graph from one ingestion record.
+    """Construct a validated graph from one function record, which holds
+    its blocks and instructions as columns, block i the next block_sizes[i]
+    instructions. The types are enforced:
+      {"name": str, "entry": int, "edges": [[int, int], ...],
+       "block_ids": [int, ...], "block_sizes": [int, ...],
+       "insn_ops": [str, ...], "insn_addrs": [int, ...],
+       "insn_args": [[str, ...], ...]}
 
-    Record shape, with the types enforced:
-      {"name": str, "entry": int,
-       "blocks": [{"id": int, "insns": [{"addr": int, "op": str,
-                                          "args": [str, ...]}]}],
-       "edges": [[int, int], ...]}
+    Opcodes are lowercased, operands kept verbatim, duplicate edges merged.
+    Blocks unreachable from the entry are dropped (with a warning); an entry
+    or edge referencing a missing block is an error. Any defect raises
+    MalformedGraph, and a record of the earlier layout, one object per
+    instruction under "blocks", is refused naming the layout expected.
 
-    "args" may be left out. Opcodes are lowercased, operands kept verbatim,
-    duplicate edges merged. Blocks unreachable from the entry are dropped
-    (with a warning); an entry or edge referencing a missing block is an
-    error. Any defect raises MalformedGraph.
-
-    The record is read in one pass into flat columns over all its
-    instructions, and checked there: a record whose block ids and flat
-    addresses both strictly increase, as synth writes them, holds every
-    per-block invariant at once. Any other record is checked block by
-    block, by the rules validate() applies.
+    A record whose block ids and addresses both strictly increase, as synth
+    writes them, holds every per-block invariant at once. Any other record
+    is checked block by block, by the rules validate() applies.
     """
     try:
-        name = record["name"]
-        raw_blocks = record["blocks"]
-        raw_edges = record["edges"]
-        entry = record["entry"]
+        name, entry, raw_edges, ids, sizes, ops, addrs, args = _RECORD(record)
     except KeyError as exc:
+        if "blocks" in record:
+            raise MalformedGraph(
+                "bad record: instruction objects under 'blocks', the layout "
+                "before format version 3; a function record holds its "
+                f"instructions as the columns {', '.join(_RECORD_KEYS[3:])}"
+            ) from None
         raise MalformedGraph(f"bad record: missing key {exc}") from None
     except TypeError:
         raise MalformedGraph("bad record: not a JSON object") from None
@@ -192,24 +199,10 @@ def build_acfg(record: dict) -> AttributedCFG:
         raise MalformedGraph("bad record: name must be a string")
     if type(entry) is not int:
         raise MalformedGraph(f"{name!r}: entry must be an integer")
-    if type(raw_blocks) is not list or type(raw_edges) is not list:
-        raise MalformedGraph(f"{name!r}: blocks and edges must be lists")
-    if not raw_blocks:
+    if not _only((raw_edges, ids, sizes, ops, addrs, args), list):
+        raise MalformedGraph(f"{name!r}: edges and columns must be lists")
+    if not ids:
         raise MalformedGraph(f"{name!r}: no basic blocks")
-
-    try:
-        ids, insn_lists = zip(*map(_ID_INSNS, raw_blocks))
-        if not _only(insn_lists, list):
-            raise TypeError("insns must be a list")
-        insns = list(chain.from_iterable(insn_lists))
-        ops, addrs = zip(*map(_OP_ADDR, insns)) if insns else ((), ())
-        args = [ins.get("args", ()) for ins in insns]
-    except KeyError as exc:
-        raise MalformedGraph(
-            f"{name!r}: block or instruction lacks {exc}"
-        ) from None
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise MalformedGraph(f"{name!r}: bad block: {exc}") from None
     try:
         edge_set = set(map(tuple, raw_edges))
         if set(map(len, edge_set)) - {2}:
@@ -218,22 +211,28 @@ def build_acfg(record: dict) -> AttributedCFG:
         raise MalformedGraph(
             f"{name!r}: edges must be [src, dst] pairs: {exc}"
         ) from None
-    if not (
-        _only(ids, int)
-        and _only(addrs, int)
-        and _only(chain.from_iterable(edge_set), int)
-    ):
+    if not _only(chain(ids, sizes, addrs, chain.from_iterable(edge_set)), int):
         raise MalformedGraph(
-            f"{name!r}: block ids, addresses and edge ends must be integers"
+            f"{name!r}: block ids, block sizes, addresses and edge ends must "
+            "be integers"
         )
     if not _only(ops, str):
         raise MalformedGraph(f"{name!r}: opcodes must be strings")
     if not (_only(args, list, tuple) and _only(chain.from_iterable(args), str)):
         raise MalformedGraph(f"{name!r}: args must be lists of strings")
+    n = len(ops)
+    if not (len(sizes) == len(ids) and len(addrs) == len(args) == n == sum(sizes)
+            and min(sizes) >= 0):
+        raise MalformedGraph(
+            f"{name!r}: columns that do not line up: {len(ids)} block ids, "
+            f"{len(sizes)} block sizes (each >= 0) that sum to {sum(sizes)}, "
+            f"{n} ops, {len(addrs)} addrs and {len(args)} args"
+        )
 
     lowered = tuple(map(str.lower, ops))
+    addrs = tuple(addrs)
     operands = tuple(map(tuple, args))
-    bounds = list(accumulate(map(len, insn_lists), initial=0))
+    bounds = list(accumulate(sizes, initial=0))
     blocks = [
         BasicBlock(id_, lowered[start:stop], addrs[start:stop], operands[start:stop])
         for id_, start, stop in zip(ids, bounds, bounds[1:])
@@ -243,7 +242,7 @@ def build_acfg(record: dict) -> AttributedCFG:
     if not (
         all(map(lt, ids, ids[1:]))
         and all(map(lt, addrs, addrs[1:]))
-        and all(insn_lists)
+        and all(sizes)
         and "" not in ops
         and entry in id_set
         and id_set.issuperset(chain.from_iterable(edges))
@@ -266,22 +265,17 @@ def build_acfg(record: dict) -> AttributedCFG:
 
 
 def acfg_to_record(graph: AttributedCFG) -> dict:
+    """The function record of graph, in the layout build_acfg reads."""
+    nodes = graph.nodes
     return {
         "name": graph.function_name,
         "entry": graph.entry,
-        "blocks": [
-            {
-                "id": block.id,
-                "insns": [
-                    {"addr": addr, "op": op, "args": list(args)}
-                    for op, addr, args in zip(
-                        block.opcodes, block.addresses, block.operands
-                    )
-                ],
-            }
-            for block in graph.nodes
-        ],
         "edges": [list(e) for e in graph.edges],
+        "block_ids": [block.id for block in nodes],
+        "block_sizes": [len(block.opcodes) for block in nodes],
+        "insn_ops": [op for block in nodes for op in block.opcodes],
+        "insn_addrs": [addr for block in nodes for addr in block.addresses],
+        "insn_args": [list(args) for block in nodes for args in block.operands],
     }
 
 

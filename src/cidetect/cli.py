@@ -319,7 +319,12 @@ def cmd_pairs(args: argparse.Namespace) -> int:
         opts["num_neg"],
         [opts["seed"], _SEED_PAIRS[opts["pattern"]]],
     )
-    pairgen.check_refs(pairs, corpus.graphs)  # a pair file holds refs only
+    # a pair file holds refs only, to records that must still be the ones
+    # synth wrote
+    pairgen.check_refs(pairs, corpus.graphs)
+    corpus.graphs.verify(
+        ref[:2] for pair in pairs for ref in (pair.query_ref, pair.target_ref)
+    )
     pairgen.write_pairs(pairs, opts["out"])
     print(f"wrote {len(pairs)} pairs to {opts['out']}")
     return 0
@@ -461,6 +466,8 @@ def _load_single_graph(path: Path, name: str):
     if not path.is_file():
         raise ValidationError(f"graph file not found: {path}")
     graphs = list(acfg.read_graphs(path))
+    if not graphs:
+        raise ValidationError(f"{path} holds no function record")
     if name:
         matches = [g for g in graphs if g.function_name == name]
         if not matches:

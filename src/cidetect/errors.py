@@ -69,7 +69,8 @@ class PatternStarvation(ValidationError):
 
 class GraphFileChanged(ValidationError):
     """A graph file's bytes differ from the sha256 its corpus manifest
-    records, so the opcode counts recorded beside it may be stale."""
+    records, so its records, and the function names and opcode counts
+    recorded beside it, may be stale."""
 
 
 class CorruptArtifact(ValidationError):

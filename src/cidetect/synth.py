@@ -13,7 +13,6 @@ own ground truth.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, asdict, replace
@@ -571,7 +570,7 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
 # ---------------------------------------------------------------------------
 # On-disk corpus
 
-_CORPUS_VERSION = 2
+_CORPUS_VERSION = 3
 _SHA256 = re.compile("[0-9a-f]{64}")
 
 
@@ -582,8 +581,9 @@ def graph_file(directory: Path | str, dataset: str, binary_id: str) -> Path:
 
 def write_corpus(corpus: SynthCorpus, directory: Path | str) -> None:
     """The corpus directory. Its manifest.json lists the projects and, in
-    graph_files, each binary's opcode counts (acfg.count_opcodes) and the
-    sha256 of its graph file, hashed from the bytes written."""
+    graph_files, each binary's function names in the order of its graph
+    file's lines, its opcode counts (acfg.count_opcodes) and the sha256 of
+    its graph file, hashed from the bytes written."""
     directory = Path(directory)
     for dataset in DATASETS:
         (directory / "graphs" / dataset).mkdir(parents=True, exist_ok=True)
@@ -594,11 +594,11 @@ def write_corpus(corpus: SynthCorpus, directory: Path | str) -> None:
         by_binary.setdefault((dataset, binary_id), []).append(graph)
     graph_files = {}
     for (dataset, binary_id), graphs in by_binary.items():
-        graphs.sort(key=lambda g: g.function_name)
         written = write_function_records(
             graph_file(directory, dataset, binary_id), graphs
         )
         graph_files[binary_id] = {
+            "functions": [graph.function_name for graph in graphs],
             "opcode_counts": dict(count_opcodes(graphs)),
             "sha256": hashlib.sha256(written).hexdigest(),
         }
@@ -627,73 +627,83 @@ def write_corpus(corpus: SynthCorpus, directory: Path | str) -> None:
     write_json(directory / "manifest.json", manifest)
 
 
-# The tail of a record line that write_records wrote: keys are sorted, so
-# "name" is the last top-level key of a function record. Inside a JSON string
-# every quote is escaped, so the match is the top-level name of a valid line.
-_NAME_TAIL = re.compile(rb'"name": ("(?:[^"\\]|\\.)*")\}\s*\Z')
-
-
-def _record_name(record: dict) -> str:
-    name = record["name"]
-    if type(name) is not str:
-        raise MalformedGraph("bad record: name must be a string")
-    return name
-
-
-def _line_name(line: bytes, path: Path, lineno: int) -> str | None:
-    """The function name of a record line, read from its tail when it has
-    the written shape and from the whole record otherwise; None for a blank
-    line. A line that is not JSON, or names no function, raises
-    MalformedGraph naming path:lineno."""
-    start = line.rfind(b'"name": "')
-    match = _NAME_TAIL.match(line, start) if start >= 0 else None
-    if match is not None:
-        try:
-            return json.loads(match.group(1))
-        except ValueError:
-            pass  # the whole record's parse below names the defect
-    if not line.decode("utf-8", "replace").strip():
-        return None
-    return parse_record(line, _record_name, f"{path}:{lineno}", MalformedGraph)
+def graph_file_line_starts(path: Path, sha256: str) -> list[int]:
+    """Where each line of a graph file starts, then where the file ends,
+    from one read of the whole file, line by line. The file must hash to
+    sha256, the digest its corpus manifest records: one changed after synth
+    wrote it raises GraphFileChanged naming it."""
+    digest = hashlib.sha256()
+    starts = [0]
+    with path.open("rb") as handle:
+        for line in handle:
+            digest.update(line)
+            starts.append(starts[-1] + len(line))
+    if digest.hexdigest() != sha256:
+        raise GraphFileChanged(
+            f"{path}: sha256 is not the one manifest.json records; "
+            "the file changed after synth wrote it"
+        )
+    return starts
 
 
 class CorpusGraphs(Mapping[GraphRef, AttributedCFG]):
-    """The graphs of a corpus, keyed by (dataset, binary_id, name). The keys
-    come from one scan of each graph file, which keeps only where each record
-    starts; a graph is built from its line on first access and kept. A bad
-    record raises MalformedGraph naming path:line when it is built."""
+    """The graphs of a corpus, keyed by (dataset, binary_id, name): line i
+    of a binary's graph file holds the i-th function its manifest entry
+    lists. A graph is built from its line on first access and kept.
 
-    def __init__(self, where: dict[GraphRef, tuple[Path, int, int]]):
-        self._where = where  # key -> (path, line number, byte offset)
+    The first read of a graph file reads it whole and checks it
+    (graph_file_line_starts); only where its lines start is kept, and each
+    line is read from there. A bad record, or one that is not the function the
+    manifest lists at its line, raises MalformedGraph naming path:line."""
+
+    def __init__(self, root: Path, manifest: dict):
+        self._entries = manifest["graph_files"]
+        self._where: dict[GraphRef, int] = {}  # key -> line index
+        self._paths: dict[tuple[str, str], Path] = {}
+        projects = manifest["projects"]
+        for dataset in DATASETS:
+            for binary_id in sorted(binary_ids(manifest, projects, dataset)):
+                path = graph_file(root, dataset, binary_id)
+                if not path.is_file():
+                    raise ValidationError(f"graph file not found: {path}")
+                self._paths[dataset, binary_id] = path
+                for index, name in enumerate(self._entries[binary_id]["functions"]):
+                    self._where[(dataset, binary_id, name)] = index
+        # (dataset, binary_id) -> where each line starts, then the file's end
+        self._starts: dict[tuple[str, str], list[int]] = {}
         self._built: dict[GraphRef, AttributedCFG] = {}
 
-    @classmethod
-    def scan(cls, files: Iterable[tuple[str, str, Path]]) -> CorpusGraphs:
-        """Index the (dataset, binary_id, path) files; a name that a file
-        repeats is indexed at its later line."""
-        where: dict[GraphRef, tuple[Path, int, int]] = {}
-        for dataset, binary_id, path in files:
-            offset = 0
-            with path.open("rb") as handle:
-                for lineno, line in enumerate(handle, 1):
-                    name = _line_name(line, path, lineno)
-                    if name is not None:
-                        where[(dataset, binary_id, name)] = (path, lineno, offset)
-                    offset += len(line)
-        return cls(where)
+    def verify(self, files: Iterable[tuple[str, str]]) -> None:
+        """Read and check each (dataset, binary_id) graph file not read yet,
+        in sorted order. A file of another line count than the functions
+        its manifest entry lists raises ValidationError naming it."""
+        for dataset, binary_id in sorted(set(files) - self._starts.keys()):
+            path, entry = self._paths[dataset, binary_id], self._entries[binary_id]
+            starts = graph_file_line_starts(path, entry["sha256"])
+            if len(starts) - 1 != len(entry["functions"]):
+                raise ValidationError(
+                    f"{path}: holds {len(starts) - 1} lines, but manifest.json "
+                    f"lists {len(entry['functions'])} functions for it"
+                )
+            self._starts[(dataset, binary_id)] = starts
 
     def __getitem__(self, key: GraphRef) -> AttributedCFG:
         graph = self._built.get(key)
         if graph is None:
-            path, lineno, offset = self._where[key]
+            index, file = self._where[key], key[:2]
+            if file not in self._starts:
+                self.verify([file])
+            start, stop = self._starts[file][index : index + 2]
+            path = self._paths[file]
             with path.open("rb") as handle:
-                handle.seek(offset)
-                line = handle.readline()
-            graph = parse_record(line, build_acfg, f"{path}:{lineno}", MalformedGraph)
-            if graph.function_name != key[2]:  # the file changed since the scan
+                handle.seek(start)
+                line = handle.read(stop - start)
+            where = f"{path}:{index + 1}"
+            graph = parse_record(line, build_acfg, where, MalformedGraph)
+            if graph.function_name != key[2]:
                 raise MalformedGraph(
-                    f"{path}:{lineno}: holds {graph.function_name!r}, "
-                    f"not the indexed {key[2]!r}"
+                    f"{where}: holds {graph.function_name!r}, not {key[2]!r}, "
+                    "the function manifest.json lists at this line"
                 )
             self._built[key] = graph
         return graph
@@ -719,24 +729,18 @@ class LoadedCorpus:
 
     def opcode_counts(self, projects: Iterable[str]) -> Counter[str]:
         """The summed opcode counts of the projects' binaries, as synth
-        recorded them in the manifest's graph_files; no graph is built.
-        Each binary's graph file must still hash to the sha256 recorded
-        beside its counts, since an edited file's counts are stale: one
-        that does not raises GraphFileChanged naming it."""
+        recorded them in the manifest's graph_files; no graph is built. An
+        edited file's counts are stale, so each file is checked first
+        (CorpusGraphs.verify, which later reads of its graphs reuse)."""
         projects = list(projects)
+        files = [
+            (dataset, binary_id)
+            for dataset in DATASETS
+            for binary_id in sorted(binary_ids(self.manifest, projects, dataset))
+        ]
+        self.graphs.verify(files)
         entries = self.manifest["graph_files"]
-        counts: Counter[str] = Counter()
-        for dataset in DATASETS:
-            for binary_id in sorted(binary_ids(self.manifest, projects, dataset)):
-                path = graph_file(self.root, dataset, binary_id)
-                entry = entries[binary_id]
-                if hashlib.sha256(path.read_bytes()).hexdigest() != entry["sha256"]:
-                    raise GraphFileChanged(
-                        f"{path}: sha256 is not the one manifest.json records; "
-                        "the file changed after synth wrote it"
-                    )
-                counts.update(entry["opcode_counts"])
-        return counts
+        return sum((Counter(entries[b]["opcode_counts"]) for _, b in files), Counter())
 
     def source_functions(self, projects: Iterable[str]) -> set[str]:
         return {
@@ -754,12 +758,13 @@ def binary_ids(manifest: dict, projects: Iterable[str], dataset: str = "") -> se
 
 
 def read_corpus_manifest(directory: Path | str) -> dict:
-    """The corpus manifest.json, of format version 2. Each project must list
+    """The corpus manifest.json, of format version 3. Each project must list
     its source functions and name one binary per dataset by a plain file
-    name, and graph_files must give every listed binary the sha256 of its
-    graph file (64 lowercase hex digits) and its opcode counts (positive
-    ints). A manifest that does not raises ValidationError naming the
-    file."""
+    name, and graph_files must give every listed binary its function names
+    (distinct strings, in the order of its graph file's lines), the sha256
+    of its graph file (64 lowercase hex digits) and its opcode counts
+    (positive ints). A manifest that does not raises ValidationError naming
+    the file."""
     path = Path(directory) / "manifest.json"
     manifest = read_json(path, ["format_version", "projects"])
     version = manifest["format_version"]
@@ -792,11 +797,17 @@ def read_corpus_manifest(directory: Path | str) -> dict:
 
 
 def _check_graph_file(binary_id: str, entry: object) -> None:
-    """TypeError or ValueError unless entry holds a sha256 and opcode
-    counts."""
+    """TypeError or ValueError unless entry holds function names, a sha256
+    and opcode counts."""
     if type(entry) is not dict:
         raise TypeError(f"{binary_id}: not an object")
+    functions = entry["functions"]
     sha256, counts = entry["sha256"], entry["opcode_counts"]
+    if type(functions) is not list or not set(map(type, functions)) <= {str}:
+        raise TypeError(f"{binary_id}: functions must be a list of strings")
+    if len(set(functions)) != len(functions):
+        repeated = sorted(name for name, n in Counter(functions).items() if n > 1)
+        raise ValueError(f"{binary_id}: functions lists {repeated} more than once")
     if type(sha256) is not str or not _SHA256.fullmatch(sha256):
         raise ValueError(f"{binary_id}: sha256 is not 64 lowercase hex digits")
     if type(counts) is not dict or not all(
@@ -808,18 +819,11 @@ def _check_graph_file(binary_id: str, entry: object) -> None:
 
 
 def load_corpus(directory: Path | str) -> LoadedCorpus:
-    """The manifest and the graphs of the binaries it lists, indexed from
-    their graphs/<dataset>/<binary>.jsonl only and built on first use; a
-    missing file raises naming it."""
+    """The manifest and the graphs of the binaries it lists, named by the
+    manifest and built from their graphs/<dataset>/<binary>.jsonl on first
+    use; no graph file is opened here, and a missing one raises naming it."""
     directory = Path(directory)
     manifest = read_corpus_manifest(directory)
-    files = []
-    for dataset in DATASETS:
-        for binary_id in sorted(binary_ids(manifest, manifest["projects"], dataset)):
-            path = graph_file(directory, dataset, binary_id)
-            if not path.is_file():
-                raise ValidationError(f"graph file not found: {path}")
-            files.append((dataset, binary_id, path))
     return LoadedCorpus(
-        root=directory, manifest=manifest, graphs=CorpusGraphs.scan(files)
+        root=directory, manifest=manifest, graphs=CorpusGraphs(directory, manifest)
     )

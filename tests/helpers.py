@@ -6,6 +6,10 @@ can state expected values independently of the library's own plumbing.
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 
 from cidetect.acfg import AttributedCFG, BasicBlock, OpcodeVocabulary
@@ -22,6 +26,55 @@ DIFFERENTIAL_CONFIGS = {
     ),
     "call-density-2": SynthConfig(n_projects=12, call_density=2.0, seed=7),
 }
+
+
+COLUMNS = ("block_ids", "block_sizes", "insn_ops", "insn_addrs", "insn_args")
+
+
+def columnar_record(record):
+    """A function record of the layout with one object per instruction,
+    {"blocks": [{"id", "insns": [{"addr", "op", "args"}]}], ...}, laid out
+    as the columns build_acfg reads; anything but a dict with "blocks" is
+    returned as it is.
+
+    Every value is carried over unchanged, and an instruction without
+    "args" gets none, so a valid record converts to one of the same graph
+    and a bad value stays bad. What the old layout's parsers could not
+    read at all (blocks that are not a list, a block that is not an object
+    or lacks "id" or "insns", insns that are not a list, an instruction
+    that is not an object or lacks "op" or "addr") becomes None in its
+    column, which build_acfg refuses too."""
+    if not isinstance(record, dict) or "blocks" not in record:
+        return record
+    columnar = {key: value for key, value in record.items() if key != "blocks"}
+    blocks = record["blocks"]
+    if type(blocks) is not list:
+        return {**columnar, **dict.fromkeys(COLUMNS)}
+    ids, sizes, ops, addrs, args = ([] for _ in COLUMNS)
+    for block in blocks:
+        readable = isinstance(block, dict) and "id" in block and "insns" in block
+        ids.append(block["id"] if readable else None)
+        insns = block["insns"] if readable else None
+        sizes.append(len(insns) if type(insns) is list else None)
+        for ins in insns if type(insns) is list else ():
+            readable = isinstance(ins, dict) and "op" in ins and "addr" in ins
+            ops.append(ins["op"] if readable else None)
+            addrs.append(ins["addr"] if readable else None)
+            args.append(ins.get("args", []) if readable else None)
+    return {**columnar, **dict(zip(COLUMNS, (ids, sizes, ops, addrs, args)))}
+
+
+def rehash_graph_file(path: Path, functions=None) -> None:
+    """Record the sha256 of the graph file at path, edited after synth, in
+    its corpus manifest, and functions as its function names if given: the
+    corpus is then one that synth could have written."""
+    manifest_path = path.parents[2] / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    entry = manifest["graph_files"][path.stem]
+    entry["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    if functions is not None:
+        entry["functions"] = list(functions)
+    manifest_path.write_text(json.dumps(manifest))
 
 
 def make_block(block_id: int, opcodes, base_addr: int, operands=None) -> BasicBlock:

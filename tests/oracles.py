@@ -5,8 +5,11 @@
 `columnar_build_acfg`, with `_columns` and the checks it ran
 (`_check_topology`, `_check_blocks`, `_only`), is that columnar parser
 before it became one pass over flat instruction columns, and
-`featurize_graph` the per-block featurizer of that time; both build the
-library's own `BasicBlock` and `AttributedCFG`, which the copy names
+`featurize_graph` the per-block featurizer of that time.
+`one_pass_build_acfg` is that one pass, the last parser of records that held
+one object per instruction under "blocks", and `acfg_to_object_record` the
+writer of that layout, before records held instruction columns. These build
+the library's own `BasicBlock` and `AttributedCFG`, which the copies name
 `ColumnarBlock` and `ColumnarCFG`. `generate_negative_pairs` is the
 sampler that sorted a complement of the cross-inlining universe for every
 bridge, with `_lookup`, which stripped a fresh copy of the graph for every
@@ -39,7 +42,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from operator import attrgetter, itemgetter, lt
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -428,6 +431,139 @@ def featurize_graph(graph: ColumnarCFG, vocab: OpcodeVocabulary) -> np.ndarray:
     n = len(graph.nodes)
     counts = np.bincount(np.asarray(flat, dtype=np.intp), minlength=n * dim)
     return counts.reshape(n, dim).astype(np.float64)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass parser of the one-object-per-instruction layout, and the
+# writer of that layout, before function records held instruction columns
+
+_ID_INSNS = itemgetter("id", "insns")
+
+
+def one_pass_build_acfg(record: dict) -> ColumnarCFG:
+    """Construct a validated graph from one ingestion record.
+
+    Record shape, with the types enforced:
+      {"name": str, "entry": int,
+       "blocks": [{"id": int, "insns": [{"addr": int, "op": str,
+                                          "args": [str, ...]}]}],
+       "edges": [[int, int], ...]}
+
+    "args" may be left out. Opcodes are lowercased, operands kept verbatim,
+    duplicate edges merged. Blocks unreachable from the entry are dropped
+    (with a warning); an entry or edge referencing a missing block is an
+    error. Any defect raises MalformedGraph.
+
+    The record is read in one pass into flat columns over all its
+    instructions, and checked there: a record whose block ids and flat
+    addresses both strictly increase, as synth writes them, holds every
+    per-block invariant at once. Any other record is checked block by
+    block, by the rules validate() applies.
+    """
+    try:
+        name = record["name"]
+        raw_blocks = record["blocks"]
+        raw_edges = record["edges"]
+        entry = record["entry"]
+    except KeyError as exc:
+        raise MalformedGraph(f"bad record: missing key {exc}") from None
+    except TypeError:
+        raise MalformedGraph("bad record: not a JSON object") from None
+    if type(name) is not str:
+        raise MalformedGraph("bad record: name must be a string")
+    if type(entry) is not int:
+        raise MalformedGraph(f"{name!r}: entry must be an integer")
+    if type(raw_blocks) is not list or type(raw_edges) is not list:
+        raise MalformedGraph(f"{name!r}: blocks and edges must be lists")
+    if not raw_blocks:
+        raise MalformedGraph(f"{name!r}: no basic blocks")
+
+    try:
+        ids, insn_lists = zip(*map(_ID_INSNS, raw_blocks))
+        if not _only(insn_lists, list):
+            raise TypeError("insns must be a list")
+        insns = list(chain.from_iterable(insn_lists))
+        ops, addrs = zip(*map(_OP_ADDR, insns)) if insns else ((), ())
+        args = [ins.get("args", ()) for ins in insns]
+    except KeyError as exc:
+        raise MalformedGraph(
+            f"{name!r}: block or instruction lacks {exc}"
+        ) from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise MalformedGraph(f"{name!r}: bad block: {exc}") from None
+    try:
+        edge_set = set(map(tuple, raw_edges))
+        if set(map(len, edge_set)) - {2}:
+            raise ValueError("an edge is not two ends")
+    except (TypeError, ValueError) as exc:
+        raise MalformedGraph(
+            f"{name!r}: edges must be [src, dst] pairs: {exc}"
+        ) from None
+    if not (
+        _only(ids, int)
+        and _only(addrs, int)
+        and _only(chain.from_iterable(edge_set), int)
+    ):
+        raise MalformedGraph(
+            f"{name!r}: block ids, addresses and edge ends must be integers"
+        )
+    if not _only(ops, str):
+        raise MalformedGraph(f"{name!r}: opcodes must be strings")
+    if not (_only(args, list, tuple) and _only(chain.from_iterable(args), str)):
+        raise MalformedGraph(f"{name!r}: args must be lists of strings")
+
+    lowered = tuple(map(str.lower, ops))
+    operands = tuple(map(tuple, args))
+    bounds = list(accumulate(map(len, insn_lists), initial=0))
+    blocks = [
+        ColumnarBlock(id_, lowered[start:stop], addrs[start:stop], operands[start:stop])
+        for id_, start, stop in zip(ids, bounds, bounds[1:])
+    ]
+    id_set = set(ids)
+    edges = sorted(edge_set)
+    if not (
+        all(map(lt, ids, ids[1:]))
+        and all(map(lt, addrs, addrs[1:]))
+        and all(insn_lists)
+        and "" not in ops
+        and entry in id_set
+        and id_set.issuperset(chain.from_iterable(edges))
+    ):
+        # the rules of validate(), which name the first defect in id order
+        blocks.sort(key=attrgetter("id"))
+        _check_topology(name, tuple(block.id for block in blocks), edges, entry)
+        _check_blocks(name, blocks)
+    keep = _reachable(id_set, edges, entry)
+    if len(keep) < len(blocks):
+        logger.warning(
+            "%s: dropped %d unreachable block(s)", name, len(blocks) - len(keep)
+        )
+        blocks = [block for block in blocks if block.id in keep]
+        edges = [e for e in edges if e[0] in keep and e[1] in keep]
+    # every invariant validate() checks holds by construction from here
+    return ColumnarCFG(
+        function_name=name, nodes=tuple(blocks), edges=tuple(edges), entry=entry
+    )
+
+
+def acfg_to_object_record(graph: ColumnarCFG) -> dict:
+    return {
+        "name": graph.function_name,
+        "entry": graph.entry,
+        "blocks": [
+            {
+                "id": block.id,
+                "insns": [
+                    {"addr": addr, "op": op, "args": list(args)}
+                    for op, addr, args in zip(
+                        block.opcodes, block.addresses, block.operands
+                    )
+                ],
+            }
+            for block in graph.nodes
+        ],
+        "edges": [list(e) for e in graph.edges],
+    }
 
 
 def _lookup(graphs: GraphStore, ref: GraphRef) -> AttributedCFG:

@@ -25,8 +25,8 @@ from cidetect.synth import generate_corpus, write_corpus
 
 import oracles
 from helpers import (
-    DIAMOND_OPCODE_COUNTS, DIFFERENTIAL_CONFIGS, OPCODE_POOL, diamond, make_graph,
-    random_acfg, tiny_vocab,
+    COLUMNS, DIAMOND_OPCODE_COUNTS, DIFFERENTIAL_CONFIGS, OPCODE_POOL,
+    columnar_record, diamond, make_graph, random_acfg, tiny_vocab,
 )
 
 
@@ -99,6 +99,21 @@ def test_validate_rejects_structural_defects():
 
 
 def _diamond_record():
+    """A record with an upper-case opcode, operands and a repeated edge."""
+    return {
+        "name": "diamond",
+        "entry": 0,
+        "edges": [[0, 1], [0, 2], [1, 2], [0, 1]],
+        "block_ids": [0, 1, 2],
+        "block_sizes": [2, 1, 1],
+        "insn_ops": ["PUSH", "je", "Mov", "ret"],
+        "insn_addrs": [0x1000, 0x1004, 0x1008, 0x100C],
+        "insn_args": [[], ["l1"], [], []],
+    }
+
+
+def _object_diamond_record():
+    """_diamond_record in the layout of one object per instruction."""
     return {
         "name": "diamond",
         "entry": 0,
@@ -117,9 +132,20 @@ def _diamond_record():
     }
 
 
+def test_columnar_record_converts_the_object_layout():
+    assert columnar_record(_object_diamond_record()) == _diamond_record()
+
+
+def _add_block(record, block_id, op, addr):
+    """A one-instruction block appended to a record's columns."""
+    for column, value in zip(COLUMNS, (block_id, 1, op, addr, [])):
+        record[column].append(value)
+
+
 def test_build_acfg_lowercases_and_dedupes_edges():
     graph = build_acfg(_diamond_record())
     assert graph.block(0).opcodes == ("push", "je")
+    assert graph.block(0).operands == ((), ("l1",))
     assert graph.block(1).opcodes == ("mov",)
     assert graph.edges == ((0, 1), (0, 2), (1, 2))
     assert graph.entry == 0
@@ -127,13 +153,18 @@ def test_build_acfg_lowercases_and_dedupes_edges():
 
 def test_build_acfg_drops_unreachable_blocks(caplog):
     record = _diamond_record()
-    record["blocks"].append(
-        {"id": 5, "insns": [{"addr": 0x2000, "op": "nop", "args": []}]}
-    )
+    _add_block(record, 5, "nop", 0x2000)
     with caplog.at_level("WARNING", logger="cidetect.acfg"):
         graph = build_acfg(record)
     assert 5 not in graph.node_ids
     assert any("unreachable" in rec.message for rec in caplog.records)
+
+
+def test_build_acfg_refuses_the_object_per_instruction_layout():
+    with pytest.raises(
+        MalformedGraph, match="instruction objects under 'blocks'.*insn_ops"
+    ):
+        build_acfg(_object_diamond_record())
 
 
 def test_record_round_trip():
@@ -257,18 +288,20 @@ def _corpus_records(directory):
 
 
 def _edge_records():
-    unreachable = _diamond_record()
+    """Records in the layout of one object per instruction that synth does
+    not write: an unreachable block, blocks out of id order, no "args"."""
+    unreachable = _object_diamond_record()
     unreachable["blocks"].append(
         {"id": 5, "insns": [{"addr": 0x2000, "op": "NOP", "args": []}]}
     )
     unreachable["edges"].append([5, 2])
-    shuffled = _diamond_record()
+    shuffled = _object_diamond_record()
     shuffled["blocks"].reverse()
-    no_args = _diamond_record()
+    no_args = _object_diamond_record()
     for block in no_args["blocks"]:
         for ins in block["insns"]:
             del ins["args"]
-    return [_diamond_record(), unreachable, shuffled, no_args]
+    return [_object_diamond_record(), unreachable, shuffled, no_args]
 
 
 def _oracle_view(graph):
@@ -303,14 +336,33 @@ def _view(graph):
 @pytest.mark.parametrize(
     "config", list(DIFFERENTIAL_CONFIGS.values()), ids=list(DIFFERENTIAL_CONFIGS)
 )
-def test_build_acfg_matches_reference_parser(tmp_path, config):
-    write_corpus(generate_corpus(config), tmp_path)
-    records = _corpus_records(tmp_path) + _edge_records()
-    assert len(records) > 4
+def test_build_acfg_matches_reference_parser(config):
+    """Every graph of the corpus, and the edge records, in the layout of one
+    object per instruction: the frozen parsers of that layout build the
+    graph that build_acfg builds from the record's columns."""
+    graphs = generate_corpus(config).graphs.values()
+    records = [oracles.acfg_to_object_record(g) for g in graphs] + _edge_records()
     for record in records:
-        graph = build_acfg(record)
+        graph = build_acfg(columnar_record(record))
         assert _view(graph) == _oracle_view(oracles.build_acfg(record))
         assert graph == oracles.columnar_build_acfg(record)
+        assert graph == oracles.one_pass_build_acfg(record)
+
+
+@pytest.mark.parametrize(
+    "config", list(DIFFERENTIAL_CONFIGS.values()), ids=list(DIFFERENTIAL_CONFIGS)
+)
+def test_records_round_trip_every_graph_of_the_corpus(tmp_path, config):
+    """build_acfg of acfg_to_record is the graph, and acfg_to_record of
+    build_acfg is the record, for every record that synth writes."""
+    corpus = generate_corpus(config)
+    write_corpus(corpus, tmp_path)
+    for graph in corpus.graphs.values():
+        assert build_acfg(acfg_to_record(graph)) == graph
+    records = _corpus_records(tmp_path)
+    assert len(records) == len(corpus.graphs)
+    for record in records:
+        assert acfg_to_record(build_acfg(record)) == record
 
 
 @pytest.mark.parametrize(
@@ -332,7 +384,7 @@ def test_featurize_graph_matches_the_frozen_featurizer_bit_for_bit(config):
 
 def test_build_acfg_rejects_what_the_reference_parser_rejects():
     def mutated(edit):
-        record = _diamond_record()
+        record = _object_diamond_record()
         edit(record)
         return record
 
@@ -349,20 +401,24 @@ def test_build_acfg_rejects_what_the_reference_parser_rejects():
         with pytest.raises(MalformedGraph):
             oracles.build_acfg(record)
         with pytest.raises(MalformedGraph):
-            build_acfg(record)
+            build_acfg(columnar_record(record))
 
 
 @pytest.mark.parametrize(
     "edit, match",
     [
-        (lambda r: r["blocks"][0].pop("id"), "lacks 'id'"),
+        (lambda r: r["block_ids"].pop(), "2 block ids, 3 block sizes"),
         (lambda r: r.update(edges=[[0]]), "edges must be"),
-        (lambda r: r["blocks"][0].update(id="0"), "must be integers"),
-        (lambda r: r["blocks"][1]["insns"][0].update(addr=True), "must be integers"),
-        (lambda r: r["blocks"][1]["insns"][0].update(op=7), "opcodes must be strings"),
-        (lambda r: r["blocks"][1]["insns"][0].update(args="rax"), "args must be"),
+        (lambda r: r.update(block_ids=["0", 1, 2]), "must be integers"),
+        (lambda r: r.update(insn_addrs=[0, True, 8, 12]), "must be integers"),
+        (lambda r: r.update(insn_ops=["push", 7, "mov", "ret"]), "opcodes must be strings"),
+        (lambda r: r.update(insn_args=[[], "rax", [], []]), "args must be"),
         (lambda r: r.update(name=None), "name must be a string"),
         (lambda r: r.pop("edges"), "missing key 'edges'"),
+        (lambda r: r.update(block_sizes=[2, 1, 2]), "that sum to 5, 4 ops"),
+        (lambda r: r.update(block_sizes=[4, -1, 1]), "each >= 0"),
+        (lambda r: r["insn_addrs"].pop(), "3 addrs"),
+        (lambda r: r.update(insn_args={}), "columns must be lists"),
     ],
 )
 def test_build_acfg_rejects_bad_shapes(edit, match):

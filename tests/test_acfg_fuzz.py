@@ -1,6 +1,7 @@
 """Property tests: mutated function records never escape build_acfg, and
-it decides on them as the columnar parser it replaced did; mutated
-graph-file lines and pair records never escape a loaded corpus or
+it decides on them, converted to columns, as the frozen parsers of the
+layout of one object per instruction did; mutated graph-file lines and pair
+records never escape a loaded corpus or
 read_pairs, a mutated corpus manifest never escapes train's vocabulary
 path, damaged line tables never escape label's index build, and a cut or
 bit-flipped checkpoint never escapes load_checkpoint, as anything but a
@@ -21,7 +22,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cidetect.acfg import (  # noqa: E402
-    AttributedCFG, acfg_to_record, build_acfg, build_vocabulary
+    AttributedCFG, build_acfg, build_vocabulary
 )
 from cidetect.cli import build_index_from_corpus  # noqa: E402
 from cidetect.errors import (  # noqa: E402
@@ -37,11 +38,16 @@ from cidetect.synth import (  # noqa: E402
 )
 
 import oracles  # noqa: E402
+from helpers import COLUMNS, columnar_record, rehash_graph_file  # noqa: E402
 
 _CORPUS = generate_corpus(
     SynthConfig(n_projects=2, functions_per_project=4, call_density=2.0, seed=1)
 )
-BASE_RECORDS = [acfg_to_record(g) for _, g in sorted(_CORPUS.graphs.items())]
+# the records of the corpus in the layout of one object per instruction,
+# which the frozen parsers read
+BASE_RECORDS = [
+    oracles.acfg_to_object_record(g) for _, g in sorted(_CORPUS.graphs.items())
+]
 
 JUNK = st.one_of(
     st.none(),
@@ -154,6 +160,30 @@ def drop_args(record, data):
     del _pick(data, _insns(record))["args"]
 
 
+# mutations of a record of columns
+
+def resize_block(record, data):
+    sizes = record["block_sizes"]
+    sizes[data.draw(st.integers(0, len(sizes) - 1))] += data.draw(st.integers(-2, 2))
+
+
+def cut_column(record, data):
+    column = record[data.draw(st.sampled_from(COLUMNS))]
+    del column[data.draw(st.integers(0, len(column))):]
+
+
+def repeat_in_column(record, data):
+    """A value of a column written over another of the same column."""
+    column = record[data.draw(st.sampled_from(COLUMNS))]
+    column[data.draw(st.integers(0, len(column) - 1))] = _pick(data, column)
+
+
+COLUMN_MUTATIONS = [
+    drop_key, change_type, truncate_edges, resize_block, cut_column,
+    repeat_in_column,
+]
+
+
 def _mutated(base, mutations, data):
     record = copy.deepcopy(base)
     for mutate in mutations:
@@ -173,11 +203,17 @@ MUTATIONS = [
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(
     base=st.sampled_from(BASE_RECORDS),
-    mutations=st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3),
+    mutations=st.lists(st.sampled_from(MUTATIONS), max_size=3),
+    column_mutations=st.lists(st.sampled_from(COLUMN_MUTATIONS), max_size=3),
     data=st.data(),
 )
-def test_mutated_records_raise_only_cidetect_errors(base, mutations, data):
-    record = _mutated(base, mutations, data)
+def test_mutated_records_raise_only_cidetect_errors(
+    base, mutations, column_mutations, data
+):
+    """A record mutated in the layout of one object per instruction, then
+    converted to columns and mutated there."""
+    record = _mutated(columnar_record(_mutated(base, mutations, data)),
+                      column_mutations, data)
     try:
         graph = build_acfg(record)
     except CIDetectError:
@@ -227,12 +263,16 @@ def _outcome(build, record):
     data=st.data(),
 )
 def test_build_acfg_decides_as_the_frozen_columnar_parser(base, mutations, data):
-    """The one-pass parser raises MalformedGraph exactly when the columnar
-    parser before it does (tests/oracles.py), and otherwise builds an equal
-    graph with the same warnings."""
+    """The differential ingest oracle: build_acfg of the mutated record
+    converted to columns (helpers.columnar_record) raises MalformedGraph
+    exactly when the frozen parsers of the record's layout do, the
+    columnar one and the one-pass one build_acfg replaced
+    (tests/oracles.py), and otherwise builds an equal graph with the same
+    warnings."""
     record = _mutated(base, mutations, data)
     want = _outcome(oracles.columnar_build_acfg, copy.deepcopy(record))
-    assert _outcome(build_acfg, record) == want
+    assert _outcome(oracles.one_pass_build_acfg, copy.deepcopy(record)) == want
+    assert _outcome(build_acfg, columnar_record(record)) == want
     assert want[0] is MalformedGraph or isinstance(want[0], AttributedCFG)
 
 
@@ -246,7 +286,7 @@ def _record_line(record, data):
 
 def _spliced_line(line, data):
     """line with a run of bytes replaced by a few drawn ones, half the
-    time in the tail that holds the function name."""
+    time in its tail, which holds the function name."""
     if data.draw(st.booleans()):
         start = len(line) - data.draw(st.integers(0, min(len(line), 24)))
     else:
@@ -257,12 +297,14 @@ def _spliced_line(line, data):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
-    mutations=st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=2),
+    mutations=st.lists(st.sampled_from(COLUMN_MUTATIONS), min_size=1, max_size=2),
     spliced=st.booleans(),
     data=st.data(),
 )
 def test_mutated_graph_file_lines_raise_only_cidetect_errors(mutations, spliced, data):
-    """A corpus with one line changed, loaded and every graph built."""
+    """A corpus with one line changed and its manifest given the file's new
+    sha256, as if synth had written the line: loaded and every graph
+    built."""
     with tempfile.TemporaryDirectory() as directory:
         write_corpus(_CORPUS, directory)
         path = _pick(data, sorted(Path(directory, "graphs").rglob("*.jsonl")))
@@ -274,6 +316,7 @@ def test_mutated_graph_file_lines_raise_only_cidetect_errors(mutations, spliced,
             record = _mutated(json.loads(lines[i]), mutations, data)
             lines[i] = _record_line(record, data) + b"\n"
         path.write_bytes(b"".join(lines))
+        rehash_graph_file(path)
         try:
             graphs = load_corpus(directory).graphs
             built = {key: graphs[key] for key in graphs}
@@ -294,7 +337,23 @@ def _in_graph_files(mutate):
     return mutate_graph_files
 
 
-MANIFEST_MUTATIONS = [replace_field, _in_graph_files(drop_key), _in_graph_files(change_type)]
+def reorder_functions(graph_files, data):
+    """One binary's function names with one repeated over another, one
+    dropped, or all in another order."""
+    functions = graph_files[_pick(data, sorted(graph_files))]["functions"]
+    edit = data.draw(st.sampled_from(["repeat", "drop", "permute"]))
+    if edit == "repeat":
+        functions[data.draw(st.integers(0, len(functions) - 1))] = _pick(data, functions)
+    elif edit == "drop":
+        del functions[data.draw(st.integers(0, len(functions) - 1))]
+    else:
+        functions[:] = data.draw(st.permutations(functions))
+
+
+MANIFEST_MUTATIONS = [
+    replace_field, _in_graph_files(drop_key), _in_graph_files(change_type),
+    _in_graph_files(reorder_functions),
+]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -307,10 +366,11 @@ def test_mutated_manifest_graph_files_raise_only_cidetect_errors(
     mutations, changed_file, data
 ):
     """A corpus manifest with its format version, graph_files map, entries,
-    sha256 values or opcode counts dropped or replaced, and maybe a graph
-    file changed after synth: train's vocabulary path (load_corpus, the
-    summed counts with their hash check, build_vocabulary) may fail only
-    with a CIDetectError, and must fail on a changed file."""
+    function names, sha256 values or opcode counts dropped, replaced or
+    reordered, and maybe a graph file changed after synth: train's
+    vocabulary path (load_corpus, the summed counts with their hash check,
+    build_vocabulary), then building every graph, may fail only with a
+    CIDetectError, and must fail on a changed file."""
     with tempfile.TemporaryDirectory() as directory:
         write_corpus(_CORPUS, directory)
         path = Path(directory, "manifest.json")
@@ -328,10 +388,12 @@ def test_mutated_manifest_graph_files_raise_only_cidetect_errors(
             corpus = load_corpus(directory)
             counts = corpus.opcode_counts(corpus.project_ids())
             build_vocabulary(counts, 8)
+            built = {key: corpus.graphs[key] for key in corpus.graphs}
         except CIDetectError:
             return
     assert not changed_file
     assert all(type(n) is int and n > 0 for n in counts.values())
+    assert all(graph.function_name == key[2] for key, graph in built.items())
 
 
 BASE_PAIR_RECORDS = [

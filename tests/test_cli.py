@@ -16,6 +16,9 @@ from cidetect import acfg, cli, detector, evaluation, pairgen, synth
 from cidetect.cli import build_index_from_corpus, main
 from cidetect.errors import NumericError, ValidationError
 
+import oracles
+from helpers import rehash_graph_file
+
 _SYNTH_ARGS = [
     "--seed", "3", "--projects", "4", "--functions", "8",
     "--block-count", "2:4", "--block-size", "2:4",
@@ -343,7 +346,7 @@ def test_unknown_project_filter_fails(pipeline, tmp_path):
 
 
 def _drop_block_id(record):
-    del record["blocks"][0]["id"]
+    del record["block_ids"][0]
     return json.dumps(record)
 
 
@@ -375,6 +378,38 @@ def test_detect_malformed_record_names_file_and_line(
         ])
     assert rc == 2
     assert any(f"{query}:3:" in rec.getMessage() for rec in caplog.records)
+
+
+def test_detect_of_a_file_without_records_says_so(pipeline, tmp_path, caplog):
+    """A zero-byte --query holds no function for any name to pick."""
+    query = tmp_path / "query.jsonl"
+    query.write_bytes(b"")
+    target = pipeline["corpus"] / "graphs" / "inline" / "p000-inline.jsonl"
+    with caplog.at_level("ERROR", logger="cidetect.cli"):
+        rc = main([
+            "detect", "--bundle", str(pipeline["bundle"]), "--query", str(query),
+            "--target", str(target), "--target-name", "p000_f00",
+        ])
+    assert rc == 2
+    _assert_names(caplog, f"{query} holds no function record")
+
+
+def test_detect_refuses_a_record_of_instruction_objects(pipeline, tmp_path, caplog):
+    """A record of the layout before format version 3 exits 2 naming
+    path:line and the layout of columns it should have."""
+    source = pipeline["corpus"] / "graphs" / "noinline" / "p000-noinline.jsonl"
+    record = json.loads(source.read_text().splitlines()[0])
+    query = tmp_path / "query.jsonl"
+    graph = acfg.build_acfg(record)
+    query.write_text(json.dumps(oracles.acfg_to_object_record(graph)) + "\n")
+    with caplog.at_level("ERROR", logger="cidetect.cli"):
+        rc = main([
+            "detect", "--bundle", str(pipeline["bundle"]), "--query", str(query),
+            "--target", str(source), "--target-name", record["name"],
+        ])
+    assert rc == 2
+    _assert_names(caplog, f"{query}:1: MalformedGraph: bad record: instruction objects")
+    _assert_names(caplog, "as the columns block_ids, block_sizes, insn_ops")
 
 
 def test_label_logs_unresolved_rows_as_counts(tmp_path, caplog):
@@ -963,6 +998,10 @@ def _graph_file_entry(payload):
 
 _CORPUS_MANIFEST_EDITS = {
     "format-version-1": lambda payload: payload.update(format_version=1),
+    "format-version-2": lambda payload: payload.update(format_version=2),
+    "functions-repeating-a-name": lambda payload: _graph_file_entry(payload)[
+        "functions"
+    ].append(_graph_file_entry(payload)["functions"][0]),
     "binary-without-graph-files-entry":
         lambda payload: payload["graph_files"].pop("p001-inline"),
     "sha256-in-upper-case": lambda payload: _graph_file_entry(payload).update(
@@ -996,9 +1035,9 @@ def _corpus_command(pipeline, corpus, command, tmp_path):
 def test_corpus_manifest_without_good_graph_files_names_it(
     pipeline, tmp_path, caplog, edit, command
 ):
-    """A corpus manifest of format version 1, or one whose graph_files lack
-    an entry or hold a bad sha256 or count, exits 2 naming manifest.json
-    before any work."""
+    """A corpus manifest of format version 1 or 2, or one whose graph_files
+    lack an entry, repeat a function name or hold a bad sha256 or count,
+    exits 2 naming manifest.json before any work."""
     corpus = tmp_path / "corpus"
     shutil.copytree(pipeline["corpus"], corpus)
     manifest = corpus / "manifest.json"
@@ -1011,27 +1050,87 @@ def test_corpus_manifest_without_good_graph_files_names_it(
     assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus"]
 
 
-def test_train_refuses_a_graph_file_changed_after_synth(pipeline, tmp_path, caplog):
-    """A training-split graph file edited after synth, still valid JSON with
-    one opcode changed, no longer matches the counts the manifest records:
-    train exits 2 naming the file and creates no bundle."""
+def _graph_file_read_by(command, pipeline, corpus):
+    """A graph file of corpus that the command reads: for train, an inline
+    binary of its first training project; for pairs and eval, the file of
+    the first query of the pipeline's pair file, which pairs draws again."""
+    if command == "train":
+        loaded = synth.load_corpus(corpus)
+        split = pairgen.split_projects(loaded.project_ids(), [3, cli._SEED_VOCAB_SPLIT])
+        binary_id = synth.binary_ids(loaded.manifest, split.train[:1], "inline").pop()
+        return synth.graph_file(corpus, "inline", binary_id)
+    record = json.loads(pipeline["pairs"].read_text().splitlines()[0])
+    dataset, binary_id, _ = record["query_ref"]
+    return synth.graph_file(corpus, dataset, binary_id)
+
+
+def _run_corpus_command(pipeline, corpus, command, tmp_path):
+    """The command on corpus, writing under tmp_path/out; its exit code."""
+    out = tmp_path / "out"
+    if command == "eval":
+        return main([
+            "eval", "--bundle", str(pipeline["bundle"]), "--corpus", str(corpus),
+            "--pairs", str(pipeline["pairs"]), "--out", str(out),
+        ])
+    if command == "pairs":
+        return main(_pairs_argv(corpus, pipeline["index"], out))
+    return _train(pipeline, "leaf", out, "--corpus", str(corpus))
+
+
+@pytest.mark.parametrize("command", ["pairs", "train", "eval"])
+def test_a_corpus_command_refuses_a_graph_file_changed_after_synth(
+    pipeline, tmp_path, caplog, command
+):
+    """A graph file the command reads, edited after synth, still valid
+    JSON with one opcode changed, no longer has the sha256 the manifest
+    records: the command exits 2 naming the file and writes nothing."""
     corpus = tmp_path / "corpus"
     shutil.copytree(pipeline["corpus"], corpus)
-    loaded = synth.load_corpus(corpus)
-    split = pairgen.split_projects(loaded.project_ids(), [3, cli._SEED_VOCAB_SPLIT])
-    binary_id = synth.binary_ids(loaded.manifest, split.train[:1], "inline").pop()
-    path = synth.graph_file(corpus, "inline", binary_id)
+    path = _graph_file_read_by(command, pipeline, corpus)
     lines = path.read_text().splitlines()
     record = json.loads(lines[-1])
-    insn = record["blocks"][-1]["insns"][0]
-    insn["op"] = "nop" if insn["op"] != "nop" else "mov"
+    ops = record["insn_ops"]
+    ops[0] = "nop" if ops[0] != "nop" else "mov"
     lines[-1] = json.dumps(record, sort_keys=True)
     path.write_text("\n".join(lines) + "\n")
-    bundle = tmp_path / "bundle"
     with caplog.at_level("ERROR", logger="cidetect.cli"):
-        assert _train(pipeline, "leaf", bundle, "--corpus", str(corpus)) == 2
+        assert _run_corpus_command(pipeline, corpus, command, tmp_path) == 2
     _assert_names(caplog, f"{path}: sha256")
-    assert not bundle.exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["pairs", "train", "eval"])
+def test_a_functions_list_of_another_line_count_names_the_graph_file(
+    pipeline, tmp_path, caplog, command
+):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    path = _graph_file_read_by(command, pipeline, corpus)
+    lines = path.read_text().splitlines()
+    rehash_graph_file(path, [json.loads(line)["name"] for line in lines] + ["extra"])
+    with caplog.at_level("ERROR", logger="cidetect.cli"):
+        assert _run_corpus_command(pipeline, corpus, command, tmp_path) == 2
+    _assert_names(caplog, f"{path}: holds {len(lines)} lines, but manifest.json lists")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["pairs", "train", "eval"])
+def test_a_corpus_command_reads_each_graph_file_in_full_at_most_once(
+    pipeline, tmp_path, monkeypatch, command
+):
+    """train checks its training files for the vocabulary and reads its
+    graphs from them later; each command reads a file whole once, to check
+    its sha256, and any line of it again only on its own."""
+    reads = []
+    line_starts = synth.graph_file_line_starts
+
+    def counting(path, sha256):
+        reads.append(path)
+        return line_starts(path, sha256)
+
+    monkeypatch.setattr(synth, "graph_file_line_starts", counting)
+    assert _run_corpus_command(pipeline, pipeline["corpus"], command, tmp_path) == 0
+    assert reads and len(set(reads)) == len(reads)
 
 
 @pytest.mark.parametrize(
@@ -1268,7 +1367,9 @@ def test_pairs_with_a_ref_the_corpus_lacks_fails(pipeline, tmp_path, caplog):
     built: a query function missing from its graph file exits 2."""
     corpus = tmp_path / "corpus"
     shutil.copytree(pipeline["corpus"], corpus)
-    (corpus / "graphs" / "noinline" / "p000-noinline.jsonl").write_text("")
+    path = corpus / "graphs" / "noinline" / "p000-noinline.jsonl"
+    path.write_text("")
+    rehash_graph_file(path, [])
     argv = _pairs_argv(corpus, pipeline["index"], tmp_path / "p.jsonl")
     with caplog.at_level("ERROR", logger="cidetect.cli"):
         assert main(argv + ["--projects", "p000"]) == 2
@@ -1276,9 +1377,9 @@ def test_pairs_with_a_ref_the_corpus_lacks_fails(pipeline, tmp_path, caplog):
 
 
 def _corpus_with_bad_record(pipeline, tmp_path, named):
-    """A copy of the corpus where one record, valid JSON, lacks a block id:
-    a ref the pipeline's pair file names, or one it does not. Returns the
-    corpus and the record's path:line."""
+    """A copy of the corpus where one record, valid JSON, lacks a block id,
+    as if synth had written it so: a ref the pipeline's pair file names, or
+    one it does not. Returns the corpus and the record's path:line."""
     refs = _pair_refs(pipeline["pairs"])
     corpus = tmp_path / "corpus"
     shutil.copytree(pipeline["corpus"], corpus)
@@ -1290,6 +1391,7 @@ def _corpus_with_bad_record(pipeline, tmp_path, named):
                 if ((dataset, path.stem, record["name"]) in refs) == named:
                     lines[lineno - 1] = _drop_block_id(record)
                     path.write_text("\n".join(lines) + "\n")
+                    rehash_graph_file(path)
                     return corpus, f"{path}:{lineno}:"
     raise AssertionError("no record to spoil")
 
@@ -1316,7 +1418,7 @@ def test_eval_of_a_pair_naming_a_bad_record_names_file_and_line(
         ])
     assert rc == 2
     _assert_names(caplog, place)
-    _assert_names(caplog, "lacks 'id'")
+    _assert_names(caplog, "columns that do not line up")
 
 
 def test_label_warns_of_rows_of_binaries_the_manifest_does_not_list(

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from cidetect.acfg import AttributedCFG, build_vocabulary, count_opcodes
-from cidetect.errors import GraphFileChanged, MalformedGraph, PatternStarvation, SiteNotFound
+from cidetect.errors import (
+    GraphFileChanged, MalformedGraph, PatternStarvation, SiteNotFound, ValidationError
+)
 from cidetect.labeling import Pattern
 from cidetect.pairgen import split_projects
 from cidetect.synth import (
@@ -29,7 +31,9 @@ from cidetect.synth import (
 
 from cidetect import synth as synth_module
 
-from helpers import DIFFERENTIAL_CONFIGS, OPCODE_POOL, call_pair, make_block
+from helpers import (
+    DIFFERENTIAL_CONFIGS, OPCODE_POOL, call_pair, make_block, rehash_graph_file
+)
 
 
 def test_synth_config_validation():
@@ -482,78 +486,105 @@ def test_load_corpus_builds_each_graph_on_first_access(tmp_path, monkeypatch):
 def test_load_corpus_indexes_a_line_of_unsorted_keys_by_full_parse(
     tmp_path, monkeypatch
 ):
-    """Only a line that does not end in its name is parsed whole to index
-    it; the graph built from it is the same."""
+    """A line is found by its position, whatever the order of its keys and
+    its line ending: load_corpus parses no line, and the graph built from
+    the whole line is the same."""
     corpus, path, lines = _written_corpus(tmp_path)
     record = json.loads(lines[1])
     name = record.pop("name")
     lines[1] = json.dumps({"name": name, **record})
     path.write_text("\r\n".join(lines) + "\r\n")
+    rehash_graph_file(path)
     parsed = _count_calls(monkeypatch, "parse_record")
     loaded = load_corpus(tmp_path / "corpus")
-    assert len(parsed) == 1 and json.loads(parsed[0][0])["name"] == name
+    assert parsed == []
     key = ("noinline", "p000-noinline", name)
     assert loaded.graphs[key] == corpus.graphs[key]
+    assert len(parsed) == 1 and json.loads(parsed[0][0])["name"] == name
     assert loaded.graphs == corpus.graphs
 
 
-def test_load_corpus_reads_an_escaped_name_from_the_line_tail(tmp_path):
+def test_corpus_graph_of_an_escaped_name_is_found_by_its_manifest_line(tmp_path):
     corpus, path, lines = _written_corpus(tmp_path)
     record = json.loads(lines[0])
     record["name"] = 'q"\\u00e9}"name": "x'
     lines[0] = json.dumps(record, sort_keys=True)
     path.write_text("\n".join(lines) + "\n")
+    functions = [json.loads(line)["name"] for line in lines]
+    rehash_graph_file(path, functions)
     loaded = load_corpus(tmp_path / "corpus")
     graph = loaded.graphs[("noinline", "p000-noinline", record["name"])]
     assert graph.function_name == record["name"]
 
 
-def test_load_corpus_keeps_the_later_line_of_a_repeated_name(tmp_path):
-    corpus, path, lines = _written_corpus(tmp_path)
-    first, second = (json.loads(line) for line in lines[:2])
-    later = corpus.graphs[("noinline", "p000-noinline", second["name"])]
-    second["name"] = first["name"]
-    path.write_text("\n".join([lines[0], json.dumps(second, sort_keys=True)]) + "\n")
-    loaded = load_corpus(tmp_path / "corpus")
-    graph = loaded.graphs[("noinline", "p000-noinline", first["name"])]
-    assert graph.nodes == later.nodes
+def test_corpus_manifest_refuses_a_repeated_function_name(tmp_path):
+    _, path, lines = _written_corpus(tmp_path)
+    first, second = (json.loads(line)["name"] for line in lines[:2])
+    functions = [json.loads(line)["name"] for line in lines]
+    functions[1] = first
+    rehash_graph_file(path, functions)
+    manifest = tmp_path / "corpus" / "manifest.json"
+    with pytest.raises(ValidationError, match=re.escape(f"['{first}'] more than once")) as exc:
+        load_corpus(tmp_path / "corpus")
+    assert str(exc.value).startswith(f"{manifest}: bad graph_files")
 
 
 @pytest.mark.parametrize(
     "line, found",
-    [("{not json", "JSONDecodeError"), ('{"blocks": []}', "KeyError: 'name'"),
-     ('{"name": 5}', "name must be a string"), ("[1, 2]", "TypeError")],
+    [("{not json", "JSONDecodeError"), ('{"edges": []}', "missing key 'name'"),
+     (None, "name must be a string"), ("[1, 2]", "not a JSON object")],
     ids=["not-json", "no-name", "name-not-a-string", "not-an-object"],
 )
 def test_load_corpus_fails_on_a_line_it_cannot_name(tmp_path, line, found):
-    _, path, lines = _written_corpus(tmp_path)
-    path.write_text("\n".join([lines[0], "", line]) + "\n")
+    """The manifest names the function of line 3, but the line itself does
+    not: building that graph fails naming path:3, and the other lines still
+    build."""
+    corpus, path, lines = _written_corpus(tmp_path)
+    name = json.loads(lines[2])["name"]
+    if line is None:
+        line = json.dumps({**json.loads(lines[2]), "name": 5}, sort_keys=True)
+    path.write_text("\n".join([*lines[:2], line, *lines[3:]]) + "\n")
+    rehash_graph_file(path)
+    loaded = load_corpus(tmp_path / "corpus")
     with pytest.raises(MalformedGraph, match=found) as exc:
-        load_corpus(tmp_path / "corpus")
+        loaded.graphs[("noinline", "p000-noinline", name)]
     assert f"{path}:3: " in str(exc.value)
+    key = ("noinline", "p000-noinline", json.loads(lines[3])["name"])
+    assert loaded.graphs[key] == corpus.graphs[key]
 
 
 def test_corpus_graph_of_a_bad_record_fails_on_access_naming_its_line(tmp_path):
     _, path, lines = _written_corpus(tmp_path)
     record = json.loads(lines[1])
-    del record["blocks"][0]["id"]
+    del record["block_ids"][0]
     lines[1] = json.dumps(record, sort_keys=True)
     path.write_text("\n".join(lines) + "\n")
+    rehash_graph_file(path)
     loaded = load_corpus(tmp_path / "corpus")
     loaded.graphs[("noinline", "p000-noinline", json.loads(lines[0])["name"])]
-    with pytest.raises(MalformedGraph, match="lacks 'id'") as exc:
+    with pytest.raises(MalformedGraph, match="columns that do not line up") as exc:
         loaded.graphs[("noinline", "p000-noinline", record["name"])]
     assert f"{path}:2: " in str(exc.value)
 
 
-def test_corpus_graph_of_a_file_changed_since_the_scan_fails(tmp_path):
+def test_corpus_graph_of_a_file_changed_after_synth_fails(tmp_path):
+    """Its first read checks the file's sha256; a line read after that
+    must still hold the function the manifest lists there."""
     _, path, lines = _written_corpus(tmp_path)
-    loaded = load_corpus(tmp_path / "corpus")
-    path.write_text("\n".join([lines[1], lines[0]] + lines[2:]) + "\n")
     name = json.loads(lines[0])["name"]
-    with pytest.raises(MalformedGraph, match="not the indexed") as exc:
+    renamed = name[:-2] + "99"  # of the same length, so no line moves
+    edited = "\n".join([lines[0].replace(f'"{name}"', f'"{renamed}"')] + lines[1:]) + "\n"
+    loaded = load_corpus(tmp_path / "corpus")
+    path.write_text(edited)
+    with pytest.raises(GraphFileChanged, match=f"^{re.escape(str(path))}: sha256"):
         loaded.graphs[("noinline", "p000-noinline", name)]
-    assert f"{path}:1: " in str(exc.value)
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load_corpus(tmp_path / "corpus")
+    loaded.graphs[("noinline", "p000-noinline", json.loads(lines[2])["name"])]
+    path.write_text(edited)  # after the file was read and checked
+    with pytest.raises(MalformedGraph, match=f"not {name!r}, the function") as exc:
+        loaded.graphs[("noinline", "p000-noinline", name)]
+    assert f"{path}:1: holds {renamed!r}" in str(exc.value)
 
 
 def test_write_corpus_deterministic(tmp_path):
@@ -615,8 +646,8 @@ def test_vocabulary_of_summed_counts_equals_vocabulary_of_graphs(
 def test_opcode_counts_refuse_a_graph_file_changed_after_synth(tmp_path):
     corpus, path, lines = _written_corpus(tmp_path)
     record = json.loads(lines[0])
-    insn = record["blocks"][0]["insns"][0]
-    insn["op"] = "nop" if insn["op"] != "nop" else "mov"
+    ops = record["insn_ops"]
+    ops[0] = "nop" if ops[0] != "nop" else "mov"
     lines[0] = json.dumps(record, sort_keys=True)
     path.write_text("\n".join(lines) + "\n")
     loaded = load_corpus(tmp_path / "corpus")
