@@ -5,11 +5,12 @@ directed edges for control flow, a single entry block. Node features are
 opcode count vectors over a corpus-level vocabulary with a trailing
 out-of-vocabulary slot.
 
-A basic block is columnar: three equal-length tuples hold, per instruction,
-its lowercased opcode, its address and its operand tuple. There is no object
-per instruction; the model reads only the opcode column and the edges. A
-function record, the JSON form of a graph, holds the same columns over all
-its blocks at once, with each block's size (build_acfg, acfg_to_record).
+A graph is columnar, in memory as in its JSON record: one column of block
+ids and one of block sizes, and one column each of lowercased opcodes,
+addresses and operand tuples over all the function's instructions, block i
+owning the next block_sizes[i] of them. There is no object per block or per
+instruction; the model reads only the opcode column, the block sizes and
+the edges. build_acfg reads a record and acfg_to_record writes one.
 
 The toolkit reads its JSON files here, with read_records (JSONL: graphs,
 pairs, scores) or read_json (one object per file); a bad one raises an
@@ -26,10 +27,10 @@ import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import accumulate, chain
-from operator import attrgetter, itemgetter, lt
+from itertools import accumulate, chain, repeat
+from operator import itemgetter, lt
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -40,50 +41,53 @@ T = TypeVar("T")
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True, slots=True)
-class BasicBlock:
-    """One block as columns: instruction i is (opcodes[i], addresses[i],
-    operands[i])."""
-
-    id: int
-    opcodes: tuple[str, ...]
-    addresses: tuple[int, ...]
-    operands: tuple[tuple[str, ...], ...]
-
-
 @dataclass(frozen=True)
 class AttributedCFG:
-    """Immutable function graph. Nodes are stored sorted by block id."""
+    """Immutable function graph, blocks sorted by id. Block i owns the next
+    block_sizes[i] entries of the instruction columns: instruction j is
+    (insn_ops[j], insn_addrs[j], insn_args[j])."""
 
     function_name: str
-    nodes: tuple[BasicBlock, ...]
+    block_ids: tuple[int, ...]
+    block_sizes: tuple[int, ...]
+    insn_ops: tuple[str, ...]
+    insn_addrs: tuple[int, ...]
+    insn_args: tuple[tuple[str, ...], ...]
     edges: tuple[tuple[int, int], ...]
     entry: int
 
     @cached_property
     def node_index(self) -> dict[int, int]:
-        return {block.id: pos for pos, block in enumerate(self.nodes)}
-
-    def block(self, block_id: int) -> BasicBlock:
-        return self.nodes[self.node_index[block_id]]
-
-    @property
-    def node_ids(self) -> tuple[int, ...]:
-        return tuple(block.id for block in self.nodes)
+        return {block_id: pos for pos, block_id in enumerate(self.block_ids)}
 
     @property
     def instruction_count(self) -> int:
-        return sum(len(block.opcodes) for block in self.nodes)
+        return len(self.insn_ops)
 
     def validate(self) -> None:
         """Raise MalformedGraph unless every structural invariant holds."""
-        ids = self.node_ids
+        _check_columns(self)
+        ids = self.block_ids
         _check_topology(self.function_name, ids, self.edges, self.entry)
-        _check_blocks(self.function_name, self.nodes)
+        _check_blocks(self)
         if _reachable(set(ids), self.edges, self.entry) != set(ids):
             raise MalformedGraph(
                 f"{self.function_name!r}: unreachable blocks present"
             )
+
+
+def _check_columns(graph: AttributedCFG) -> None:
+    """One size per block id, one opcode, address and operand tuple per
+    instruction, and sizes >= 0 that sum to the instruction count."""
+    ids, sizes, n = graph.block_ids, graph.block_sizes, len(graph.insn_ops)
+    addrs, args = graph.insn_addrs, graph.insn_args
+    if not (len(sizes) == len(ids) and len(addrs) == len(args) == n == sum(sizes)
+            and min(sizes, default=0) >= 0):
+        raise MalformedGraph(
+            f"{graph.function_name!r}: columns that do not line up: "
+            f"{len(ids)} block ids, {len(sizes)} block sizes (each >= 0) that "
+            f"sum to {sum(sizes)}, {n} ops, {len(addrs)} addrs and {len(args)} args"
+        )
 
 
 def _check_topology(
@@ -107,29 +111,25 @@ def _check_topology(
             raise MalformedGraph(f"{name!r}: dangling edge ({src}, {dst})")
 
 
-def _check_blocks(name: str, blocks: Iterable[BasicBlock]) -> None:
-    """Non-empty equal-length columns, no empty opcode, addresses strictly
-    increasing within a block and unique within the function."""
-    all_addrs: list[int] = []
-    for block in blocks:
-        n = len(block.opcodes)
-        if not n:
-            raise MalformedGraph(f"{name!r}: block {block.id} is empty")
-        if len(block.addresses) != n or len(block.operands) != n:
+def _check_blocks(graph: AttributedCFG) -> None:
+    """No empty block or opcode, addresses strictly increasing within a
+    block and unique within the function; the first defect in block order
+    is the one named."""
+    name, ops, addrs = graph.function_name, graph.insn_ops, graph.insn_addrs
+    bounds = list(accumulate(graph.block_sizes, initial=0))
+    for block_id, start, stop in zip(graph.block_ids, bounds, bounds[1:]):
+        if start == stop:
+            raise MalformedGraph(f"{name!r}: block {block_id} is empty")
+        if "" in ops[start:stop]:
+            raise MalformedGraph(f"{name!r}: empty opcode in block {block_id}")
+        block_addrs = addrs[start:stop]
+        if not all(map(lt, block_addrs, block_addrs[1:])):
             raise MalformedGraph(
-                f"{name!r}: block {block.id} has columns of unequal length"
+                f"{name!r}: addresses not strictly increasing in block {block_id}"
             )
-        if "" in block.opcodes:
-            raise MalformedGraph(f"{name!r}: empty opcode in block {block.id}")
-        addrs = block.addresses
-        if not all(map(lt, addrs, addrs[1:])):
-            raise MalformedGraph(
-                f"{name!r}: addresses not strictly increasing in block {block.id}"
-            )
-        all_addrs.extend(addrs)
-    if len(set(all_addrs)) != len(all_addrs):
+    if len(set(addrs)) != len(addrs):
         seen: set[int] = set()
-        dup = next(a for a in all_addrs if a in seen or seen.add(a))
+        dup = next(a for a in addrs if a in seen or seen.add(a))
         raise MalformedGraph(f"{name!r}: duplicate address {dup:#x}")
 
 
@@ -156,8 +156,6 @@ def _only(values: Iterable, *kinds: type) -> bool:
     return set(map(type, values)) <= set(kinds)
 
 
-_OPCODES = attrgetter("opcodes")
-
 # in the order a missing key is reported, the name first
 _RECORD_KEYS = ("name", "entry", "edges", "block_ids", "block_sizes",
                 "insn_ops", "insn_addrs", "insn_args")
@@ -180,8 +178,9 @@ def build_acfg(record: dict) -> AttributedCFG:
     instruction under "blocks", is refused naming the layout expected.
 
     A record whose block ids and addresses both strictly increase, as synth
-    writes them, holds every per-block invariant at once. Any other record
-    is checked block by block, by the rules validate() applies.
+    writes them, holds every per-block invariant at once and is kept as it
+    is. Any other record is reordered by block id and checked block by
+    block, by the rules validate() applies.
     """
     try:
         name, entry, raw_edges, ids, sizes, ops, addrs, args = _RECORD(record)
@@ -220,62 +219,73 @@ def build_acfg(record: dict) -> AttributedCFG:
         raise MalformedGraph(f"{name!r}: opcodes must be strings")
     if not (_only(args, list, tuple) and _only(chain.from_iterable(args), str)):
         raise MalformedGraph(f"{name!r}: args must be lists of strings")
-    n = len(ops)
-    if not (len(sizes) == len(ids) and len(addrs) == len(args) == n == sum(sizes)
-            and min(sizes) >= 0):
-        raise MalformedGraph(
-            f"{name!r}: columns that do not line up: {len(ids)} block ids, "
-            f"{len(sizes)} block sizes (each >= 0) that sum to {sum(sizes)}, "
-            f"{n} ops, {len(addrs)} addrs and {len(args)} args"
-        )
-
-    lowered = tuple(map(str.lower, ops))
-    addrs = tuple(addrs)
-    operands = tuple(map(tuple, args))
-    bounds = list(accumulate(sizes, initial=0))
-    blocks = [
-        BasicBlock(id_, lowered[start:stop], addrs[start:stop], operands[start:stop])
-        for id_, start, stop in zip(ids, bounds, bounds[1:])
-    ]
+    graph = AttributedCFG(
+        function_name=name,
+        block_ids=tuple(ids),
+        block_sizes=tuple(sizes),
+        insn_ops=tuple(map(str.lower, ops)),
+        insn_addrs=tuple(addrs),
+        insn_args=tuple(map(tuple, args)),
+        edges=tuple(sorted(edge_set)),
+        entry=entry,
+    )
+    _check_columns(graph)
     id_set = set(ids)
-    edges = sorted(edge_set)
     if not (
         all(map(lt, ids, ids[1:]))
         and all(map(lt, addrs, addrs[1:]))
         and all(sizes)
         and "" not in ops
         and entry in id_set
-        and id_set.issuperset(chain.from_iterable(edges))
+        and id_set.issuperset(chain.from_iterable(edge_set))
     ):
-        # the rules of validate(), which name the first defect in id order
-        blocks.sort(key=attrgetter("id"))
-        _check_topology(name, tuple(block.id for block in blocks), edges, entry)
-        _check_blocks(name, blocks)
-    keep = _reachable(id_set, edges, entry)
-    if len(keep) < len(blocks):
+        # the rules of validate(), which name the first defect in id order;
+        # the topology check sees the dangling edges that _subgraph drops
+        edges = graph.edges
+        graph = _subgraph(graph, sorted(range(len(ids)), key=ids.__getitem__))
+        _check_topology(name, graph.block_ids, edges, entry)
+        _check_blocks(graph)
+    keep = _reachable(id_set, graph.edges, entry)
+    if len(keep) < len(id_set):
         logger.warning(
-            "%s: dropped %d unreachable block(s)", name, len(blocks) - len(keep)
+            "%s: dropped %d unreachable block(s)", name, len(id_set) - len(keep)
         )
-        blocks = [block for block in blocks if block.id in keep]
-        edges = [e for e in edges if e[0] in keep and e[1] in keep]
+        graph = _subgraph(
+            graph, [pos for pos, id_ in enumerate(graph.block_ids) if id_ in keep]
+        )
     # every invariant validate() checks holds by construction from here
-    return AttributedCFG(
-        function_name=name, nodes=tuple(blocks), edges=tuple(edges), entry=entry
+    return graph
+
+
+def _subgraph(graph: AttributedCFG, positions: Sequence[int]) -> AttributedCFG:
+    """The blocks of graph at the given positions, in that order, with
+    their instructions and the edges between them."""
+    bounds = list(accumulate(graph.block_sizes, initial=0))
+    insns = [j for pos in positions for j in range(bounds[pos], bounds[pos + 1])]
+    ids = [graph.block_ids[pos] for pos in positions]
+    kept = set(ids)
+    return replace(
+        graph,
+        block_ids=tuple(ids),
+        block_sizes=tuple(graph.block_sizes[pos] for pos in positions),
+        insn_ops=tuple(graph.insn_ops[j] for j in insns),
+        insn_addrs=tuple(graph.insn_addrs[j] for j in insns),
+        insn_args=tuple(graph.insn_args[j] for j in insns),
+        edges=tuple(e for e in graph.edges if e[0] in kept and e[1] in kept),
     )
 
 
 def acfg_to_record(graph: AttributedCFG) -> dict:
     """The function record of graph, in the layout build_acfg reads."""
-    nodes = graph.nodes
     return {
         "name": graph.function_name,
         "entry": graph.entry,
         "edges": [list(e) for e in graph.edges],
-        "block_ids": [block.id for block in nodes],
-        "block_sizes": [len(block.opcodes) for block in nodes],
-        "insn_ops": [op for block in nodes for op in block.opcodes],
-        "insn_addrs": [addr for block in nodes for addr in block.addresses],
-        "insn_args": [list(args) for block in nodes for args in block.operands],
+        "block_ids": list(graph.block_ids),
+        "block_sizes": list(graph.block_sizes),
+        "insn_ops": list(graph.insn_ops),
+        "insn_addrs": list(graph.insn_addrs),
+        "insn_args": [list(args) for args in graph.insn_args],
     }
 
 
@@ -413,12 +423,10 @@ class OpcodeVocabulary:
 
 
 def count_opcodes(graphs: Iterable[AttributedCFG]) -> Counter[str]:
-    """How often each opcode occurs in the graphs' blocks: the one counting
-    rule of the vocabulary, whether the counts come from graphs in memory or
-    from the corpus manifest that synth wrote from them."""
-    return Counter(
-        chain.from_iterable(block.opcodes for graph in graphs for block in graph.nodes)
-    )
+    """How often each opcode occurs in the graphs: the one counting rule of
+    the vocabulary, whether the counts come from graphs in memory or from
+    the corpus manifest that synth wrote from them."""
+    return Counter(chain.from_iterable(graph.insn_ops for graph in graphs))
 
 
 def build_vocabulary(counts: Mapping[str, int], max_size: int) -> OpcodeVocabulary:
@@ -440,15 +448,13 @@ def featurize_graph(graph: AttributedCFG, vocab: OpcodeVocabulary) -> np.ndarray
     dim = vocab.feature_dim
     slot = vocab.index.get
     unk = vocab.unk_index
-    n = len(graph.nodes)
-    # each opcode's slot in the flattened matrix: its row's offset plus its
-    # vocabulary slot
-    flat = [
-        offset + slot(op, unk)
-        for offset, opcodes in zip(range(0, n * dim, dim), map(_OPCODES, graph.nodes))
-        for op in opcodes
-    ]
-    counts = np.bincount(np.asarray(flat, dtype=np.intp), minlength=n * dim)
+    n = len(graph.block_ids)
+    ops = graph.insn_ops
+    # each opcode's slot in the flattened matrix: its block's row offset
+    # plus its vocabulary slot
+    flat = np.arange(0, n * dim, dim).repeat(graph.block_sizes)
+    flat += np.fromiter(map(slot, ops, repeat(unk)), dtype=np.intp, count=len(ops))
+    counts = np.bincount(flat, minlength=n * dim)
     return counts.reshape(n, dim).astype(np.float64)
 
 

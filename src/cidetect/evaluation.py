@@ -10,13 +10,14 @@ A report on rows of a single label has no AUC (None, shown as n/a).
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Mapping, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from .acfg import write_json
+from .acfg import write_atomic, write_json
 from .errors import DegenerateLabels
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -164,23 +165,26 @@ def threshold_sweep(scores: Sequence[Scored], grid: Sequence[float]) -> SweepRes
 
 
 def write_sweep_csv(sweep: SweepResult, path: Path | str) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
+    """The sweep as CSV, its rows ended by \\r\\n, written through
+    write_atomic."""
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle)
+    writer.writerow(
+        ["threshold", "accuracy", "precision", "recall", "f1", "auc", "best"]
+    )
+    for i, report in enumerate(sweep.reports):
         writer.writerow(
-            ["threshold", "accuracy", "precision", "recall", "f1", "auc", "best"]
+            [
+                f"{report.threshold:.6g}",
+                f"{report.accuracy:.6f}",
+                f"{report.precision:.6f}",
+                f"{report.recall:.6f}",
+                f"{report.f1:.6f}",
+                _format_auc(report.auc, 6),
+                int(i == sweep.best_index),
+            ]
         )
-        for i, report in enumerate(sweep.reports):
-            writer.writerow(
-                [
-                    f"{report.threshold:.6g}",
-                    f"{report.accuracy:.6f}",
-                    f"{report.precision:.6f}",
-                    f"{report.recall:.6f}",
-                    f"{report.f1:.6f}",
-                    _format_auc(report.auc, 6),
-                    int(i == sweep.best_index),
-                ]
-            )
+    write_atomic(path, handle.getvalue().encode("utf-8"))
 
 
 def reports_from_scores(

@@ -264,9 +264,9 @@ class PreparedGraph:
 def prepare_graph(
     graph: AttributedCFG, vocab: OpcodeVocabulary, config: ModelConfig
 ) -> PreparedGraph:
-    if len(graph.nodes) > config.max_nodes:
+    if len(graph.block_ids) > config.max_nodes:
         raise GraphTooLarge(
-            f"{len(graph.nodes)} nodes exceeds the cap of {config.max_nodes}"
+            f"{len(graph.block_ids)} nodes exceeds the cap of {config.max_nodes}"
         )
     features = featurize_graph(graph, vocab)
     if features.shape[1] != config.feature_dim:

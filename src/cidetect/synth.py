@@ -23,11 +23,11 @@ import numpy as np
 
 from .acfg import (
     AttributedCFG,
-    BasicBlock,
     build_acfg,
     count_opcodes,
     parse_record,
     read_json,
+    write_atomic,
     write_function_records,
     write_json,
 )
@@ -127,9 +127,9 @@ def opcode_alphabet(config: SynthConfig) -> tuple[str, ...]:
     return tuple(pool[:n])
 
 
-# Provenance: per-node tuples of per-instruction tags. The generator tags
-# every instruction with (source function, source line).
-Prov = dict[int, tuple]
+# Provenance: one tag per instruction, in the graph's column order. The
+# generator tags every instruction with (source function, source line).
+Prov = tuple
 
 
 @dataclass(frozen=True)
@@ -160,29 +160,21 @@ def _materialize(
     edges: set[tuple[int, int]],
 ) -> tuple[AttributedCFG, Prov, int]:
     """Turn opcode lists into a validated graph with addresses and lines."""
-    nodes = []
-    prov: Prov = {}
-    cursor = 0
-    for block_id, ops in enumerate(block_ops):
-        span = range(cursor, cursor + len(ops))
-        nodes.append(
-            BasicBlock(
-                id=block_id,
-                opcodes=tuple(op for op, _ in ops),
-                addresses=tuple(range(4 * span.start, 4 * span.stop, 4)),
-                operands=tuple(args for _, args in ops),
-            )
-        )
-        prov[block_id] = tuple((name, line_start + i) for i in span)
-        cursor += len(ops)
+    insns = [insn for ops in block_ops for insn in ops]
+    n = len(insns)
     graph = AttributedCFG(
         function_name=name,
-        nodes=tuple(nodes),
+        block_ids=tuple(range(len(block_ops))),
+        block_sizes=tuple(map(len, block_ops)),
+        insn_ops=tuple(op for op, _ in insns),
+        insn_addrs=tuple(range(0, 4 * n, 4)),
+        insn_args=tuple(args for _, args in insns),
         edges=tuple(sorted(edges)),
         entry=0,
     )
     graph.validate()
-    return graph, prov, line_start + cursor - 1
+    prov = tuple((name, line_start + i) for i in range(n))
+    return graph, prov, line_start + n - 1
 
 
 def gen_source_world(config: SynthConfig) -> SourceWorld:
@@ -287,10 +279,7 @@ def gen_source_world(config: SynthConfig) -> SourceWorld:
 # Splicing
 
 def _default_prov(graph: AttributedCFG) -> Prov:
-    return {
-        block.id: (graph.function_name,) * len(block.opcodes)
-        for block in graph.nodes
-    }
+    return (graph.function_name,) * graph.instruction_count
 
 
 def inline_transform(
@@ -310,48 +299,33 @@ def inline_transform(
     """
     caller_prov = _default_prov(caller) if caller_prov is None else caller_prov
     callee_prov = _default_prov(callee) if callee_prov is None else callee_prov
-    if call_site not in caller.node_index:
+    site = caller.node_index.get(call_site)
+    if site is None:
         raise SiteNotFound(f"no block {call_site} in {caller.function_name!r}")
-    site_block = caller.block(call_site)
-    last_args = site_block.operands[-1]
-    if site_block.opcodes[-1] != CALL_OPCODE or not last_args or (
+    # the call is the last instruction of the site block
+    call = sum(caller.block_sizes[: site + 1]) - 1
+    last_args = caller.insn_args[call]
+    if caller.insn_ops[call] != CALL_OPCODE or not last_args or (
         last_args[0] != callee.function_name
     ):
         raise SiteNotFound(
             f"block {call_site} of {caller.function_name!r} does not end "
             f"with a call to {callee.function_name!r}"
         )
-    if len(site_block.opcodes) < 2:
+    if caller.block_sizes[site] < 2:
         raise MalformedGraph(
             f"call site {call_site} has no instructions besides the call"
         )
 
-    offset = max(caller.node_ids) + 1
-    remap = {
-        old: offset + rank for rank, old in enumerate(sorted(callee.node_ids))
-    }
+    # the callee's blocks follow the caller's, renumbered past its last id
+    offset = caller.block_ids[-1] + 1
+    remap = {old: offset + rank for rank, old in enumerate(callee.block_ids)}
     callee_exits = sorted(
-        set(callee.node_ids) - {src for src, _ in callee.edges}
+        set(callee.block_ids) - {src for src, _ in callee.edges}
     )
     site_successors = sorted(
         dst for src, dst in caller.edges if src == call_site
     )
-
-    # block id -> (opcodes, operands); addresses are reassigned below
-    blocks: dict[int, tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]] = {}
-    prov: Prov = {}
-    for block in caller.nodes:
-        ops, args = block.opcodes, block.operands
-        tags = tuple(caller_prov[block.id])
-        if block.id == call_site:
-            ops, args, tags = ops[:-1], args[:-1], tags[:-1]
-        blocks[block.id] = (ops, args)
-        prov[block.id] = tags
-    for block in callee.nodes:
-        new_id = remap[block.id]
-        blocks[new_id] = (block.opcodes, block.operands)
-        prov[new_id] = tuple(callee_prov[block.id])
-
     edges: set[tuple[int, int]] = set()
     for src, dst in caller.edges:
         if src != call_site:
@@ -363,27 +337,24 @@ def inline_transform(
         for successor in site_successors:
             edges.add((remap[exit_id], successor))
 
-    nodes = []
-    cursor = 0
-    for block_id in sorted(blocks):
-        ops, args = blocks[block_id]
-        nodes.append(
-            BasicBlock(
-                id=block_id,
-                opcodes=ops,
-                addresses=tuple(range(4 * cursor, 4 * (cursor + len(ops)), 4)),
-                operands=args,
-            )
-        )
-        cursor += len(ops)
+    def spliced(caller_column: tuple, callee_column: tuple) -> tuple:
+        return caller_column[:call] + caller_column[call + 1 :] + callee_column
+
+    sizes = list(caller.block_sizes)
+    sizes[site] -= 1
+    n = caller.instruction_count - 1 + callee.instruction_count
     graph = AttributedCFG(
         function_name=caller.function_name,
-        nodes=tuple(nodes),
+        block_ids=caller.block_ids + tuple(remap.values()),
+        block_sizes=tuple(sizes) + callee.block_sizes,
+        insn_ops=spliced(caller.insn_ops, callee.insn_ops),
+        insn_addrs=tuple(range(0, 4 * n, 4)),
+        insn_args=spliced(caller.insn_args, callee.insn_args),
         edges=tuple(sorted(edges)),
         entry=caller.entry,
     )
     graph.validate()
-    return graph, prov
+    return graph, spliced(tuple(caller_prov), tuple(callee_prov))
 
 
 def apply_inlining_policy(world: SourceWorld) -> dict[str, tuple[AttributedCFG, Prov]]:
@@ -417,17 +388,16 @@ def apply_inlining_policy(world: SourceWorld) -> dict[str, tuple[AttributedCFG, 
 
     if config.mutation_rate > 0:
         mrng = np.random.default_rng([config.seed, _SEED_MUTATE])
+
+        def mutate(opcode: str) -> str:
+            if opcode != CALL_OPCODE and mrng.random() < config.mutation_rate:
+                return alphabet[int(mrng.integers(len(alphabet)))]
+            return opcode
+
         for name in sorted(bodies):
             graph, prov = bodies[name]
-            new_nodes = []
-            for block in graph.nodes:
-                ops = []
-                for opcode in block.opcodes:
-                    if opcode != CALL_OPCODE and mrng.random() < config.mutation_rate:
-                        opcode = alphabet[int(mrng.integers(len(alphabet)))]
-                    ops.append(opcode)
-                new_nodes.append(replace(block, opcodes=tuple(ops)))
-            bodies[name] = (replace(graph, nodes=tuple(new_nodes)), prov)
+            ops = tuple(map(mutate, graph.insn_ops))
+            bodies[name] = (replace(graph, insn_ops=ops), prov)
     return bodies
 
 
@@ -479,17 +449,12 @@ def _layout_binary(
             binary_id=binary_id, name=name, addr_start=base, addr_end=base + length
         )
         corpus.binfuncs.append((binary_id, name, base, base + length))
-        rebased_nodes = []
-        for block in graph.nodes:
-            addrs = tuple(addr + base for addr in block.addresses)
-            rebased_nodes.append(replace(block, addresses=addrs))
-            for addr, (src, line) in zip(addrs, prov[block.id]):
-                corpus.addr2line.append(
-                    (binary_id, addr, world.functions[src].file, line)
-                )
-        corpus.graphs[(dataset, binary_id, name)] = replace(
-            graph, nodes=tuple(rebased_nodes)
+        addrs = tuple(addr + base for addr in graph.insn_addrs)
+        corpus.addr2line.extend(
+            (binary_id, addr, world.functions[src].file, line)
+            for addr, (src, line) in zip(addrs, prov)
         )
+        corpus.graphs[(dataset, binary_id, name)] = replace(graph, insn_addrs=addrs)
     return refs
 
 
@@ -531,7 +496,7 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
         equal_refs.update(refs_no)
         for name in sorted(names):
             _, prov = inline_bodies[name]
-            mapped = {src for tags in prov.values() for src, _ in tags}
+            mapped = {src for src, _ in prov}
             if len(mapped) <= 1:
                 continue
             for bridge in sorted(mapped):
@@ -583,7 +548,8 @@ def write_corpus(corpus: SynthCorpus, directory: Path | str) -> None:
     """The corpus directory. Its manifest.json lists the projects and, in
     graph_files, each binary's function names in the order of its graph
     file's lines, its opcode counts (acfg.count_opcodes) and the sha256 of
-    its graph file, hashed from the bytes written."""
+    its graph file, hashed from the bytes written. Every file is written
+    through write_atomic."""
     directory = Path(directory)
     for dataset in DATASETS:
         (directory / "graphs" / dataset).mkdir(parents=True, exist_ok=True)
@@ -603,19 +569,23 @@ def write_corpus(corpus: SynthCorpus, directory: Path | str) -> None:
             "sha256": hashlib.sha256(written).hexdigest(),
         }
 
-    tables = directory / "tables"
-    with (tables / "addr2line.tsv").open("w", encoding="utf-8") as handle:
-        for bid, addr, file, line in corpus.addr2line:
-            handle.write(f"{bid}\t0x{addr:x}\t{file}\t{line}\n")
-    with (tables / "binfuncs.tsv").open("w", encoding="utf-8") as handle:
-        for bid, name, start, end in corpus.binfuncs:
-            handle.write(f"{bid}\t{name}\t0x{start:x}\t0x{end:x}\n")
-    with (tables / "srcfuncs.tsv").open("w", encoding="utf-8") as handle:
-        for file, name, start, end in corpus.srcfuncs:
-            handle.write(f"{file}\t{name}\t{start}\t{end}\n")
-    with (tables / "fcg.tsv").open("w", encoding="utf-8") as handle:
-        for caller, callee in corpus.fcg_edges:
-            handle.write(f"{caller}\t{callee}\n")
+    tables = {
+        "addr2line.tsv": (
+            f"{bid}\t0x{addr:x}\t{file}\t{line}\n"
+            for bid, addr, file, line in corpus.addr2line
+        ),
+        "binfuncs.tsv": (
+            f"{bid}\t{name}\t0x{start:x}\t0x{end:x}\n"
+            for bid, name, start, end in corpus.binfuncs
+        ),
+        "srcfuncs.tsv": (
+            f"{file}\t{name}\t{start}\t{end}\n"
+            for file, name, start, end in corpus.srcfuncs
+        ),
+        "fcg.tsv": (f"{caller}\t{callee}\n" for caller, callee in corpus.fcg_edges),
+    }
+    for table, rows in tables.items():
+        write_atomic(directory / "tables" / table, "".join(rows).encode("utf-8"))
 
     write_json(directory / "ground_truth.json", index_to_json(corpus.ground_truth))
     manifest = {

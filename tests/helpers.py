@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import accumulate, chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from cidetect.acfg import AttributedCFG, BasicBlock, OpcodeVocabulary
+from cidetect.acfg import AttributedCFG, OpcodeVocabulary
 from cidetect.synth import SynthConfig
 
 # the corpora that differential tests compare the library and its frozen
@@ -64,6 +66,24 @@ def columnar_record(record):
     return {**columnar, **dict(zip(COLUMNS, (ids, sizes, ops, addrs, args)))}
 
 
+def object_record(record: dict) -> dict:
+    """A valid function record laid out with one object per instruction,
+    the layout the frozen parsers read: columnar_record undone."""
+    objects = {key: value for key, value in record.items() if key not in COLUMNS}
+    insns = [
+        {"addr": addr, "op": op, "args": list(args)}
+        for op, addr, args in zip(
+            record["insn_ops"], record["insn_addrs"], record["insn_args"]
+        )
+    ]
+    bounds = list(accumulate(record["block_sizes"], initial=0))
+    objects["blocks"] = [
+        {"id": block_id, "insns": insns[start:stop]}
+        for block_id, start, stop in zip(record["block_ids"], bounds, bounds[1:])
+    ]
+    return objects
+
+
 def rehash_graph_file(path: Path, functions=None) -> None:
     """Record the sha256 of the graph file at path, edited after synth, in
     its corpus manifest, and functions as its function names if given: the
@@ -77,10 +97,49 @@ def rehash_graph_file(path: Path, functions=None) -> None:
     manifest_path.write_text(json.dumps(manifest))
 
 
-def make_block(block_id: int, opcodes, base_addr: int, operands=None) -> BasicBlock:
+class Block(NamedTuple):
+    """One block of a graph: its id and its slices of the instruction
+    columns."""
+
+    id: int
+    opcodes: tuple[str, ...]
+    addresses: tuple[int, ...]
+    operands: tuple[tuple[str, ...], ...]
+
+
+def blocks(graph: AttributedCFG) -> list[Block]:
+    """The per-block view of graph, in its block order."""
+    bounds = list(accumulate(graph.block_sizes, initial=0))
+    return [
+        Block(
+            block_id,
+            graph.insn_ops[start:stop],
+            graph.insn_addrs[start:stop],
+            graph.insn_args[start:stop],
+        )
+        for block_id, start, stop in zip(graph.block_ids, bounds, bounds[1:])
+    ]
+
+
+def from_blocks(name, blocks, edges, entry=0) -> AttributedCFG:
+    """The graph of the given blocks, in the order given, with their
+    instructions as its columns; not validated."""
+    return AttributedCFG(
+        function_name=name,
+        block_ids=tuple(block.id for block in blocks),
+        block_sizes=tuple(len(block.opcodes) for block in blocks),
+        insn_ops=tuple(chain.from_iterable(block.opcodes for block in blocks)),
+        insn_addrs=tuple(chain.from_iterable(block.addresses for block in blocks)),
+        insn_args=tuple(chain.from_iterable(block.operands for block in blocks)),
+        edges=tuple(edges),
+        entry=entry,
+    )
+
+
+def make_block(block_id: int, opcodes, base_addr: int, operands=None) -> Block:
     """Instruction i sits at base_addr + 4*i; operands default to none."""
     n = len(opcodes)
-    return BasicBlock(
+    return Block(
         id=block_id,
         opcodes=tuple(opcodes),
         addresses=tuple(base_addr + 4 * i for i in range(n)),
@@ -96,12 +155,7 @@ def make_graph(name, blocks, edges, entry=0) -> AttributedCFG:
     for block_id, opcodes in sorted(blocks):
         nodes.append(make_block(block_id, opcodes, cursor))
         cursor += 4 * len(opcodes)
-    graph = AttributedCFG(
-        function_name=name,
-        nodes=tuple(nodes),
-        edges=tuple(sorted(set(edges))),
-        entry=entry,
-    )
+    graph = from_blocks(name, nodes, sorted(set(edges)), entry)
     graph.validate()
     return graph
 
@@ -166,10 +220,10 @@ def call_pair(rng: np.random.Generator, opcodes, tag: str):
 
     callee = random_acfg(rng, f"callee_{tag}", opcodes)
     caller_base = random_acfg(rng, f"caller_{tag}", opcodes)
-    call_site = int(rng.integers(len(caller_base.nodes)))
+    call_site = int(rng.integers(len(caller_base.block_ids)))
     nodes = []
     cursor = 0x1000
-    for block in caller_base.nodes:
+    for block in blocks(caller_base):
         ops = list(block.opcodes)
         if block.id == call_site:
             ops.append(CALL_OPCODE)
@@ -178,11 +232,8 @@ def call_pair(rng: np.random.Generator, opcodes, tag: str):
         ]
         nodes.append(make_block(block.id, ops, cursor, operands))
         cursor += 4 * len(ops)
-    caller = AttributedCFG(
-        function_name=f"caller_{tag}",
-        nodes=tuple(nodes),
-        edges=caller_base.edges,
-        entry=caller_base.entry,
+    caller = from_blocks(
+        f"caller_{tag}", nodes, caller_base.edges, caller_base.entry
     )
     caller.validate()
     return caller, callee, call_site

@@ -9,8 +9,12 @@ before it became one pass over flat instruction columns, and
 `one_pass_build_acfg` is that one pass, the last parser of records that held
 one object per instruction under "blocks", and `acfg_to_object_record` the
 writer of that layout, before records held instruction columns. These build
-the library's own `BasicBlock` and `AttributedCFG`, which the copies name
-`ColumnarBlock` and `ColumnarCFG`. `generate_negative_pairs` is the
+`ColumnarBlock` and `ColumnarCFG`, the library's graph classes (then named
+`BasicBlock` and `AttributedCFG`) before a graph held the instruction
+columns of its record, one object per block; `acfg_to_record` is the writer
+of columnar records from them, and `inline_transform`, with
+`_default_prov`, the splice over them, which kept provenance per block.
+`generate_negative_pairs` is the
 sampler that sorted a complement of the cross-inlining universe for every
 bridge, with `_lookup`, which stripped a fresh copy of the graph for every
 pair. `_is_isolated` is the full scan
@@ -50,14 +54,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from cidetect import detector, labeling, pairgen, synth
-from cidetect.acfg import (
-    AttributedCFG as ColumnarCFG,
-    BasicBlock as ColumnarBlock,
-    OpcodeVocabulary,
-    strip_name,
-)
+from cidetect.acfg import OpcodeVocabulary, strip_name
 from cidetect.errors import (
-    Exhausted, InconsistentTables, InvalidLabel, MalformedGraph, NonFiniteGradient
+    Exhausted, InconsistentTables, InvalidLabel, MalformedGraph, NonFiniteGradient,
+    SiteNotFound,
 )
 from cidetect.gnn import (
     ModelConfig,
@@ -255,6 +255,180 @@ def build_acfg(record: dict) -> AttributedCFG:
     graph = AttributedCFG(function_name=name, nodes=nodes, edges=edges, entry=entry)
     graph.validate()
     return graph
+
+
+# ---------------------------------------------------------------------------
+# The graph classes of blocks as columns, before a graph held the
+# instruction columns of its record, and the record writer and the splice
+# of that time
+
+
+@dataclass(frozen=True, slots=True)
+class ColumnarBlock:
+    """One block as columns: instruction i is (opcodes[i], addresses[i],
+    operands[i])."""
+
+    id: int
+    opcodes: tuple[str, ...]
+    addresses: tuple[int, ...]
+    operands: tuple[tuple[str, ...], ...]
+
+
+@dataclass(frozen=True)
+class ColumnarCFG:
+    """Immutable function graph. Nodes are stored sorted by block id."""
+
+    function_name: str
+    nodes: tuple[ColumnarBlock, ...]
+    edges: tuple[tuple[int, int], ...]
+    entry: int
+
+    @cached_property
+    def node_index(self) -> dict[int, int]:
+        return {block.id: pos for pos, block in enumerate(self.nodes)}
+
+    def block(self, block_id: int) -> ColumnarBlock:
+        return self.nodes[self.node_index[block_id]]
+
+    @property
+    def node_ids(self) -> tuple[int, ...]:
+        return tuple(block.id for block in self.nodes)
+
+    @property
+    def instruction_count(self) -> int:
+        return sum(len(block.opcodes) for block in self.nodes)
+
+    def validate(self) -> None:
+        """Raise MalformedGraph unless every structural invariant holds."""
+        ids = self.node_ids
+        _check_topology(self.function_name, ids, self.edges, self.entry)
+        _check_blocks(self.function_name, self.nodes)
+        if _reachable(set(ids), self.edges, self.entry) != set(ids):
+            raise MalformedGraph(
+                f"{self.function_name!r}: unreachable blocks present"
+            )
+
+
+def acfg_to_record(graph: ColumnarCFG) -> dict:
+    """The function record of graph, in the layout build_acfg reads."""
+    nodes = graph.nodes
+    return {
+        "name": graph.function_name,
+        "entry": graph.entry,
+        "edges": [list(e) for e in graph.edges],
+        "block_ids": [block.id for block in nodes],
+        "block_sizes": [len(block.opcodes) for block in nodes],
+        "insn_ops": [op for block in nodes for op in block.opcodes],
+        "insn_addrs": [addr for block in nodes for addr in block.addresses],
+        "insn_args": [list(args) for block in nodes for args in block.operands],
+    }
+
+
+CALL_OPCODE = "call"
+
+# Provenance: per-node tuples of per-instruction tags. The generator tags
+# every instruction with (source function, source line).
+Prov = dict[int, tuple]
+
+
+def _default_prov(graph: ColumnarCFG) -> Prov:
+    return {
+        block.id: (graph.function_name,) * len(block.opcodes)
+        for block in graph.nodes
+    }
+
+
+def inline_transform(
+    caller: ColumnarCFG,
+    callee: ColumnarCFG,
+    call_site: int,
+    caller_prov: Prov | None = None,
+    callee_prov: Prov | None = None,
+) -> tuple[ColumnarCFG, Prov]:
+    """Splice the callee body into the caller at one call site.
+
+    The call site block must end with a call instruction naming the callee
+    and carry at least one instruction before it. The call goes away, the
+    prefix jumps to the (renumbered) callee entry, and every callee exit
+    inherits the call site's original successors. Addresses are reassigned
+    sequentially afterwards; provenance tags follow their instructions.
+    """
+    caller_prov = _default_prov(caller) if caller_prov is None else caller_prov
+    callee_prov = _default_prov(callee) if callee_prov is None else callee_prov
+    if call_site not in caller.node_index:
+        raise SiteNotFound(f"no block {call_site} in {caller.function_name!r}")
+    site_block = caller.block(call_site)
+    last_args = site_block.operands[-1]
+    if site_block.opcodes[-1] != CALL_OPCODE or not last_args or (
+        last_args[0] != callee.function_name
+    ):
+        raise SiteNotFound(
+            f"block {call_site} of {caller.function_name!r} does not end "
+            f"with a call to {callee.function_name!r}"
+        )
+    if len(site_block.opcodes) < 2:
+        raise MalformedGraph(
+            f"call site {call_site} has no instructions besides the call"
+        )
+
+    offset = max(caller.node_ids) + 1
+    remap = {
+        old: offset + rank for rank, old in enumerate(sorted(callee.node_ids))
+    }
+    callee_exits = sorted(
+        set(callee.node_ids) - {src for src, _ in callee.edges}
+    )
+    site_successors = sorted(
+        dst for src, dst in caller.edges if src == call_site
+    )
+
+    # block id -> (opcodes, operands); addresses are reassigned below
+    blocks: dict[int, tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]] = {}
+    prov: Prov = {}
+    for block in caller.nodes:
+        ops, args = block.opcodes, block.operands
+        tags = tuple(caller_prov[block.id])
+        if block.id == call_site:
+            ops, args, tags = ops[:-1], args[:-1], tags[:-1]
+        blocks[block.id] = (ops, args)
+        prov[block.id] = tags
+    for block in callee.nodes:
+        new_id = remap[block.id]
+        blocks[new_id] = (block.opcodes, block.operands)
+        prov[new_id] = tuple(callee_prov[block.id])
+
+    edges: set[tuple[int, int]] = set()
+    for src, dst in caller.edges:
+        if src != call_site:
+            edges.add((src, dst))
+    edges.add((call_site, remap[callee.entry]))
+    for src, dst in callee.edges:
+        edges.add((remap[src], remap[dst]))
+    for exit_id in callee_exits:
+        for successor in site_successors:
+            edges.add((remap[exit_id], successor))
+
+    nodes = []
+    cursor = 0
+    for block_id in sorted(blocks):
+        ops, args = blocks[block_id]
+        nodes.append(
+            ColumnarBlock(
+                id=block_id,
+                opcodes=ops,
+                addresses=tuple(range(4 * cursor, 4 * (cursor + len(ops)), 4)),
+                operands=args,
+            )
+        )
+        cursor += len(ops)
+    graph = ColumnarCFG(
+        function_name=caller.function_name,
+        nodes=tuple(nodes),
+        edges=tuple(sorted(edges)),
+        entry=caller.entry,
+    )
+    graph.validate()
+    return graph, prov
 
 
 # ---------------------------------------------------------------------------

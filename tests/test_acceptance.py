@@ -506,9 +506,9 @@ def test_criterion_10_splice_conservation():
         expected = caller.instruction_count + callee.instruction_count - 1
         ok = (
             spliced.instruction_count == expected
-            and sum(len(tags) for tags in prov.values()) == expected
+            and len(prov) == expected
             and spliced.entry == caller.entry
-            and len(spliced.nodes) == len(caller.nodes) + len(callee.nodes)
+            and len(spliced.block_ids) == len(caller.block_ids) + len(callee.block_ids)
         )
         try:
             spliced.validate()

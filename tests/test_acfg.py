@@ -1,12 +1,11 @@
 import json
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cidetect.acfg import (
-    AttributedCFG,
-    BasicBlock,
     acfg_to_record,
     build_acfg,
     build_vocabulary,
@@ -25,14 +24,15 @@ from cidetect.synth import generate_corpus, write_corpus
 
 import oracles
 from helpers import (
-    COLUMNS, DIAMOND_OPCODE_COUNTS, DIFFERENTIAL_CONFIGS, OPCODE_POOL,
-    columnar_record, diamond, make_graph, random_acfg, tiny_vocab,
+    COLUMNS, DIAMOND_OPCODE_COUNTS, DIFFERENTIAL_CONFIGS, OPCODE_POOL, Block,
+    blocks, columnar_record, diamond, from_blocks, make_graph, object_record,
+    random_acfg, tiny_vocab,
 )
 
 
 def _block(block_id, *insns):
     """A block from (address, opcode) pairs, without operands."""
-    return BasicBlock(
+    return Block(
         id=block_id,
         opcodes=tuple(op for _, op in insns),
         addresses=tuple(addr for addr, _ in insns),
@@ -40,15 +40,20 @@ def _block(block_id, *insns):
     )
 
 
+def _graph(*blocks, edges=(), entry=0):
+    return from_blocks("g", blocks, edges, entry)
+
+
 def test_block_opcodes_order():
-    block = _block(0, (0x10, "push"), (0x14, "mov"), (0x18, "ret"))
-    assert block.opcodes == ("push", "mov", "ret")
+    graph = _graph(_block(0, (0x10, "push"), (0x14, "mov"), (0x18, "ret")))
+    assert graph.insn_ops == ("push", "mov", "ret")
+    assert blocks(graph)[0].opcodes == ("push", "mov", "ret")
 
 
 def test_opcode_counts_against_counter_oracle():
     graph = diamond()
     oracle = Counter()
-    for block in graph.nodes:
+    for block in blocks(graph):
         for opcode in block.opcodes:
             oracle[opcode] += 1
     assert count_opcodes([graph]) == oracle
@@ -58,8 +63,8 @@ def test_opcode_counts_against_counter_oracle():
 def test_instruction_count_and_block_lookup():
     graph = diamond()
     assert graph.instruction_count == sum(DIAMOND_OPCODE_COUNTS.values())
-    assert graph.block(2).opcodes == ("mov", "sub", "xor")
-    assert graph.node_ids == (0, 1, 2, 3)
+    assert blocks(graph)[graph.node_index[2]].opcodes == ("mov", "sub", "xor")
+    assert graph.block_ids == (0, 1, 2, 3)
 
 
 def _validate_raises(graph, match):
@@ -69,32 +74,37 @@ def _validate_raises(graph, match):
 
 def test_validate_rejects_structural_defects():
     ok = diamond()
-    _validate_raises(AttributedCFG("g", (), (), 0), "no basic blocks")
-    dup = AttributedCFG("g", (ok.nodes[0], ok.nodes[0]), (), 0)
-    _validate_raises(dup, "duplicate block ids")
-    unsorted_nodes = AttributedCFG("g", (ok.nodes[1], ok.nodes[0]), (), 0)
-    _validate_raises(unsorted_nodes, "not sorted")
-    bad_entry = AttributedCFG("g", (ok.nodes[0],), (), 9)
-    _validate_raises(bad_entry, "entry 9")
-    empty_block = AttributedCFG("g", (_block(0),), (), 0)
-    _validate_raises(empty_block, "is empty")
-    empty_opcode = AttributedCFG("g", (_block(0, (0, "")),), (), 0)
-    _validate_raises(empty_opcode, "empty opcode")
-    ragged = AttributedCFG(
-        "g", (BasicBlock(0, ("mov", "add"), (0, 4), ((),)),), (), 0
+    b0, b1 = blocks(ok)[:2]
+    _validate_raises(_graph(), "no basic blocks")
+    _validate_raises(_graph(b0, b0), "duplicate block ids")
+    _validate_raises(_graph(b1, b0), "not sorted")
+    _validate_raises(_graph(b0, entry=9), "entry 9")
+    _validate_raises(_graph(_block(0)), "is empty")
+    _validate_raises(_graph(_block(0, (0, ""))), "empty opcode")
+    # the block sizes and the instruction columns must line up
+    _validate_raises(
+        replace(ok, block_sizes=(4, 2, 3, 1)),
+        "'diamond': columns that do not line up: 4 block ids, 4 block sizes "
+        r"\(each >= 0\) that sum to 10, 11 ops",
     )
-    _validate_raises(ragged, "unequal length")
-    backwards = AttributedCFG("g", (_block(0, (8, "mov"), (4, "mov")),), (), 0)
-    _validate_raises(backwards, "strictly increasing")
-    duplicate_addr = AttributedCFG(
-        "g", (_block(0, (4, "mov")), _block(1, (4, "add"))), ((0, 1),), 0
+    _validate_raises(replace(ok, block_sizes=(4, 0, 5, 2)), "'diamond': block 1 is empty")
+    _validate_raises(
+        replace(ok, insn_addrs=ok.insn_addrs[:-1]),
+        "'diamond': columns that do not line up: .* 11 ops, 10 addrs and 11 args",
     )
+    _validate_raises(
+        replace(ok, insn_args=ok.insn_args + ((),)),
+        "'diamond': columns that do not line up: .* 11 addrs and 12 args",
+    )
+    _validate_raises(
+        replace(ok, insn_ops=ok.insn_ops[1:]),
+        "'diamond': columns that do not line up: .* 10 ops",
+    )
+    _validate_raises(_graph(_block(0, (8, "mov"), (4, "mov"))), "strictly increasing")
+    duplicate_addr = _graph(_block(0, (4, "mov")), _block(1, (4, "add")), edges=((0, 1),))
     _validate_raises(duplicate_addr, "duplicate address")
-    dangling = AttributedCFG("g", (_block(0, (4, "mov")),), ((0, 7),), 0)
-    _validate_raises(dangling, "dangling edge")
-    unreachable = AttributedCFG(
-        "g", (_block(0, (4, "mov")), _block(1, (8, "add"))), (), 0
-    )
+    _validate_raises(_graph(_block(0, (4, "mov")), edges=((0, 7),)), "dangling edge")
+    unreachable = _graph(_block(0, (4, "mov")), _block(1, (8, "add")))
     _validate_raises(unreachable, "unreachable")
 
 
@@ -144,9 +154,8 @@ def _add_block(record, block_id, op, addr):
 
 def test_build_acfg_lowercases_and_dedupes_edges():
     graph = build_acfg(_diamond_record())
-    assert graph.block(0).opcodes == ("push", "je")
-    assert graph.block(0).operands == ((), ("l1",))
-    assert graph.block(1).opcodes == ("mov",)
+    assert blocks(graph)[0] == ((0, ("push", "je"), (0x1000, 0x1004), ((), ("l1",))))
+    assert blocks(graph)[1].opcodes == ("mov",)
     assert graph.edges == ((0, 1), (0, 2), (1, 2))
     assert graph.entry == 0
 
@@ -156,7 +165,8 @@ def test_build_acfg_drops_unreachable_blocks(caplog):
     _add_block(record, 5, "nop", 0x2000)
     with caplog.at_level("WARNING", logger="cidetect.acfg"):
         graph = build_acfg(record)
-    assert 5 not in graph.node_ids
+    assert graph.block_ids == (0, 1, 2)
+    assert graph == build_acfg(_diamond_record())
     assert any("unreachable" in rec.message for rec in caplog.records)
 
 
@@ -177,7 +187,7 @@ def test_strip_name():
     graph = diamond()
     stripped = strip_name(graph)
     assert stripped.function_name == ""
-    assert stripped.nodes == graph.nodes
+    assert replace(stripped, function_name="diamond") == graph
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -212,7 +222,7 @@ def test_build_vocabulary_frequency_ranked():
     graphs = [random_acfg(rng, f"f{i}", OPCODE_POOL) for i in range(30)]
     oracle = Counter()
     for g in graphs:
-        for block in g.nodes:
+        for block in blocks(g):
             oracle.update(block.opcodes)
     expected = tuple(sorted(oracle, key=lambda op: (-oracle[op], op)))
     vocab = build_vocabulary(count_opcodes(graphs), max_size=256)
@@ -258,9 +268,9 @@ def test_featurize_graph_rows_match_nodes():
     vocab = build_vocabulary(count_opcodes(graphs), max_size=6)
     for graph in graphs:
         mat = featurize_graph(graph, vocab)
-        assert mat.shape == (len(graph.nodes), vocab.feature_dim)
+        assert mat.shape == (len(graph.block_ids), vocab.feature_dim)
         assert mat.dtype == np.float64
-        for row, block in zip(mat, graph.nodes):
+        for row, block in zip(mat, blocks(graph), strict=True):
             oracle = Counter(block.opcodes)
             expected = [oracle.get(op, 0) for op in vocab.key_sequence]
             expected.append(
@@ -322,15 +332,7 @@ def _oracle_view(graph):
 
 
 def _view(graph):
-    return (
-        graph.function_name,
-        graph.entry,
-        graph.edges,
-        [
-            (block.id, block.opcodes, block.addresses, block.operands)
-            for block in graph.nodes
-        ],
-    )
+    return graph.function_name, graph.entry, graph.edges, blocks(graph)
 
 
 @pytest.mark.parametrize(
@@ -339,14 +341,16 @@ def _view(graph):
 def test_build_acfg_matches_reference_parser(config):
     """Every graph of the corpus, and the edge records, in the layout of one
     object per instruction: the frozen parsers of that layout build the
-    graph that build_acfg builds from the record's columns."""
+    graph that build_acfg builds from the record's columns, and the frozen
+    writer writes the record of its graph that acfg_to_record writes."""
     graphs = generate_corpus(config).graphs.values()
-    records = [oracles.acfg_to_object_record(g) for g in graphs] + _edge_records()
+    records = [object_record(acfg_to_record(g)) for g in graphs] + _edge_records()
     for record in records:
         graph = build_acfg(columnar_record(record))
         assert _view(graph) == _oracle_view(oracles.build_acfg(record))
-        assert graph == oracles.columnar_build_acfg(record)
-        assert graph == oracles.one_pass_build_acfg(record)
+        got = acfg_to_record(graph)
+        assert got == oracles.acfg_to_record(oracles.columnar_build_acfg(record))
+        assert got == oracles.acfg_to_record(oracles.one_pass_build_acfg(record))
 
 
 @pytest.mark.parametrize(
@@ -370,14 +374,19 @@ def test_records_round_trip_every_graph_of_the_corpus(tmp_path, config):
 )
 def test_featurize_graph_matches_the_frozen_featurizer_bit_for_bit(config):
     """Every graph of the corpus, under a vocabulary of all its opcodes and
-    under one that leaves most of them to the out-of-vocabulary slot."""
+    under one that leaves most of them to the out-of-vocabulary slot; the
+    frozen featurizer reads the graph that the frozen parser builds from
+    the same record."""
     graphs = list(generate_corpus(config).graphs.values())
+    frozen = [
+        oracles.one_pass_build_acfg(object_record(acfg_to_record(g))) for g in graphs
+    ]
     counts = count_opcodes(graphs)
     for max_size in (len(counts), 4):
         vocab = build_vocabulary(counts, max_size)
-        for graph in graphs:
+        for graph, frozen_graph in zip(graphs, frozen, strict=True):
             got = featurize_graph(graph, vocab)
-            want = oracles.featurize_graph(graph, vocab)
+            want = oracles.featurize_graph(frozen_graph, vocab)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 

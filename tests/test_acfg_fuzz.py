@@ -22,7 +22,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cidetect.acfg import (  # noqa: E402
-    AttributedCFG, build_acfg, build_vocabulary
+    AttributedCFG, acfg_to_record, build_acfg, build_vocabulary, strip_name
 )
 from cidetect.cli import build_index_from_corpus  # noqa: E402
 from cidetect.errors import (  # noqa: E402
@@ -38,7 +38,9 @@ from cidetect.synth import (  # noqa: E402
 )
 
 import oracles  # noqa: E402
-from helpers import COLUMNS, columnar_record, rehash_graph_file  # noqa: E402
+from helpers import (  # noqa: E402
+    COLUMNS, columnar_record, object_record, rehash_graph_file
+)
 
 _CORPUS = generate_corpus(
     SynthConfig(n_projects=2, functions_per_project=4, call_density=2.0, seed=1)
@@ -46,7 +48,7 @@ _CORPUS = generate_corpus(
 # the records of the corpus in the layout of one object per instruction,
 # which the frozen parsers read
 BASE_RECORDS = [
-    oracles.acfg_to_object_record(g) for _, g in sorted(_CORPUS.graphs.items())
+    object_record(acfg_to_record(g)) for _, g in sorted(_CORPUS.graphs.items())
 ]
 
 JUNK = st.one_of(
@@ -238,14 +240,14 @@ class _Warnings(logging.Handler):
         self.messages.append(record.getMessage())
 
 
-def _outcome(build, record):
-    """build(record)'s graph, or the type of the error it raised, and the
-    warnings it logged."""
+def _outcome(build, to_record, record):
+    """to_record of build(record)'s graph, or the type of the error it
+    raised, and the warnings it logged."""
     handler = _Warnings()
     logger = logging.getLogger("cidetect.acfg")
     logger.addHandler(handler)
     try:
-        result = build(record)
+        result = to_record(build(record))
     except Exception as exc:  # noqa: BLE001 - the type is what is compared
         result = type(exc)
     finally:
@@ -267,13 +269,15 @@ def test_build_acfg_decides_as_the_frozen_columnar_parser(base, mutations, data)
     converted to columns (helpers.columnar_record) raises MalformedGraph
     exactly when the frozen parsers of the record's layout do, the
     columnar one and the one-pass one build_acfg replaced
-    (tests/oracles.py), and otherwise builds an equal graph with the same
+    (tests/oracles.py), and otherwise builds a graph of the same record,
+    as acfg_to_record and the frozen writer write it, with the same
     warnings."""
     record = _mutated(base, mutations, data)
-    want = _outcome(oracles.columnar_build_acfg, copy.deepcopy(record))
-    assert _outcome(oracles.one_pass_build_acfg, copy.deepcopy(record)) == want
-    assert _outcome(build_acfg, columnar_record(record)) == want
-    assert want[0] is MalformedGraph or isinstance(want[0], AttributedCFG)
+    frozen = oracles.acfg_to_record
+    want = _outcome(oracles.columnar_build_acfg, frozen, copy.deepcopy(record))
+    assert _outcome(oracles.one_pass_build_acfg, frozen, copy.deepcopy(record)) == want
+    assert _outcome(build_acfg, acfg_to_record, columnar_record(record)) == want
+    assert want[0] is MalformedGraph or isinstance(want[0], dict)
 
 
 def _record_line(record, data):
@@ -437,8 +441,8 @@ def test_mutated_pair_records_raise_only_cidetect_errors(base, mutations, data):
             return
     (pair,) = pairs
     assert isinstance(pair, FunctionPair) and pair.label in (-1, 1)
-    assert pair.query.nodes == _CORPUS.graphs[pair.query_ref].nodes
-    assert pair.target.nodes == _CORPUS.graphs[pair.target_ref].nodes
+    assert pair.query == strip_name(_CORPUS.graphs[pair.query_ref])
+    assert pair.target == strip_name(_CORPUS.graphs[pair.target_ref])
 
 
 TABLES = ("addr2line.tsv", "binfuncs.tsv", "srcfuncs.tsv", "fcg.tsv")

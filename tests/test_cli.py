@@ -3,6 +3,7 @@ subcommand once, then the error paths are poked individually."""
 
 import gc
 import json
+import os
 import shutil
 import struct
 import subprocess
@@ -16,8 +17,7 @@ from cidetect import acfg, cli, detector, evaluation, pairgen, synth
 from cidetect.cli import build_index_from_corpus, main
 from cidetect.errors import NumericError, ValidationError
 
-import oracles
-from helpers import rehash_graph_file
+from helpers import object_record, rehash_graph_file
 
 _SYNTH_ARGS = [
     "--seed", "3", "--projects", "4", "--functions", "8",
@@ -157,6 +157,40 @@ def test_eval_and_sweep(pipeline, tmp_path):
     ])
     assert rc == 0
     assert len(out_csv.read_text().strip().splitlines()) == 1 + 10
+
+
+def test_synth_eval_and_sweep_move_every_file_into_place(
+    pipeline, tmp_path, monkeypatch
+):
+    """Every file that synth, eval and sweep leave was written to a temp
+    file and moved over its final name by os.replace, so a run killed while
+    writing leaves no file cut short under its final name (a line table cut
+    at a line boundary would read as fewer rows without any error)."""
+    moved = set()
+    real_replace = os.replace
+
+    def replace(src, dst, **kwargs):
+        moved.add(Path(dst))
+        return real_replace(src, dst, **kwargs)
+
+    monkeypatch.setattr(os, "replace", replace)
+    corpus, report = tmp_path / "corpus", tmp_path / "report"
+    assert main(["synth", "--out", str(corpus)] + _SYNTH_ARGS) == 0
+    assert main([
+        "eval", "--bundle", str(pipeline["bundle"]), "--corpus", str(corpus),
+        "--pairs", str(pipeline["pairs"]), "--out", str(report),
+    ]) == 0
+    assert main([
+        "sweep", "--scores", str(report / "scores.jsonl"),
+        "--out", str(tmp_path / "resweep.csv"),
+    ]) == 0
+    left = {path for path in tmp_path.rglob("*") if path.is_file()}
+    tables = {corpus / "tables" / name for name in (
+        "addr2line.tsv", "binfuncs.tsv", "srcfuncs.tsv", "fcg.tsv"
+    )}
+    assert tables | {report / "sweep.csv", tmp_path / "resweep.csv"} <= left
+    assert sorted(left - moved) == []
+    assert (tmp_path / "resweep.csv").read_bytes().count(b"\r\n") == 1 + 19
 
 
 def _eval(pipeline, pairs, out):
@@ -400,8 +434,7 @@ def test_detect_refuses_a_record_of_instruction_objects(pipeline, tmp_path, capl
     source = pipeline["corpus"] / "graphs" / "noinline" / "p000-noinline.jsonl"
     record = json.loads(source.read_text().splitlines()[0])
     query = tmp_path / "query.jsonl"
-    graph = acfg.build_acfg(record)
-    query.write_text(json.dumps(oracles.acfg_to_object_record(graph)) + "\n")
+    query.write_text(json.dumps(object_record(record)) + "\n")
     with caplog.at_level("ERROR", logger="cidetect.cli"):
         rc = main([
             "detect", "--bundle", str(pipeline["bundle"]), "--query", str(query),

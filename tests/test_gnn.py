@@ -162,7 +162,7 @@ def test_prepare_graph_features_and_edges():
     graphs, vocab, config = _tiny_setup()
     graph = graphs[0]
     prep = prepare_graph(graph, vocab, config)
-    assert prep.features.shape == (len(graph.nodes), vocab.feature_dim)
+    assert prep.features.shape == (len(graph.block_ids), vocab.feature_dim)
     index = graph.node_index
     expected = sorted((index[a], index[b]) for a, b in graph.edges)
     got = sorted(zip(prep.src.tolist(), prep.dst.tolist()))
@@ -172,8 +172,8 @@ def test_prepare_graph_features_and_edges():
 def test_prepare_graph_limits():
     graphs, vocab, config = _tiny_setup()
     small = ModelConfig(**{**config_to_json(config), "max_nodes": 1})
-    big = max(graphs, key=lambda g: len(g.nodes))
-    if len(big.nodes) > 1:
+    big = max(graphs, key=lambda g: len(g.block_ids))
+    if len(big.block_ids) > 1:
         with pytest.raises(GraphTooLarge):
             prepare_graph(big, vocab, small)
     wrong_dim = _tiny_config(feature_dim=vocab.feature_dim + 3)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cidetect.acfg import strip_name
 from cidetect.errors import Exhausted, TooFewProjects
 from cidetect.labeling import (
     CROSS_PATTERNS,
@@ -75,8 +76,8 @@ def test_positive_pairs_shape():
         assert pair.target_ref[2] == expected_target
         # graphs come back name-stripped so pair files stay side-channel free
         assert pair.query.function_name == ""
-        assert pair.query.nodes == graphs[pair.query_ref].nodes
-        assert pair.target.nodes == graphs[pair.target_ref].nodes
+        assert pair.query == strip_name(graphs[pair.query_ref])
+        assert pair.target == strip_name(graphs[pair.target_ref])
 
 
 def test_positive_pairs_deterministic():
@@ -256,7 +257,7 @@ def test_each_ref_is_stripped_once_per_call(tmp_path):
             sides = ((pair.query_ref, pair.query), (pair.target_ref, pair.target))
             for ref, graph in sides:
                 assert graph.function_name == ""
-                assert graph.nodes == graphs[ref].nodes
+                assert graph == strip_name(graphs[ref])
                 assert by_ref.setdefault(ref, graph) is graph
         assert len(by_ref) < 2 * len(pairs)
     assert _pair_view(reread) == _pair_view(pos + neg)

@@ -2,11 +2,14 @@ import hashlib
 import json
 import re
 from dataclasses import replace
+from itertools import accumulate, chain
 
 import numpy as np
 import pytest
 
-from cidetect.acfg import AttributedCFG, build_vocabulary, count_opcodes
+from cidetect.acfg import (
+    acfg_to_record, build_acfg, build_vocabulary, count_opcodes
+)
 from cidetect.errors import (
     GraphFileChanged, MalformedGraph, PatternStarvation, SiteNotFound, ValidationError
 )
@@ -31,8 +34,10 @@ from cidetect.synth import (
 
 from cidetect import synth as synth_module
 
+import oracles
 from helpers import (
-    DIFFERENTIAL_CONFIGS, OPCODE_POOL, call_pair, make_block, rehash_graph_file
+    DIFFERENTIAL_CONFIGS, OPCODE_POOL, blocks, call_pair, from_blocks,
+    make_block, object_record, random_acfg, rehash_graph_file,
 )
 
 
@@ -112,14 +117,15 @@ def test_world_call_site_discipline():
         sites = info.call_sites
         assert set(sites) == set(info.callees)
         assert len(set(sites.values())) == len(sites)
+        graph_blocks = blocks(info.graph)
         for callee, block_id in sites.items():
-            block = info.graph.block(block_id)
+            block = graph_blocks[info.graph.node_index[block_id]]
             assert block.opcodes[-1] == CALL_OPCODE
             assert block.operands[-1] == (callee,)
             assert len(block.opcodes) >= 2
             saw_call = True
         site_blocks = set(sites.values())
-        for block in info.graph.nodes:
+        for block in graph_blocks:
             calls = [op for op in block.opcodes if op == CALL_OPCODE]
             if block.id in site_blocks:
                 assert len(calls) == 1
@@ -132,13 +138,11 @@ def test_world_provenance_tags_instructions():
     config = SynthConfig(n_projects=2, functions_per_project=4, seed=8)
     world = gen_source_world(config)
     for info in world.functions.values():
+        assert len(info.provenance) == info.graph.instruction_count
         lines = []
-        for block in info.graph.nodes:
-            tags = info.provenance[block.id]
-            assert len(tags) == len(block.opcodes)
-            for src, line in tags:
-                assert src == info.name
-                lines.append(line)
+        for src, line in info.provenance:
+            assert src == info.name
+            lines.append(line)
         assert lines == list(range(info.line_start, info.line_end + 1))
 
 
@@ -158,26 +162,17 @@ def _graph(name, blocks, edges):
             )
         )
         cursor += len(ops)
-    graph = AttributedCFG(
-        function_name=name,
-        nodes=tuple(nodes),
-        edges=tuple(sorted(edges)),
-        entry=0,
-    )
+    graph = from_blocks(name, nodes, sorted(edges))
     graph.validate()
     return graph
 
 
-def _count_prov(graph):
-    line = 1
-    prov = {}
-    for block in graph.nodes:
-        tags = []
-        for _ in block.opcodes:
-            tags.append((graph.function_name, line))
-            line += 1
-        prov[block.id] = tuple(tags)
-    return prov
+def _count_prov(graph, first_line=1):
+    """One (function, line) tag per instruction, lines counted from
+    first_line."""
+    return tuple(
+        (graph.function_name, first_line + i) for i in range(graph.instruction_count)
+    )
 
 
 def test_inline_transform_hand_oracle():
@@ -194,18 +189,13 @@ def test_inline_transform_hand_oracle():
 
     assert spliced.function_name == "outer"
     assert spliced.entry == 0
-    assert [b.id for b in spliced.nodes] == [0, 1, 2, 3]
-    assert [b.opcodes for b in spliced.nodes] == [("mov",), ("add",), ("push",), ("pop",)]
+    assert spliced.block_ids == (0, 1, 2, 3)
+    assert [b.opcodes for b in blocks(spliced)] == [("mov",), ("add",), ("push",), ("pop",)]
     # call edge rerouted through the spliced body, exits inherit successors
     assert spliced.edges == ((0, 2), (2, 3), (3, 1))
-    flat = [addr for b in spliced.nodes for addr in b.addresses]
-    assert flat == [0, 4, 8, 12]
-    assert prov == {
-        0: caller_prov[0][:-1],
-        1: caller_prov[1],
-        2: callee_prov[0],
-        3: callee_prov[1],
-    }
+    assert spliced.insn_addrs == (0, 4, 8, 12)
+    # the call's tag goes with it; the others follow their instructions
+    assert prov == (caller_prov[0], caller_prov[2], *callee_prov)
 
 
 def test_inline_transform_default_provenance():
@@ -216,8 +206,7 @@ def test_inline_transform_default_provenance():
     )
     callee = _graph("inner", {0: [("push", ())]}, [])
     _, prov = inline_transform(caller, callee, 0)
-    assert prov[0] == ("outer",)
-    assert prov[2] == ("inner",)
+    assert prov == ("outer", "outer", "inner")
 
 
 def test_inline_transform_rejects_bad_sites():
@@ -254,10 +243,91 @@ def test_inline_transform_conservation_sweep():
         spliced, prov = inline_transform(caller, callee, site)
         expected = caller.instruction_count + callee.instruction_count - 1
         assert spliced.instruction_count == expected
-        assert sum(len(tags) for tags in prov.values()) == expected
+        assert len(prov) == expected
         spliced.validate()
         # every original callee block survives under a remapped id
-        assert len(spliced.nodes) == len(caller.nodes) + len(callee.nodes)
+        assert len(spliced.block_ids) == len(caller.block_ids) + len(callee.block_ids)
+
+
+def _caller_with_calls(rng, tag, callees):
+    """A random caller in which distinct blocks end with a call to one of
+    callees each, as many as it has blocks for, and its (site, callee)
+    list."""
+    base = random_acfg(rng, f"caller_{tag}", OPCODE_POOL)
+    n = len(base.block_ids)
+    sites = rng.choice(n, size=min(n, len(callees)), replace=False)
+    calls = dict(zip(map(int, sites), callees))
+    nodes = []
+    cursor = 0x1000
+    for block in blocks(base):
+        ops, args = list(block.opcodes), list(block.operands)
+        if block.id in calls:
+            ops.append(CALL_OPCODE)
+            args.append((calls[block.id].function_name,))
+        nodes.append(make_block(block.id, ops, cursor, args))
+        cursor += 4 * len(ops)
+    caller = from_blocks(base.function_name, nodes, base.edges, base.entry)
+    caller.validate()
+    return caller, list(calls.items())
+
+
+def _per_block(frozen_graph, tags):
+    """Provenance of one tag per instruction, split by the blocks of a
+    graph of the frozen classes, as the frozen splice takes it."""
+    sizes = [len(block.opcodes) for block in frozen_graph.nodes]
+    bounds = list(accumulate(sizes, initial=0))
+    return {
+        block.id: tags[start:stop]
+        for block, start, stop in zip(frozen_graph.nodes, bounds, bounds[1:])
+    }
+
+
+def _splices_agree(caller, calls, with_prov):
+    """Splice calls into caller one after another, each result the next
+    caller, with inline_transform and with the frozen per-block splice,
+    both sides' inputs built from the record of each graph. After each
+    splice the two give the same record, and the same provenance flattened
+    in block order. Provenance is the default one unless with_prov."""
+
+    def sides(graph):
+        record = acfg_to_record(graph)
+        got = build_acfg(record)
+        want = oracles.one_pass_build_acfg(object_record(record))
+        tags = _count_prov(graph) if with_prov else None
+        return got, want, tags, (_per_block(want, tags) if with_prov else None)
+
+    got, want, got_prov, want_prov = sides(caller)
+    for site, callee in calls:
+        got_callee, want_callee, got_tags, want_tags = sides(callee)
+        got, got_prov = inline_transform(got, got_callee, site, got_prov, got_tags)
+        want, want_prov = oracles.inline_transform(
+            want, want_callee, site, want_prov, want_tags
+        )
+        assert acfg_to_record(got) == oracles.acfg_to_record(want)
+        assert got_prov == tuple(
+            chain.from_iterable(want_prov[block_id] for block_id in want.node_ids)
+        )
+
+
+def test_inline_transform_matches_the_frozen_per_block_splice():
+    """The differential splice oracle: criterion 10's 500 call_pair draws,
+    with default and with counted provenance, and chains of up to three
+    splices into one caller."""
+    rng = np.random.default_rng(97)
+    for trial in range(500):
+        caller, callee, site = call_pair(rng, OPCODE_POOL, f"acc{trial}")
+        for with_prov in (False, True):
+            _splices_agree(caller, [(site, callee)], with_prov)
+    rng = np.random.default_rng(41)
+    chained = 0
+    for trial in range(150):
+        callees = [
+            random_acfg(rng, f"callee_{trial}_{j}", OPCODE_POOL) for j in range(3)
+        ]
+        caller, calls = _caller_with_calls(rng, str(trial), callees)
+        _splices_agree(caller, calls, with_prov=True)
+        chained += len(calls) > 1
+    assert chained >= 100
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +363,9 @@ def _chain_world(**overrides):
         (bravo, ("charlie",), {"charlie": 0}),
         (charlie, (), {}),
     ):
-        prov = {}
         start = cursor
-        for block in graph.nodes:
-            tags = []
-            for _ in block.opcodes:
-                tags.append((graph.function_name, cursor))
-                cursor += 1
-            prov[block.id] = tuple(tags)
+        prov = _count_prov(graph, start)
+        cursor += graph.instruction_count
         functions[graph.function_name] = SourceFunction(
             name=graph.function_name,
             project="p000",
@@ -322,7 +387,7 @@ def _chain_world(**overrides):
 
 
 def _mapped(prov):
-    return {src for tags in prov.values() for src, _ in tags}
+    return {src for src, _ in prov}
 
 
 def test_policy_zero_probability_is_identity():
@@ -344,7 +409,7 @@ def test_policy_inlines_transitively():
     # the spliced bravo body carries charlie along into alpha
     assert alpha.instruction_count == 3 + 6 - 1
     assert _mapped(alpha_prov) == {"alpha", "bravo", "charlie"}
-    assert not any(op == CALL_OPCODE for b in alpha.nodes for op in b.opcodes)
+    assert CALL_OPCODE not in alpha.insn_ops
 
 
 def test_policy_budget_gates_large_callees():
@@ -365,7 +430,7 @@ def test_policy_mutation_perturbs_opcodes_only():
         graph, prov = bodies[name]
         assert prov == info.provenance
         assert graph.edges == info.graph.edges
-        for block, original in zip(graph.nodes, info.graph.nodes):
+        for block, original in zip(blocks(graph), blocks(info.graph), strict=True):
             assert block.id == original.id
             assert len(block.opcodes) == len(original.opcodes)
             assert block.addresses == original.addresses
@@ -399,9 +464,8 @@ def test_generate_corpus_tables_consistent():
         assert end - start == 4 * graph.instruction_count
         assert dataset in ("noinline", "inline")
         total_insns += graph.instruction_count
-        for block in graph.nodes:
-            for addr in block.addresses:
-                assert start <= addr < end
+        for addr in graph.insn_addrs:
+            assert start <= addr < end
     assert len(corpus.addr2line) == total_insns
     assert len(corpus.srcfuncs) == 3 * 6
 
