@@ -307,8 +307,19 @@ def parse_record(
         # json.loads decodes bytes by a slower path than str.decode
         text = line.decode("utf-8") if isinstance(line, bytes) else line
         return convert(json.loads(text))
-    except (ValidationError, KeyError, TypeError, ValueError) as exc:
-        raise error(f"{where}: {type(exc).__name__}: {exc}") from None
+    except RECORD_ERRORS as exc:
+        raise placed(where, exc, error) from None
+
+
+# the failures of a record that parse_record reports at the record's place
+RECORD_ERRORS = (ValidationError, KeyError, TypeError, ValueError)
+
+
+def placed(
+    where: str, exc: Exception, error: type[ValidationError] = ValidationError
+) -> ValidationError:
+    """exc as the failure of the record at `where` (path:line)."""
+    return error(f"{where}: {type(exc).__name__}: {exc}")
 
 
 def read_records(

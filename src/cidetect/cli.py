@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import acfg, detector, evaluation, gnn, labeling, pairgen, synth
-from .errors import InvalidLabel, NumericError, ValidationError
+from .errors import InvalidLabel, NumericError, ShareLost, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -520,16 +520,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     corpus = synth.load_corpus(opts["corpus"])
     if not opts["pairs"].is_file():
         raise ValidationError(f"pairs file not found: {opts['pairs']}")
-    pairs = pairgen.read_pairs(opts["pairs"], corpus.graphs)
+    pairs, places = pairgen.read_pairs(opts["pairs"], corpus.graphs)
     if not pairs:
         raise ValidationError(f"{opts['pairs']} holds no pairs")
-    out_dir: Path = opts["out"]
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    finals = detector.score_pairs(det, pairs)
+    finals = detector.score_pairs(det, pairs, corpus.graphs, places)
     scored = list(zip(finals, (p.label for p in pairs)))
     if not all(np.isfinite(s) for s, _ in scored):
         raise NumericError("non-finite similarity while scoring pairs")
+    out_dir: Path = opts["out"]
+    out_dir.mkdir(parents=True, exist_ok=True)
     reports = evaluation.reports_from_scores(pairs, finals, det.threshold)
     evaluation.write_reports(reports, out_dir / "reports.json")
     sweep = evaluation.threshold_sweep(scored, detector.GRIDS[opts["grid"]]())
@@ -647,6 +647,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except NumericError as exc:
         logger.error("numeric failure: %s", exc)
+        return 3
+    except ShareLost as exc:
+        logger.error("%s", exc)
         return 3
     finally:
         if collecting:

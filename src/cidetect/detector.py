@@ -6,15 +6,20 @@ keeps the maximum. The pair is flagged as inlined when that maximum reaches
 the decision threshold. A single mixed model trained on all patterns at once
 is supported as an ablation configuration.
 
-Scoring prepares its pairs with gnn.prepare_pairs, which prepares each
-distinct ref once, and makes one gnn.pair_distances call for every model.
 gnn embeds graphs in buckets of one node count, where a graph's embedding
 depends only on the graph, so a pair's score depends only on its two
 graphs, never on the other pairs it is scored with, and a function scores
-exactly 1 against itself, under one ref or two. It runs in the calling
-thread; there is no worker pool. detect is the same call on a single pair.
-An eval scores its pair file once with score_pairs and builds every report
-from those scores (evaluation.reports_from_scores).
+exactly 1 against itself, under one ref or two. score_pairs therefore
+splits the distinct refs of its pairs into shares of whole graph files,
+one per CPU while each share has at least _GRAPHS_PER_SHARE graphs. Each
+share builds, prepares and embeds its graphs under every model: share 0
+in the calling process, every other share in a child made with os.fork,
+which sends its embeddings back through a pipe. The scores come out the
+same, bit for bit, at any share count, and a failure is the one the
+serial order meets first. A single share forks nothing, so detect, which
+prepares its two graphs and makes one gnn.pair_distances call, never
+does. An eval scores its pair file once with score_pairs and builds every
+report from those scores (evaluation.reports_from_scores).
 
 save_models writes a bundle's model-<key>.ckpt files and vocab.json, and
 refuses a bundle whose vocab.json holds another vocabulary; finalize_bundle
@@ -23,12 +28,17 @@ adds its manifest.json once every model is there.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import numbers
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -41,21 +51,27 @@ from .acfg import (
     write_atomic,
     write_json,
 )
-from .errors import CorruptArtifact, DegenerateLabels, NegativeDistance, ValidationError
+from .errors import (
+    CorruptArtifact, DegenerateLabels, NegativeDistance, ShareLost, ValidationError
+)
 from .evaluation import Scored, threshold_sweep
 from .gnn import (
     ModelConfig,
     ModelParams,
     PreparedGraph,
     config_to_json,
+    embed_graphs,
     load_checkpoint,
     pair_distances,
     prepare_graph,
-    prepare_pairs,
+    row_distances,
     save_checkpoint,
 )
 from .labeling import CROSS_PATTERNS
-from .pairgen import FunctionPair
+from .pairgen import (
+    FunctionPair, GraphRef, GraphStore, PairRef, at_place, build_refs, first_refs
+)
+from .synth import graph_file
 
 PATTERN_KEYS = tuple(pattern.value for pattern in CROSS_PATTERNS)
 MIXED_KEY = "mixed"
@@ -126,12 +142,177 @@ def detect(
 
 
 def score_pairs(
-    detector: EnsembleDetector, pairs: Sequence[FunctionPair]
+    detector: EnsembleDetector,
+    pairs: Sequence[PairRef],
+    graphs: GraphStore | None = None,
+    places: Sequence[str] | None = None,
 ) -> list[float]:
-    """Ensemble similarity per pair."""
-    prepared = prepare_pairs(pairs, detector.vocab, detector.config)
-    sims = _similarities(detector, [(p.query, p.target) for p in prepared])
-    return np.max(list(sims.values()), axis=0).tolist()
+    """Ensemble similarity per pair. The pairs' graphs come from graphs,
+    or, without it, from the pairs themselves, which are then
+    FunctionPairs.
+
+    The distinct refs are split into shares by graph file (_shares). Each
+    share builds its graphs, prepares them and embeds them under every
+    model; share 0 runs here and every other share in a forked process
+    (_run_shares). A failure to build a graph is raised as it is, or,
+    given each pair's place (path:line), at the place of the first pair
+    of its ref (pairgen.at_place); when several fail, the first to build
+    in the serial order fails, and a failure to build comes before a
+    failure to prepare."""
+    if not pairs:
+        return []
+    if graphs is None:
+        graphs = {}
+        for pair in pairs:
+            graphs.setdefault(pair.query_ref, pair.query)
+            graphs.setdefault(pair.target_ref, pair.target)
+    first = first_refs(pairs)
+    refs = list(first)
+    rank = {ref: i for i, ref in enumerate(refs)}
+    models = [detector.models[key] for key in sorted(detector.models)]
+    shares = _shares(refs)
+
+    def embed(share: list[GraphRef]) -> np.ndarray | tuple[int, int, Exception]:
+        """The share's rows, or where and how the first of them failed:
+        (0 to build or 1 to prepare, its rank, the failure)."""
+        built, failure = build_refs(graphs, share)
+        if failure is not None:
+            return 0, rank[share[len(built)]], failure
+        prepared = []
+        for ref, graph in zip(share, built):
+            try:
+                prepared.append(prepare_graph(graph, detector.vocab, detector.config))
+            except Exception as exc:  # score_pairs raises it, from any process
+                return 1, rank[ref], exc
+        return embed_graphs(prepared, models, detector.config)
+
+    outcomes = _run_shares(
+        lambda k: embed(shares[k]),
+        len(shares),
+        lambda k: sorted({str(graph_file("", *ref[:2])) for ref in shares[k]}),
+    )
+    failures = [outcome for outcome in outcomes if isinstance(outcome, tuple)]
+    if failures:
+        stage, row, failure = min(failures, key=lambda f: f[:2])
+        if stage == 0 and places is not None:
+            raise at_place(places[first[refs[row]]], failure)
+        raise failure
+    emb = np.empty((len(models), len(refs), 1, detector.config.graph_embedding_dim))
+    for share, share_emb in zip(shares, outcomes):
+        emb[:, [rank[ref] for ref in share]] = share_emb
+    rows = np.array(
+        [(rank[p.query_ref], rank[p.target_ref]) for p in pairs], dtype=np.intp
+    ).reshape(len(pairs), 2)
+    return np.max(similarity(row_distances(emb, rows)), axis=0).tolist()
+
+
+# Fewest distinct graphs per share. A fork costs more than its share's
+# wall time: a page the two processes share is copied when either writes
+# it while the child runs, and what the calling process runs afterwards
+# runs slower (each first write to a page faults, and OpenBLAS's fork
+# handler has shut its thread pool down). Measured on 2
+# vCPUs (Python 3.11.7, numpy 2.4.6): timed alone, two shares broke even
+# with one at about 45 graphs of a 40-project corpus at call density 2.0
+# (18 blocks each) and about 100 criterion-06 graphs (4.5 blocks each).
+# In perfbench's long-lived process, an eval of 364 criterion-06 graphs
+# ran no faster in two shares than in one (x1.00; --seconds 20, 5
+# alternated pairs), while label and pairs after it fell to x0.92 of their
+# rate and detect's p95 latency rose x1.13; an eval of 656 graphs of the
+# larger kind in two shares ran x1.33 as fast as the serial scorer before
+# shares (--seconds 45, 10 of 10 alternated pairs). So two shares start at
+# 512 graphs.
+_GRAPHS_PER_SHARE = 256
+
+
+def _share_count(files: int, graphs: int) -> int:
+    """How many shares score graphs from so many graph files: one per CPU
+    this process may run on, but no more than the files, nor than one per
+    _GRAPHS_PER_SHARE graphs, and one where there is no fork or another
+    thread runs (a forked child would hold a copy of its locks)."""
+    if (
+        not hasattr(os, "fork")
+        or not hasattr(os, "sched_getaffinity")
+        or threading.active_count() > 1
+    ):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, min(cpus, files, graphs // _GRAPHS_PER_SHARE))
+
+
+def _shares(refs: Sequence[GraphRef]) -> list[list[GraphRef]]:
+    """The refs split into _share_count shares of whole graph files: each
+    file, the one with the most refs first, goes to the share with the
+    fewest refs so far (the first of them on a tie). A share lists its refs
+    in the order of refs; an empty share is dropped."""
+    by_file: dict[tuple[str, str], list[GraphRef]] = {}
+    for ref in refs:
+        by_file.setdefault(ref[:2], []).append(ref)
+    shares: list[list[GraphRef]] = [
+        [] for _ in range(_share_count(len(by_file), len(refs)))
+    ]
+    for file_refs in sorted(by_file.values(), key=len, reverse=True):
+        min(shares, key=len).extend(file_refs)
+    order = {ref: i for i, ref in enumerate(refs)}
+    return [sorted(share, key=order.__getitem__) for share in shares if share]
+
+
+def _run_shares(
+    work: Callable[[int], object], count: int, files: Callable[[int], list[str]]
+) -> list[object]:
+    """work(k) for each share k < count: share 0 here, every other share in
+    a child made with os.fork, which sends its result back pickled through
+    a pipe and leaves by os._exit. Every child is waited for however this
+    returns or raises, and killed first unless it has sent its result; one
+    that ends without sending it raises ShareLost naming files(k), the
+    graph files of its share."""
+    children: dict[int, tuple[int, int]] = {}  # share -> (pid, read end)
+    try:
+        for k in range(1, count):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(work, k, write_end)
+            os.close(write_end)
+            children[k] = pid, read_end
+        outcomes = [work(0)]
+        for k in range(1, count):
+            pid, read_end = children[k]
+            with open(read_end, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[k]
+            os.close(read_end)
+            if code != 0 or not data:
+                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                raise ShareLost(
+                    f"the process scoring the graphs of {', '.join(files(k))} "
+                    f"ended without its result ({how})"
+                )
+            outcomes.append(pickle.loads(data))
+        return outcomes
+    finally:
+        for pid, read_end in children.values():
+            os.close(read_end)
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
+
+
+def _child(work: Callable[[int], object], k: int, write_end: int) -> NoReturn:
+    """Share k in a forked child: its pickled result down write_end, then
+    os._exit, never a return into the caller's code."""
+    code = 1
+    try:
+        # the child is short-lived: a collection would only touch, and so
+        # copy, the pages of the parent's heap
+        gc.disable()
+        with open(write_end, "wb") as pipe:
+            pickle.dump(work(k), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _similarities(

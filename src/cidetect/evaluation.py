@@ -21,7 +21,7 @@ from .acfg import write_atomic, write_json
 from .errors import DegenerateLabels
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .pairgen import FunctionPair
+    from .pairgen import PairRef
 
 Scored = tuple[float, int]
 
@@ -188,7 +188,7 @@ def write_sweep_csv(sweep: SweepResult, path: Path | str) -> None:
 
 
 def reports_from_scores(
-    pairs: Sequence["FunctionPair"], scores: Sequence[float], threshold: float
+    pairs: Sequence["PairRef"], scores: Sequence[float], threshold: float
 ) -> dict[str, EvalReport]:
     """Per-pattern reports plus an overall row at the given threshold.
 

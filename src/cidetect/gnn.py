@@ -22,14 +22,16 @@ shape, so a graph in a bucket gets the bits it gets in a bucket of one,
 whichever graphs share the bucket: a score depends only on its two graphs.
 So two prepared objects of one graph embed to equal bits, and a graph is
 at distance exactly 0 from itself under one ref or two. One driver,
-_embed_pairs, embeds the pairs of a list for training, validation, scoring
-and detect alike, one row per prepared object: it stacks the rows one
-bucket of up to CHUNK_NODES nodes at a time (_buckets) and embeds each
-bucket under every model before it stacks the next. One rule, _distances,
-takes every pair distance, with or without a gradient. Everything that
-compares embeddings without a gradient (validation AUC, the detector's
-scoring and detect) is one pair_distances call on (query, target) pairs of
-prepared graphs, which keeps no tape.
+_embed_rows, embeds graphs for training, validation, scoring and detect
+alike, one row per prepared object: it stacks the rows one bucket of up
+to CHUNK_NODES nodes at a time (_buckets) and embeds each bucket under
+every model before it stacks the next. One rule, _distances, takes every
+pair distance, with or without a gradient. Everything that compares
+embeddings without a gradient embeds without a tape (embed_graphs) and
+takes the distances of the rows' pairs (row_distances): validation AUC and
+detect in one pair_distances call on (query, target) pairs of prepared
+graphs, and the detector's scoring from the rows that its processes embed
+apart, each process its own graphs.
 
 A training step runs the driver on the parameters as they are, with a
 tape. A row's tape is its slice of every array in its bucket's tape,
@@ -472,27 +474,34 @@ def _row_tape(tape, j: int):
     return [_row_tape(part, j) for part in tape]
 
 
-def _embed_pairs(
+def _pair_rows(
     pairs: Sequence[tuple[PreparedGraph, PreparedGraph]],
-    models: Sequence[ModelParams],
-    config: ModelConfig,
-    tapes: dict[int, list] | None = None,
-) -> tuple[list[PreparedGraph], np.ndarray, np.ndarray]:
+) -> tuple[list[PreparedGraph], np.ndarray]:
     """The distinct prepared graphs of the pairs (one row per object, in
-    order of first appearance), each pair's query and target row as a
-    (len(pairs), 2) array, and every row's embedding under each model,
-    shape (len(models), rows, 1, embedding).
-
-    The rows are stacked one bucket at a time (_buckets), and each bucket
-    embeds under every model before the next is stacked. Given a tapes
-    dict and one model, the forward keeps its tape, and tapes maps each row
-    to its slice of its bucket's tape (_row_tape).
-    """
+    order of first appearance), and each pair's query and target row as a
+    (len(pairs), 2) array."""
     graphs = list({id(g): g for pair in pairs for g in pair}.values())
     row_of = {id(g): i for i, g in enumerate(graphs)}
     rows = np.array(
         [row_of[id(g)] for pair in pairs for g in pair], dtype=np.intp
     ).reshape(len(pairs), 2)
+    return graphs, rows
+
+
+def _embed_rows(
+    graphs: Sequence[PreparedGraph],
+    models: Sequence[ModelParams],
+    config: ModelConfig,
+    tapes: dict[int, list] | None = None,
+) -> np.ndarray:
+    """Every graph's embedding under each model, shape (len(models),
+    len(graphs), 1, embedding).
+
+    The graphs are stacked one bucket at a time (_buckets), and each bucket
+    embeds under every model before the next is stacked. Given a tapes
+    dict and one model, the forward keeps its tape, and tapes maps each row
+    to its slice of its bucket's tape (_row_tape).
+    """
     emb = np.empty((len(models), len(graphs), 1, config.graph_embedding_dim))
     for members, bucket in _buckets(graphs):
         for out, params in zip(emb, models):
@@ -501,16 +510,40 @@ def _embed_pairs(
             if tapes is not None:
                 for j, row in enumerate(members):
                     tapes[row] = _row_tape(tape, j)
-    return graphs, rows, emb
+    return emb
 
 
 def _distances(emb: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The distance between the two rows of each pair: emb holds one model's
-    (rows, 1, embedding) embeddings, rows is _embed_pairs' (pairs, 2).
+    (rows, 1, embedding) embeddings, rows is _pair_rows' (pairs, 2).
     Each pair's squares are summed in one row-wise np.sum, which gives the
     bits np.sum gives that pair alone."""
     diff = emb[rows[:, 0], 0] - emb[rows[:, 1], 0]
     return np.sqrt(np.sum(diff**2, axis=-1))
+
+
+def embed_graphs(
+    graphs: Sequence[PreparedGraph],
+    models: Sequence[ModelParams],
+    config: ModelConfig,
+) -> np.ndarray:
+    """Every graph's embedding under each model, without a tape, shape
+    (len(models), len(graphs), 1, embedding): the rows that row_distances
+    takes.
+
+    The models embed with Fortran-ordered weights (copies, unless they are
+    Fortran-ordered already, as a loaded checkpoint's are): w.T is then
+    C-contiguous, which the stacked products take by a faster path.
+    """
+    models = [{name: np.asfortranarray(t) for name, t in m.items()} for m in models]
+    return _embed_rows(graphs, models, config)
+
+
+def row_distances(emb: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The distance of each pair under each model, shape (len(models),
+    len(rows)), from embed_graphs' embeddings and each pair's (query,
+    target) row as a (pairs, 2) array."""
+    return np.array([_distances(model_emb, rows) for model_emb in emb])
 
 
 def pair_distances(
@@ -519,16 +552,10 @@ def pair_distances(
     config: ModelConfig,
 ) -> np.ndarray:
     """Embedding distance of each pair under each model, shape
-    (len(models), len(pairs)).
-
-    The rows embed without a tape (_embed_pairs). The models embed with
-    Fortran-ordered weights (copies, unless they are Fortran-ordered
-    already, as a loaded checkpoint's are): w.T is then C-contiguous, which
-    the stacked products take by a faster path.
-    """
-    models = [{name: np.asfortranarray(t) for name, t in m.items()} for m in models]
-    _, rows, emb = _embed_pairs(pairs, models, config)
-    return np.array([_distances(model_emb, rows) for model_emb in emb])
+    (len(models), len(pairs)): row_distances of the pairs' distinct
+    prepared graphs (embed_graphs)."""
+    graphs, rows = _pair_rows(pairs)
+    return row_distances(embed_graphs(graphs, models, config), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +607,7 @@ def _batch_gradient(
     and of the pair losses of the batch, in pair order.
 
     Each prepared graph runs forward once, in its bucket, with a tape
-    (_embed_pairs), and the pair distances are _distances'. A pair has a
+    (_embed_rows), and the pair distances are _distances'. A pair has a
     gradient when its hinge is active at non-zero distance; its two
     backward passes, one graph each, then overwrite flat, which grads
     views. A pair without one adds nothing to the total: the total starts
@@ -589,9 +616,8 @@ def _batch_gradient(
     freed on return.
     """
     tapes: dict[int, list] = {}
-    graphs, rows, emb = _embed_pairs(
-        [(p.query, p.target) for p in batch], [params], config, tapes
-    )
+    graphs, rows = _pair_rows([(p.query, p.target) for p in batch])
+    emb = _embed_rows(graphs, [params], config, tapes)
     total = np.zeros(layout.size)
     flat = np.empty(layout.size)
     grads = layout.views(flat)

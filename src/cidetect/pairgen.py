@@ -6,7 +6,9 @@ inlining) with a cross-inlining binary whose code embeds that bridge
 that does not embed the bridge. Pairs are drawn as refs into a corpus
 (PairRef), which is all a pair file holds; resolving them against the
 corpus's graphs gives FunctionPairs, whose queries and targets are stripped
-of symbol names before they reach a model.
+of symbol names before they reach a model. read_pairs gives a pair file's
+PairRefs, checked against the corpus, and builds no graph: the scorer
+builds them (build_refs), each process the graphs of its own graph files.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .acfg import AttributedCFG, read_records, strip_name, write_records
-from .errors import Exhausted, TooFewProjects
+from .acfg import (
+    RECORD_ERRORS, AttributedCFG, parse_record, placed, strip_name, write_records
+)
+from .errors import Exhausted, TooFewProjects, ValidationError
 from .labeling import (
     DATASET_INLINE, DATASET_NOINLINE, BinaryFunctionRef, BridgeIndex, Pattern
 )
@@ -315,8 +319,71 @@ def _record_pair(record: dict) -> PairRef:
     )
 
 
-def read_pairs(path: Path | str, graphs: GraphStore) -> list[FunctionPair]:
-    """The pairs of a pair file, resolved against graphs. A bad record or
-    a ref missing from graphs raises ValidationError naming path:line."""
-    resolve = _resolver(graphs)
-    return list(read_records(path, lambda record: resolve(_record_pair(record))))
+def read_pairs(
+    path: Path | str, graphs: GraphStore
+) -> tuple[list[PairRef], list[str]]:
+    """The pairs of a pair file, and the place (path:line) of each. Every
+    ref is checked against graphs, but no graph is built. A bad record, or
+    a ref graphs lacks, raises ValidationError naming path:line, unless a
+    graph of an earlier pair fails to build: the refs of the pairs before
+    it are built first, in the order they first appear, and the first
+    failure is raised at the place of its ref's first pair (at_place)."""
+
+    def pair_of(record: dict) -> PairRef:
+        pair = _record_pair(record)
+        check_refs([pair], graphs)
+        return pair
+
+    pairs: list[PairRef] = []
+    places: list[str] = []
+    with Path(path).open("r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, 1):
+            if line.strip():
+                where = f"{path}:{lineno}"
+                try:
+                    pairs.append(parse_record(line, pair_of, where))
+                except ValidationError:
+                    first = first_refs(pairs)
+                    refs = list(first)
+                    built, failure = build_refs(graphs, refs)
+                    if failure is not None:
+                        place = places[first[refs[len(built)]]]
+                        raise at_place(place, failure) from None
+                    raise
+                places.append(where)
+    return pairs, places
+
+
+def first_refs(pairs: Iterable[PairRef]) -> dict[GraphRef, int]:
+    """Each distinct ref of the pairs, in the order refs first appear
+    (query before target), mapped to the index of the pair it first
+    appears in."""
+    first: dict[GraphRef, int] = {}
+    for i, pair in enumerate(pairs):
+        first.setdefault(pair.query_ref, i)
+        first.setdefault(pair.target_ref, i)
+    return first
+
+
+def build_refs(
+    graphs: GraphStore, refs: Sequence[GraphRef]
+) -> tuple[list[AttributedCFG], Exception | None]:
+    """The graphs of refs, in order, up to the first that fails to build,
+    and that failure (None when every one builds). A store with a build
+    method, as synth.CorpusGraphs has, builds through it, which opens each
+    graph file once."""
+    build = getattr(graphs, "build", None)
+    built: list[AttributedCFG] = []
+    try:
+        for graph in build(refs) if build else map(graphs.__getitem__, refs):
+            built.append(graph)
+    except Exception as exc:  # reported by the caller, maybe from another process
+        return built, exc
+    return built, None
+
+
+def at_place(place: str, failure: Exception) -> Exception:
+    """A ref's failure to build as the failure of the pair at place
+    (path:line), as parse_record reports a bad record; a failure of
+    another kind, such as an OSError, as it is."""
+    return placed(place, failure) if isinstance(failure, RECORD_ERRORS) else failure

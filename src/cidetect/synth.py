@@ -623,8 +623,9 @@ class CorpusGraphs(Mapping[GraphRef, AttributedCFG]):
 
     The first read of a graph file reads it whole and checks it
     (graph_file_line_starts); only where its lines start is kept, and each
-    line is read from there. A bad record, or one that is not the function the
-    manifest lists at its line, raises MalformedGraph naming path:line."""
+    line is read from there, the lines of many keys through one handle
+    (build). A bad record, or one that is not the function the manifest
+    lists at its line, raises MalformedGraph naming path:line."""
 
     def __init__(self, root: Path, manifest: dict):
         self._entries = manifest["graph_files"]
@@ -660,22 +661,55 @@ class CorpusGraphs(Mapping[GraphRef, AttributedCFG]):
     def __getitem__(self, key: GraphRef) -> AttributedCFG:
         graph = self._built.get(key)
         if graph is None:
-            index, file = self._where[key], key[:2]
-            if file not in self._starts:
-                self.verify([file])
-            start, stop = self._starts[file][index : index + 2]
-            path = self._paths[file]
-            with path.open("rb") as handle:
-                handle.seek(start)
-                line = handle.read(stop - start)
-            where = f"{path}:{index + 1}"
-            graph = parse_record(line, build_acfg, where, MalformedGraph)
-            if graph.function_name != key[2]:
-                raise MalformedGraph(
-                    f"{where}: holds {graph.function_name!r}, not {key[2]!r}, "
-                    "the function manifest.json lists at this line"
-                )
-            self._built[key] = graph
+            (graph,) = self.build([key])
+        return graph
+
+    def build(self, keys: Sequence[GraphRef]) -> Iterator[AttributedCFG]:
+        """The graph of each key, in order, as __getitem__ gives it, but
+        each graph file is opened once: at the first key of a file, its
+        first read checks it, and then one handle reads, in line order,
+        the lines of every key of that file not built yet. A failure is
+        raised at the key that meets it, as __getitem__ raises it, and a
+        key the corpus lacks raises KeyError before any graph is built."""
+        wanted: dict[tuple[str, str], set[int]] = {}
+        for key in keys:
+            if key not in self._built:
+                wanted.setdefault(key[:2], set()).add(self._where[key])
+        lines: dict[tuple[str, str], dict[int, bytes]] = {}
+        for key in keys:
+            graph = self._built.get(key)
+            if graph is None:
+                file = key[:2]
+                if file not in lines:
+                    lines[file] = self._read_lines(file, sorted(wanted[file]))
+                graph = self._built[key] = self._parse(key, lines[file])
+            yield graph
+
+    def _read_lines(
+        self, file: tuple[str, str], indices: list[int]
+    ) -> dict[int, bytes]:
+        """The lines of a graph file at the given indices, in ascending
+        order, read through one handle after the file is checked."""
+        if file not in self._starts:
+            self.verify([file])
+        starts = self._starts[file]
+        read = {}
+        with self._paths[file].open("rb") as handle:
+            for index in indices:
+                handle.seek(starts[index])
+                read[index] = handle.read(starts[index + 1] - starts[index])
+        return read
+
+    def _parse(self, key: GraphRef, lines: dict[int, bytes]) -> AttributedCFG:
+        """The graph of key from its line among lines."""
+        index = self._where[key]
+        where = f"{self._paths[key[:2]]}:{index + 1}"
+        graph = parse_record(lines.pop(index), build_acfg, where, MalformedGraph)
+        if graph.function_name != key[2]:
+            raise MalformedGraph(
+                f"{where}: holds {graph.function_name!r}, not {key[2]!r}, "
+                "the function manifest.json lists at this line"
+            )
         return graph
 
     def __contains__(self, key: object) -> bool:

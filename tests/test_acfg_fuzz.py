@@ -22,7 +22,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cidetect.acfg import (  # noqa: E402
-    AttributedCFG, acfg_to_record, build_acfg, build_vocabulary, strip_name
+    AttributedCFG, acfg_to_record, build_acfg, build_vocabulary
 )
 from cidetect.cli import build_index_from_corpus  # noqa: E402
 from cidetect.errors import (  # noqa: E402
@@ -32,7 +32,7 @@ from cidetect.gnn import (  # noqa: E402
     ModelConfig, init_params, load_checkpoint, param_shapes, save_checkpoint
 )
 from cidetect.labeling import CROSS_PATTERNS  # noqa: E402
-from cidetect.pairgen import FunctionPair, _pair_record, read_pairs, sample_pairs  # noqa: E402
+from cidetect.pairgen import PairRef, _pair_record, read_pairs, sample_pairs  # noqa: E402
 from cidetect.synth import (  # noqa: E402
     SynthConfig, generate_corpus, load_corpus, write_corpus
 )
@@ -436,13 +436,13 @@ def test_mutated_pair_records_raise_only_cidetect_errors(base, mutations, data):
         path = Path(directory, "pairs.jsonl")
         path.write_text(json.dumps(record) + "\n")
         try:
-            pairs = read_pairs(path, _CORPUS.graphs)
+            pairs, places = read_pairs(path, _CORPUS.graphs)
         except CIDetectError:
             return
     (pair,) = pairs
-    assert isinstance(pair, FunctionPair) and pair.label in (-1, 1)
-    assert pair.query == strip_name(_CORPUS.graphs[pair.query_ref])
-    assert pair.target == strip_name(_CORPUS.graphs[pair.target_ref])
+    assert type(pair) is PairRef and pair.label in (-1, 1)
+    assert places == [f"{path}:1"]
+    assert pair.query_ref in _CORPUS.graphs and pair.target_ref in _CORPUS.graphs
 
 
 TABLES = ("addr2line.tsv", "binfuncs.tsv", "srcfuncs.tsv", "fcg.tsv")

@@ -224,14 +224,19 @@ def test_detect_equals_eval_bit_for_bit(pipeline, tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["final"] == score
 
 
+def _one_share(monkeypatch):
+    """Score in this process only, where a monkeypatch sees every call."""
+    monkeypatch.setattr(detector, "_share_count", lambda files, graphs: 1)
+
+
 def test_eval_scores_once(pipeline, tmp_path, monkeypatch):
     """eval scores every pair once; its files equal those built from a
     separate score_pairs call."""
+    _one_share(monkeypatch)
     det = detector.load_bundle(pipeline["bundle"])
-    pairs = pairgen.read_pairs(
-        pipeline["pairs"], synth.load_corpus(pipeline["corpus"]).graphs
-    )
-    finals = detector.score_pairs(det, pairs)
+    graphs = synth.load_corpus(pipeline["corpus"]).graphs
+    pairs, _ = pairgen.read_pairs(pipeline["pairs"], graphs)
+    finals = detector.score_pairs(det, pairs, graphs)
     reference = tmp_path / "reference.json"
     evaluation.write_reports(
         evaluation.reports_from_scores(pairs, finals, det.threshold), reference
@@ -874,18 +879,19 @@ def _assert_names(caplog, place):
     ]
 
 
+_BAD_PAIR_RECORDS = {
+    "not-json": lambda line: "{not json",
+    "missing-key": lambda line: _bad_record(line, lambda r: r.pop("query_ref")),
+    "bad-label": lambda line: _bad_record(line, lambda r: r.update(label="abc")),
+    "bad-pattern": lambda line: _bad_record(line, lambda r: r.update(pattern="equal")),
+    "unknown-ref": lambda line: _bad_record(
+        line, lambda r: r.update(target_ref=["inline", "ghost", "f"])
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "corrupt",
-    [
-        lambda line: "{not json",
-        lambda line: _bad_record(line, lambda r: r.pop("query_ref")),
-        lambda line: _bad_record(line, lambda r: r.update(label="abc")),
-        lambda line: _bad_record(line, lambda r: r.update(pattern="equal")),
-        lambda line: _bad_record(
-            line, lambda r: r.update(target_ref=["inline", "ghost", "f"])
-        ),
-    ],
-    ids=["not-json", "missing-key", "bad-label", "bad-pattern", "unknown-ref"],
+    "corrupt", _BAD_PAIR_RECORDS.values(), ids=_BAD_PAIR_RECORDS.keys()
 )
 def test_eval_bad_pair_record_names_file_and_line(
     pipeline, tmp_path, caplog, corrupt
@@ -1162,6 +1168,7 @@ def test_a_corpus_command_reads_each_graph_file_in_full_at_most_once(
         return line_starts(path, sha256)
 
     monkeypatch.setattr(synth, "graph_file_line_starts", counting)
+    _one_share(monkeypatch)
     assert _run_corpus_command(pipeline, pipeline["corpus"], command, tmp_path) == 0
     assert reads and len(set(reads)) == len(reads)
 
@@ -1267,6 +1274,7 @@ def _pair_refs(path):
 
 
 def test_eval_builds_only_the_refs_of_its_pairs(pipeline, tmp_path, monkeypatch):
+    _one_share(monkeypatch)
     built = _count_builds(monkeypatch)
     assert _eval(pipeline, pipeline["pairs"], tmp_path / "report") == 0
     refs = _pair_refs(pipeline["pairs"])
@@ -1454,6 +1462,235 @@ def test_eval_of_a_pair_naming_a_bad_record_names_file_and_line(
     _assert_names(caplog, "columns that do not line up")
 
 
+# ---------------------------------------------------------------------------
+# eval in shares: one process per share of graph files
+
+_REPORT_FILES = ("scores.jsonl", "reports.json", "sweep.csv")
+
+
+def _eval_in_shares(pipeline, corpus, pairs, out, shares, monkeypatch, caplog):
+    """eval with the given share count; its exit code and error messages.
+    Every child it forked has been waited for."""
+    monkeypatch.setattr(detector, "_share_count", lambda files, graphs: shares)
+    caplog.clear()
+    with caplog.at_level("ERROR", logger="cidetect.cli"):
+        rc = main([
+            "eval", "--bundle", str(pipeline["bundle"]), "--corpus", str(corpus),
+            "--pairs", str(pairs), "--out", str(out),
+        ])
+    _assert_no_child_left()
+    return rc, [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _shares_of(pipeline, count, monkeypatch):
+    """The refs of the pipeline's pair file in shares, as count shares
+    split them."""
+    graphs = synth.load_corpus(pipeline["corpus"]).graphs
+    pairs, _ = pairgen.read_pairs(pipeline["pairs"], graphs)
+    monkeypatch.setattr(detector, "_share_count", lambda files, graphs: count)
+    return detector._shares(list(pairgen.first_refs(pairs))), pairs
+
+
+def _spoil(corpus, ref):
+    """Drop a block id from the record of ref, as if synth had written it
+    so; the record's path:line."""
+    dataset, binary_id, name = ref
+    path = synth.graph_file(corpus, dataset, binary_id)
+    lines = path.read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if json.loads(line)["name"] == name)
+    lines[index] = _drop_block_id(json.loads(lines[index]))
+    path.write_text("\n".join(lines) + "\n")
+    rehash_graph_file(path)
+    return f"{path}:{index + 1}"
+
+
+def test_eval_writes_the_same_bytes_at_any_share_count(
+    pipeline, tmp_path, monkeypatch, caplog
+):
+    forks = []
+    fork = os.fork
+
+    def counting():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    written = []
+    for shares in (1, 2, 3):
+        out = tmp_path / f"report-{shares}"
+        rc, _ = _eval_in_shares(
+            pipeline, pipeline["corpus"], pipeline["pairs"], out, shares,
+            monkeypatch, caplog,
+        )
+        assert rc == 0 and len(forks) == shares - 1
+        forks.clear()
+        written.append({name: (out / name).read_bytes() for name in _REPORT_FILES})
+    assert written[0] == written[1] == written[2]
+
+
+def _bad_pair_record_case(corrupt):
+    def case(pipeline, tmp_path, monkeypatch):
+        pairs = tmp_path / "pairs.jsonl"
+        _with_bad_second_record(pipeline["pairs"], pairs, corrupt)
+        return pipeline["corpus"], pairs, f"{pairs}:3: "
+
+    return case
+
+
+def _bad_graph_record_case(pipeline, tmp_path, monkeypatch):
+    corpus, place = _corpus_with_bad_record(pipeline, tmp_path, named=True)
+    return corpus, pipeline["pairs"], place
+
+
+def _changed_graph_file_case(pipeline, tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    path = _graph_file_read_by("eval", pipeline, corpus)
+    path.write_text(path.read_text().replace('"insn_ops": ["', '"insn_ops": ["x', 1))
+    return corpus, pipeline["pairs"], f"{path}: sha256"
+
+
+def _functions_of_another_length_case(pipeline, tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    path = _graph_file_read_by("eval", pipeline, corpus)
+    lines = path.read_text().splitlines()
+    rehash_graph_file(path, [json.loads(line)["name"] for line in lines] + ["extra"])
+    return corpus, pipeline["pairs"], f"{path}: holds {len(lines)} lines"
+
+
+def _bad_graph_of_a_child_case(pipeline, tmp_path, monkeypatch):
+    """A bad record whose graph file the last of 3 shares, a child, reads."""
+    shares, pairs = _shares_of(pipeline, 3, monkeypatch)
+    assert len(shares) == 3
+    ref = shares[-1][0]
+    line = 1 + pairgen.first_refs(pairs)[ref]
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    place = _spoil(corpus, ref)
+    expected = f"{pipeline['pairs']}:{line}: MalformedGraph: {place}:"
+    return corpus, pipeline["pairs"], expected
+
+
+def _bad_graphs_of_two_shares_case(pipeline, tmp_path, monkeypatch):
+    """Bad records in the calling process's share and in a child's, the
+    child's named on an earlier pair line: the child's fails eval."""
+    shares, pairs = _shares_of(pipeline, 3, monkeypatch)
+    refs = list(pairgen.first_refs(pairs))
+    early, late = shares[-1][0], shares[0][-1]
+    assert refs.index(early) < refs.index(late)
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    place = _spoil(corpus, early)
+    _spoil(corpus, late)
+    line = 1 + pairgen.first_refs(pairs)[early]
+    expected = f"{pipeline['pairs']}:{line}: MalformedGraph: {place}:"
+    return corpus, pipeline["pairs"], expected
+
+
+def _first_seen_at_line(pairs, line):
+    """A ref of the pair at line (from 1) that no earlier pair has."""
+    earlier = {ref for p in pairs[: line - 1] for ref in (p.query_ref, p.target_ref)}
+    pair = pairs[line - 1]
+    return next(r for r in (pair.query_ref, pair.target_ref) if r not in earlier)
+
+
+def _bad_lines_case(graph_line, record_line):
+    """A bad graph first named at graph_line and a pair record that is not
+    JSON at record_line: the earlier line fails."""
+
+    def case(pipeline, tmp_path, monkeypatch):
+        _, pairs = _shares_of(pipeline, 1, monkeypatch)
+        corpus = tmp_path / "corpus"
+        shutil.copytree(pipeline["corpus"], corpus)
+        place = _spoil(corpus, _first_seen_at_line(pairs, graph_line))
+        path = tmp_path / "pairs.jsonl"
+        lines = pipeline["pairs"].read_text().splitlines()
+        lines[record_line - 1] = "{not json"
+        path.write_text("\n".join(lines) + "\n")
+        if graph_line < record_line:
+            return corpus, path, f"{path}:{graph_line}: MalformedGraph: {place}:"
+        return corpus, path, f"{path}:{record_line}: JSONDecodeError"
+
+    return case
+
+
+_EVAL_FAILURES = {
+    **{
+        f"pair-record-{name}": _bad_pair_record_case(corrupt)
+        for name, corrupt in _BAD_PAIR_RECORDS.items()
+    },
+    "graph-record": _bad_graph_record_case,
+    "graph-file-changed-after-synth": _changed_graph_file_case,
+    "functions-of-another-length": _functions_of_another_length_case,
+    "graph-record-of-a-child": _bad_graph_of_a_child_case,
+    "graph-records-of-two-shares": _bad_graphs_of_two_shares_case,
+    "graph-at-line-2-record-at-line-5": _bad_lines_case(2, 5),
+    "record-at-line-2-graph-at-line-5": _bad_lines_case(5, 2),
+}
+
+
+@pytest.mark.parametrize("case", _EVAL_FAILURES.values(), ids=_EVAL_FAILURES.keys())
+def test_eval_fails_alike_at_any_share_count(
+    pipeline, tmp_path, monkeypatch, caplog, case
+):
+    """A bad input fails eval with exit 2 and the same message, that of the
+    earliest pair line, whether 1 or 3 processes score; nothing is
+    written and no process is left."""
+    corpus, pairs, expected = case(pipeline, tmp_path, monkeypatch)
+    outcomes = []
+    for shares in (1, 3):
+        out = tmp_path / f"report-{shares}"
+        outcomes.append(
+            _eval_in_shares(pipeline, corpus, pairs, out, shares, monkeypatch, caplog)
+        )
+        assert not out.exists()
+    assert outcomes[0] == outcomes[1]
+    rc, messages = outcomes[0]
+    assert rc == 2 and len(messages) == 1 and expected in messages[0], messages
+
+
+def test_eval_names_the_graph_files_of_a_process_that_ends_without_its_result(
+    pipeline, tmp_path, monkeypatch, caplog
+):
+    monkeypatch.setattr(detector, "_child", lambda work, k, write_end: os._exit(1))
+    shares, _ = _shares_of(pipeline, 2, monkeypatch)
+    files = sorted({str(synth.graph_file("", *ref[:2])) for ref in shares[1]})
+    out = tmp_path / "report"
+    rc, messages = _eval_in_shares(
+        pipeline, pipeline["corpus"], pipeline["pairs"], out, 2, monkeypatch, caplog
+    )
+    assert rc == 3 and not out.exists()
+    assert messages == [
+        f"the process scoring the graphs of {', '.join(files)} ended without "
+        "its result (exit code 1)"
+    ]
+
+
+def test_an_interrupted_eval_leaves_no_process(pipeline, tmp_path, monkeypatch):
+    """A KeyboardInterrupt in the calling process's own share ends eval
+    with every child killed and waited for."""
+    parent = os.getpid()
+    build_refs = pairgen.build_refs
+
+    def interrupted(graphs, refs):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return build_refs(graphs, refs)
+
+    monkeypatch.setattr(detector, "build_refs", interrupted)
+    monkeypatch.setattr(detector, "_share_count", lambda files, graphs: 3)
+    with pytest.raises(KeyboardInterrupt):
+        _eval(pipeline, pipeline["pairs"], tmp_path / "report")
+    _assert_no_child_left()
+    assert not (tmp_path / "report").exists()
+
+
 def test_label_warns_of_rows_of_binaries_the_manifest_does_not_list(
     pipeline, tmp_path, caplog
 ):
@@ -1492,7 +1729,8 @@ def test_label_warns_of_rows_of_binaries_the_manifest_does_not_list(
 
 
 def test_eval_has_no_jobs_option(pipeline, tmp_path):
-    """Scoring runs in one thread: --jobs and a jobs= config key exit 2."""
+    """The share count follows the CPUs and the input, and no option sets
+    it: --jobs and a jobs= config key exit 2."""
     argv = [
         "eval", "--bundle", str(pipeline["bundle"]),
         "--corpus", str(pipeline["corpus"]), "--pairs", str(pipeline["pairs"]),

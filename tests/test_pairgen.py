@@ -21,6 +21,7 @@ from cidetect.pairgen import (
     generate_negative_pairs,
     generate_positive_pairs,
     read_pairs,
+    resolve_pairs,
     sample_pairs,
     split_projects,
     write_pairs,
@@ -186,10 +187,12 @@ def test_pairs_jsonl_round_trip(tmp_path):
     pairs += generate_negative_pairs(index, Pattern.LEAF, 5, 1, graphs)
     path = tmp_path / "pairs.jsonl"
     write_pairs(pairs, path)
-    rebuilt = read_pairs(path, graphs)
+    rebuilt, places = read_pairs(path, graphs)
+    assert all(type(p) is PairRef for p in rebuilt)
     assert [(p.query_ref, p.target_ref, p.label, p.pattern, p.bridge) for p in rebuilt] == [
         (p.query_ref, p.target_ref, p.label, p.pattern, p.bridge) for p in pairs
     ]
+    assert places == [f"{path}:{line}" for line in range(1, len(pairs) + 1)]
 
 
 def _pair_view(pairs):
@@ -250,7 +253,7 @@ def test_each_ref_is_stripped_once_per_call(tmp_path):
     neg = generate_negative_pairs(index, Pattern.LEAF, 30, 1, graphs)
     path = tmp_path / "pairs.jsonl"
     write_pairs(pos + neg, path)
-    reread = read_pairs(path, graphs)
+    reread = resolve_pairs(read_pairs(path, graphs)[0], graphs)
     for pairs in (pos, neg, reread):
         by_ref = {}
         for pair in pairs:
