@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import acfg, detector, evaluation, gnn, labeling, pairgen, synth
-from .errors import InvalidLabel, NumericError, ShareLost, ValidationError
+from .errors import InvalidLabel, NumericError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -647,9 +647,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except NumericError as exc:
         logger.error("numeric failure: %s", exc)
-        return 3
-    except ShareLost as exc:
-        logger.error("%s", exc)
         return 3
     finally:
         if collecting:

@@ -14,12 +14,15 @@ splits the distinct refs of its pairs into shares of whole graph files,
 one per CPU while each share has at least _GRAPHS_PER_SHARE graphs. Each
 share builds, prepares and embeds its graphs under every model: share 0
 in the calling process, every other share in a child made with os.fork,
-which sends its embeddings back through a pipe. The scores come out the
-same, bit for bit, at any share count, and a failure is the one the
-serial order meets first. A single share forks nothing, so detect, which
-prepares its two graphs and makes one gnn.pair_distances call, never
-does. An eval scores its pair file once with score_pairs and builds every
-report from those scores (evaluation.reports_from_scores).
+which sends its embeddings back through a pipe. When a share does not
+return its rows (a bad input, or a child that ends without sending
+them), the calling process embeds every graph itself, one share as on
+one CPU, and so raises the failure the serial order meets first. The
+scores come out the same, bit for bit, at any share count. A single
+share forks nothing, so detect, which prepares its two graphs and makes
+one gnn.pair_distances call, never does. An eval scores its pair file
+once with score_pairs and builds every report from those scores
+(evaluation.reports_from_scores).
 
 save_models writes a bundle's model-<key>.ckpt files and vocab.json, and
 refuses a bundle whose vocab.json holds another vocabulary; finalize_bundle
@@ -31,6 +34,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import logging
 import numbers
 import os
 import pickle
@@ -51,9 +55,7 @@ from .acfg import (
     write_atomic,
     write_json,
 )
-from .errors import (
-    CorruptArtifact, DegenerateLabels, NegativeDistance, ShareLost, ValidationError
-)
+from .errors import CorruptArtifact, DegenerateLabels, NegativeDistance, ValidationError
 from .evaluation import Scored, threshold_sweep
 from .gnn import (
     ModelConfig,
@@ -71,7 +73,8 @@ from .labeling import CROSS_PATTERNS
 from .pairgen import (
     FunctionPair, GraphRef, GraphStore, PairRef, at_place, build_refs, first_refs
 )
-from .synth import graph_file
+
+logger = logging.getLogger(__name__)
 
 PATTERN_KEYS = tuple(pattern.value for pattern in CROSS_PATTERNS)
 MIXED_KEY = "mixed"
@@ -154,11 +157,12 @@ def score_pairs(
     The distinct refs are split into shares by graph file (_shares). Each
     share builds its graphs, prepares them and embeds them under every
     model; share 0 runs here and every other share in a forked process
-    (_run_shares). A failure to build a graph is raised as it is, or,
-    given each pair's place (path:line), at the place of the first pair
-    of its ref (pairgen.at_place); when several fail, the first to build
-    in the serial order fails, and a failure to build comes before a
-    failure to prepare."""
+    (_run_shares). When a share does not return its rows, every ref is
+    embedded here, in the serial order, which raises the failure that
+    order meets first: every graph is built before any is prepared, and a
+    failure to build a graph is raised as it is, or, given each pair's
+    place (path:line), at the place of the first pair of its ref
+    (pairgen.at_place)."""
     if not pairs:
         return []
     if graphs is None:
@@ -168,35 +172,23 @@ def score_pairs(
             graphs.setdefault(pair.target_ref, pair.target)
     first = first_refs(pairs)
     refs = list(first)
-    rank = {ref: i for i, ref in enumerate(refs)}
     models = [detector.models[key] for key in sorted(detector.models)]
-    shares = _shares(refs)
 
-    def embed(share: list[GraphRef]) -> np.ndarray | tuple[int, int, Exception]:
-        """The share's rows, or where and how the first of them failed:
-        (0 to build or 1 to prepare, its rank, the failure)."""
+    def embed(share: list[GraphRef]) -> np.ndarray:
+        """The embeddings of the share's graphs under every model."""
         built, failure = build_refs(graphs, share)
         if failure is not None:
-            return 0, rank[share[len(built)]], failure
-        prepared = []
-        for ref, graph in zip(share, built):
-            try:
-                prepared.append(prepare_graph(graph, detector.vocab, detector.config))
-            except Exception as exc:  # score_pairs raises it, from any process
-                return 1, rank[ref], exc
+            if places is None:
+                raise failure
+            raise at_place(places[first[share[len(built)]]], failure)
+        prepared = [prepare_graph(g, detector.vocab, detector.config) for g in built]
         return embed_graphs(prepared, models, detector.config)
 
-    outcomes = _run_shares(
-        lambda k: embed(shares[k]),
-        len(shares),
-        lambda k: sorted({str(graph_file("", *ref[:2])) for ref in shares[k]}),
-    )
-    failures = [outcome for outcome in outcomes if isinstance(outcome, tuple)]
-    if failures:
-        stage, row, failure = min(failures, key=lambda f: f[:2])
-        if stage == 0 and places is not None:
-            raise at_place(places[first[refs[row]]], failure)
-        raise failure
+    shares = _shares(refs)
+    outcomes = _run_shares(lambda k: embed(shares[k]), len(shares))
+    if outcomes is None:
+        shares, outcomes = [refs], [embed(refs)]
+    rank = {ref: i for i, ref in enumerate(refs)}
     emb = np.empty((len(models), len(refs), 1, detector.config.graph_embedding_dim))
     for share, share_emb in zip(shares, outcomes):
         emb[:, [rank[ref] for ref in share]] = share_emb
@@ -256,15 +248,16 @@ def _shares(refs: Sequence[GraphRef]) -> list[list[GraphRef]]:
     return [sorted(share, key=order.__getitem__) for share in shares if share]
 
 
-def _run_shares(
-    work: Callable[[int], object], count: int, files: Callable[[int], list[str]]
-) -> list[object]:
+def _run_shares(work: Callable[[int], object], count: int) -> list[object] | None:
     """work(k) for each share k < count: share 0 here, every other share in
     a child made with os.fork, which sends its result back pickled through
-    a pipe and leaves by os._exit. Every child is waited for however this
-    returns or raises, and killed first unless it has sent its result; one
-    that ends without sending it raises ShareLost naming files(k), the
-    graph files of its share."""
+    a pipe and leaves by os._exit. None, when there is more than one share,
+    if share 0 raises an Exception or a child ends without sending its
+    result, which logs a WARNING saying how it ended. Every child is waited
+    for however this returns or raises, and killed first unless it has sent
+    its result."""
+    if count == 1:
+        return [work(0)]
     children: dict[int, tuple[int, int]] = {}  # share -> (pid, read end)
     try:
         for k in range(1, count):
@@ -274,7 +267,10 @@ def _run_shares(
                 _child(work, k, write_end)
             os.close(write_end)
             children[k] = pid, read_end
-        outcomes = [work(0)]
+        try:
+            outcomes = [work(0)]
+        except Exception:  # the caller meets it again in the serial order
+            return None
         for k in range(1, count):
             pid, read_end = children[k]
             with open(read_end, "rb", closefd=False) as pipe:
@@ -284,10 +280,12 @@ def _run_shares(
             os.close(read_end)
             if code != 0 or not data:
                 how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-                raise ShareLost(
-                    f"the process scoring the graphs of {', '.join(files(k))} "
-                    f"ended without its result ({how})"
+                logger.warning(
+                    "the process scoring share %d of %d ended without its "
+                    "result (%s); scoring every pair in this process",
+                    k + 1, count, how,
                 )
+                return None
             outcomes.append(pickle.loads(data))
         return outcomes
     finally:

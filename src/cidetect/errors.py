@@ -77,11 +77,6 @@ class CorruptArtifact(ValidationError):
     """A checkpoint or bundle manifest is truncated, padded or lacks a field."""
 
 
-class ShareLost(CIDetectError):
-    """A forked scoring process ended without sending its result (killed,
-    out of memory); a runtime failure, not one of the inputs."""
-
-
 class NonFiniteGradient(NumericError):
     """A gradient became NaN or infinite; the step was aborted."""
 

@@ -6,9 +6,12 @@ inlining) with a cross-inlining binary whose code embeds that bridge
 that does not embed the bridge. Pairs are drawn as refs into a corpus
 (PairRef), which is all a pair file holds; resolving them against the
 corpus's graphs gives FunctionPairs, whose queries and targets are stripped
-of symbol names before they reach a model. read_pairs gives a pair file's
-PairRefs, checked against the corpus, and builds no graph: the scorer
-builds them (build_refs), each process the graphs of its own graph files.
+of symbol names. No name reaches a model either way: a graph reaches one
+only through gnn.prepare_graph, whose PreparedGraph holds features and
+edges and no name, so the named corpus graphs that eval and detect
+prepare embed exactly as their stripped copies do. read_pairs gives a pair
+file's PairRefs, checked against the corpus, and builds no graph: the
+scorer builds them (build_refs), each process the graphs of its own share.
 """
 
 from __future__ import annotations
@@ -369,15 +372,12 @@ def build_refs(
     graphs: GraphStore, refs: Sequence[GraphRef]
 ) -> tuple[list[AttributedCFG], Exception | None]:
     """The graphs of refs, in order, up to the first that fails to build,
-    and that failure (None when every one builds). A store with a build
-    method, as synth.CorpusGraphs has, builds through it, which opens each
-    graph file once."""
-    build = getattr(graphs, "build", None)
+    and that failure (None when every one builds)."""
     built: list[AttributedCFG] = []
     try:
-        for graph in build(refs) if build else map(graphs.__getitem__, refs):
-            built.append(graph)
-    except Exception as exc:  # reported by the caller, maybe from another process
+        for ref in refs:
+            built.append(graphs[ref])
+    except Exception as exc:  # raised by the caller, at the failing ref's place
         return built, exc
     return built, None
 

@@ -8,6 +8,10 @@ project: one that keeps every call, and one where calls are transitively
 spliced away under a budgeted random policy. Line tables emitted from the
 provenance tags let the labeling pipeline be checked against the generator's
 own ground truth.
+
+load_corpus reads a written corpus back: its CorpusGraphs reads each graph
+file once, whole, checks it against the sha256 the manifest records, keeps
+its lines and builds each graph from those checked bytes on first lookup.
 """
 
 from __future__ import annotations
@@ -597,23 +601,20 @@ def write_corpus(corpus: SynthCorpus, directory: Path | str) -> None:
     write_json(directory / "manifest.json", manifest)
 
 
-def graph_file_line_starts(path: Path, sha256: str) -> list[int]:
-    """Where each line of a graph file starts, then where the file ends,
-    from one read of the whole file, line by line. The file must hash to
-    sha256, the digest its corpus manifest records: one changed after synth
-    wrote it raises GraphFileChanged naming it."""
-    digest = hashlib.sha256()
-    starts = [0]
-    with path.open("rb") as handle:
-        for line in handle:
-            digest.update(line)
-            starts.append(starts[-1] + len(line))
-    if digest.hexdigest() != sha256:
+def graph_file_lines(path: Path, sha256: str) -> list[bytes]:
+    """The lines of a graph file, from one read of the whole file. The file
+    must hash to sha256, the digest its corpus manifest records: one changed
+    after synth wrote it raises GraphFileChanged naming it."""
+    data = path.read_bytes()
+    if hashlib.sha256(data).hexdigest() != sha256:
         raise GraphFileChanged(
             f"{path}: sha256 is not the one manifest.json records; "
             "the file changed after synth wrote it"
         )
-    return starts
+    lines = data.split(b"\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 class CorpusGraphs(Mapping[GraphRef, AttributedCFG]):
@@ -621,11 +622,11 @@ class CorpusGraphs(Mapping[GraphRef, AttributedCFG]):
     of a binary's graph file holds the i-th function its manifest entry
     lists. A graph is built from its line on first access and kept.
 
-    The first read of a graph file reads it whole and checks it
-    (graph_file_line_starts); only where its lines start is kept, and each
-    line is read from there, the lines of many keys through one handle
-    (build). A bad record, or one that is not the function the manifest
-    lists at its line, raises MalformedGraph naming path:line."""
+    The first read of a graph file reads it whole, checks it and keeps its
+    lines (graph_file_lines), so every graph of the file is built from the
+    bytes that were checked, and the file is not opened again. A bad
+    record, or one that is not the function the manifest lists at its line,
+    raises MalformedGraph naming path:line."""
 
     def __init__(self, root: Path, manifest: dict):
         self._entries = manifest["graph_files"]
@@ -640,76 +641,37 @@ class CorpusGraphs(Mapping[GraphRef, AttributedCFG]):
                 self._paths[dataset, binary_id] = path
                 for index, name in enumerate(self._entries[binary_id]["functions"]):
                     self._where[(dataset, binary_id, name)] = index
-        # (dataset, binary_id) -> where each line starts, then the file's end
-        self._starts: dict[tuple[str, str], list[int]] = {}
+        self._lines: dict[tuple[str, str], list[bytes]] = {}  # checked files
         self._built: dict[GraphRef, AttributedCFG] = {}
 
     def verify(self, files: Iterable[tuple[str, str]]) -> None:
         """Read and check each (dataset, binary_id) graph file not read yet,
         in sorted order. A file of another line count than the functions
         its manifest entry lists raises ValidationError naming it."""
-        for dataset, binary_id in sorted(set(files) - self._starts.keys()):
+        for dataset, binary_id in sorted(set(files) - self._lines.keys()):
             path, entry = self._paths[dataset, binary_id], self._entries[binary_id]
-            starts = graph_file_line_starts(path, entry["sha256"])
-            if len(starts) - 1 != len(entry["functions"]):
+            lines = graph_file_lines(path, entry["sha256"])
+            if len(lines) != len(entry["functions"]):
                 raise ValidationError(
-                    f"{path}: holds {len(starts) - 1} lines, but manifest.json "
+                    f"{path}: holds {len(lines)} lines, but manifest.json "
                     f"lists {len(entry['functions'])} functions for it"
                 )
-            self._starts[(dataset, binary_id)] = starts
+            self._lines[(dataset, binary_id)] = lines
 
     def __getitem__(self, key: GraphRef) -> AttributedCFG:
         graph = self._built.get(key)
         if graph is None:
-            (graph,) = self.build([key])
-        return graph
-
-    def build(self, keys: Sequence[GraphRef]) -> Iterator[AttributedCFG]:
-        """The graph of each key, in order, as __getitem__ gives it, but
-        each graph file is opened once: at the first key of a file, its
-        first read checks it, and then one handle reads, in line order,
-        the lines of every key of that file not built yet. A failure is
-        raised at the key that meets it, as __getitem__ raises it, and a
-        key the corpus lacks raises KeyError before any graph is built."""
-        wanted: dict[tuple[str, str], set[int]] = {}
-        for key in keys:
-            if key not in self._built:
-                wanted.setdefault(key[:2], set()).add(self._where[key])
-        lines: dict[tuple[str, str], dict[int, bytes]] = {}
-        for key in keys:
-            graph = self._built.get(key)
-            if graph is None:
-                file = key[:2]
-                if file not in lines:
-                    lines[file] = self._read_lines(file, sorted(wanted[file]))
-                graph = self._built[key] = self._parse(key, lines[file])
-            yield graph
-
-    def _read_lines(
-        self, file: tuple[str, str], indices: list[int]
-    ) -> dict[int, bytes]:
-        """The lines of a graph file at the given indices, in ascending
-        order, read through one handle after the file is checked."""
-        if file not in self._starts:
+            index, file = self._where[key], key[:2]
             self.verify([file])
-        starts = self._starts[file]
-        read = {}
-        with self._paths[file].open("rb") as handle:
-            for index in indices:
-                handle.seek(starts[index])
-                read[index] = handle.read(starts[index + 1] - starts[index])
-        return read
-
-    def _parse(self, key: GraphRef, lines: dict[int, bytes]) -> AttributedCFG:
-        """The graph of key from its line among lines."""
-        index = self._where[key]
-        where = f"{self._paths[key[:2]]}:{index + 1}"
-        graph = parse_record(lines.pop(index), build_acfg, where, MalformedGraph)
-        if graph.function_name != key[2]:
-            raise MalformedGraph(
-                f"{where}: holds {graph.function_name!r}, not {key[2]!r}, "
-                "the function manifest.json lists at this line"
-            )
+            where = f"{self._paths[file]}:{index + 1}"
+            line = self._lines[file][index]
+            graph = parse_record(line, build_acfg, where, MalformedGraph)
+            if graph.function_name != key[2]:
+                raise MalformedGraph(
+                    f"{where}: holds {graph.function_name!r}, not {key[2]!r}, "
+                    "the function manifest.json lists at this line"
+                )
+            self._built[key] = graph
         return graph
 
     def __contains__(self, key: object) -> bool:
@@ -735,7 +697,7 @@ class LoadedCorpus:
         """The summed opcode counts of the projects' binaries, as synth
         recorded them in the manifest's graph_files; no graph is built. An
         edited file's counts are stale, so each file is checked first
-        (CorpusGraphs.verify, which later reads of its graphs reuse)."""
+        (CorpusGraphs.verify, whose kept lines later lookups build from)."""
         projects = list(projects)
         files = [
             (dataset, binary_id)

@@ -1157,20 +1157,27 @@ def test_a_functions_list_of_another_line_count_names_the_graph_file(
 def test_a_corpus_command_reads_each_graph_file_in_full_at_most_once(
     pipeline, tmp_path, monkeypatch, command
 ):
-    """train checks its training files for the vocabulary and reads its
-    graphs from them later; each command reads a file whole once, to check
-    its sha256, and any line of it again only on its own."""
-    reads = []
-    line_starts = synth.graph_file_line_starts
+    """train checks its training files for the vocabulary and builds its
+    graphs from them later; each command opens a graph file at most once,
+    to read it whole and check its sha256, and builds every graph of the
+    file from the lines it kept."""
+    reads, opens = [], []
+    graph_file_lines, path_open = synth.graph_file_lines, Path.open
 
-    def counting(path, sha256):
+    def reading(path, sha256):
         reads.append(path)
-        return line_starts(path, sha256)
+        return graph_file_lines(path, sha256)
 
-    monkeypatch.setattr(synth, "graph_file_line_starts", counting)
+    def opening(path, *args, **kwargs):
+        if path.parent.parent.name == "graphs":
+            opens.append(path)
+        return path_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(synth, "graph_file_lines", reading)
+    monkeypatch.setattr(Path, "open", opening)
     _one_share(monkeypatch)
     assert _run_corpus_command(pipeline, pipeline["corpus"], command, tmp_path) == 0
-    assert reads and len(set(reads)) == len(reads)
+    assert reads and len(set(reads)) == len(reads) and opens == reads
 
 
 @pytest.mark.parametrize(
@@ -1655,21 +1662,29 @@ def test_eval_fails_alike_at_any_share_count(
     assert rc == 2 and len(messages) == 1 and expected in messages[0], messages
 
 
-def test_eval_names_the_graph_files_of_a_process_that_ends_without_its_result(
+def test_eval_scores_here_the_pairs_of_a_process_that_ends_without_its_result(
     pipeline, tmp_path, monkeypatch, caplog
 ):
-    monkeypatch.setattr(detector, "_child", lambda work, k, write_end: os._exit(1))
-    shares, _ = _shares_of(pipeline, 2, monkeypatch)
-    files = sorted({str(synth.graph_file("", *ref[:2])) for ref in shares[1]})
-    out = tmp_path / "report"
-    rc, messages = _eval_in_shares(
-        pipeline, pipeline["corpus"], pipeline["pairs"], out, 2, monkeypatch, caplog
+    """A child that ends without sending its rows is waited for and named
+    in one WARNING, and every pair is scored in the calling process: eval
+    exits 0 with the bytes a single share writes."""
+    serial, recovered = tmp_path / "report-1", tmp_path / "report-2"
+    rc, _ = _eval_in_shares(
+        pipeline, pipeline["corpus"], pipeline["pairs"], serial, 1, monkeypatch, caplog
     )
-    assert rc == 3 and not out.exists()
-    assert messages == [
-        f"the process scoring the graphs of {', '.join(files)} ended without "
-        "its result (exit code 1)"
+    assert rc == 0
+    monkeypatch.setattr(detector, "_child", lambda work, k, write_end: os._exit(1))
+    monkeypatch.setattr(detector, "_share_count", lambda files, graphs: 2)
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        assert _eval(pipeline, pipeline["pairs"], recovered) == 0
+    _assert_no_child_left()
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "the process scoring share 2 of 2 ended without its result (exit code 1); "
+        "scoring every pair in this process"
     ]
+    for name in _REPORT_FILES:
+        assert (recovered / name).read_bytes() == (serial / name).read_bytes()
 
 
 def test_an_interrupted_eval_leaves_no_process(pipeline, tmp_path, monkeypatch):

@@ -1,10 +1,11 @@
+import dataclasses
 import re
 import weakref
 
 import numpy as np
 import pytest
 
-from cidetect.acfg import build_vocabulary, count_opcodes
+from cidetect.acfg import build_vocabulary, count_opcodes, strip_name
 from cidetect.errors import (
     CorruptArtifact,
     Diverged,
@@ -167,6 +168,21 @@ def test_prepare_graph_features_and_edges():
     expected = sorted((index[a], index[b]) for a, b in graph.edges)
     got = sorted(zip(prep.src.tolist(), prep.dst.tolist()))
     assert got == expected
+
+
+def test_prepare_graph_gives_a_named_graph_the_bits_of_its_stripped_copy():
+    """A graph reaches a model only as a PreparedGraph, which holds no name,
+    so eval and detect, which prepare named corpus graphs, embed what the
+    stripped graphs of a FunctionPair give."""
+    assert [f.name for f in dataclasses.fields(PreparedGraph)] == ["features", "src", "dst"]
+    graphs, vocab, config = _tiny_setup()
+    for graph in graphs:
+        assert graph.function_name
+        named = prepare_graph(graph, vocab, config)
+        stripped = prepare_graph(strip_name(graph), vocab, config)
+        for field in ("features", "src", "dst"):
+            a, b = getattr(named, field), getattr(stripped, field)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def test_prepare_graph_limits():

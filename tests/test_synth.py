@@ -632,20 +632,37 @@ def test_corpus_graph_of_a_bad_record_fails_on_access_naming_its_line(tmp_path):
 
 
 def test_corpus_graph_of_a_file_changed_after_synth_fails(tmp_path):
-    """Its first read checks the file's sha256; a line read after that
-    must still hold the function the manifest lists there."""
+    """Its first read checks the file's sha256, and every graph of the file
+    is built from the bytes that were checked: an edit made after the
+    check does not reach a graph."""
     _, path, lines = _written_corpus(tmp_path)
-    name = json.loads(lines[0])["name"]
-    renamed = name[:-2] + "99"  # of the same length, so no line moves
-    edited = "\n".join([lines[0].replace(f'"{name}"', f'"{renamed}"')] + lines[1:]) + "\n"
+    record = json.loads(lines[0])
+    name, op = record["name"], record["insn_ops"][0]
+    other = "z" * len(op)  # of the same length, so no line moves
+    edited = lines[0].replace(f'"insn_ops": ["{op}"', f'"insn_ops": ["{other}"', 1)
+    assert edited != lines[0]
     loaded = load_corpus(tmp_path / "corpus")
-    path.write_text(edited)
+    path.write_text("\n".join([edited] + lines[1:]) + "\n")
     with pytest.raises(GraphFileChanged, match=f"^{re.escape(str(path))}: sha256"):
         loaded.graphs[("noinline", "p000-noinline", name)]
     path.write_text("\n".join(lines) + "\n")
     loaded = load_corpus(tmp_path / "corpus")
     loaded.graphs[("noinline", "p000-noinline", json.loads(lines[2])["name"])]
-    path.write_text(edited)  # after the file was read and checked
+    path.write_text("\n".join([edited] + lines[1:]) + "\n")  # after the check
+    graph = loaded.graphs[("noinline", "p000-noinline", name)]
+    assert graph.insn_ops[0] == op
+
+
+def test_corpus_graph_of_another_function_than_the_manifest_lists_fails(tmp_path):
+    """A rehashed file passes its check, but a line must still hold the
+    function the manifest lists there."""
+    _, path, lines = _written_corpus(tmp_path)
+    name = json.loads(lines[0])["name"]
+    renamed = name[:-2] + "99"
+    lines[0] = lines[0].replace(f'"{name}"', f'"{renamed}"')
+    path.write_text("\n".join(lines) + "\n")
+    rehash_graph_file(path)
+    loaded = load_corpus(tmp_path / "corpus")
     with pytest.raises(MalformedGraph, match=f"not {name!r}, the function") as exc:
         loaded.graphs[("noinline", "p000-noinline", name)]
     assert f"{path}:1: holds {renamed!r}" in str(exc.value)
