@@ -295,31 +295,19 @@ def strip_name(graph: AttributedCFG) -> AttributedCFG:
 
 
 def parse_record(
-    line: str | bytes,
+    line: bytes,
     convert: Callable[[dict], T],
     where: str,
     error: type[ValidationError] = ValidationError,
 ) -> T:
-    """convert(record) of one JSONL line, text or UTF-8 bytes. A line that
-    is not UTF-8 or JSON, or whose record convert rejects, raises `error`
-    naming `where` (path:line)."""
+    """convert(record) of one JSONL line of UTF-8 bytes. A line that is not
+    UTF-8 or JSON, or whose record convert rejects, raises `error` naming
+    `where` (path:line)."""
     try:
         # json.loads decodes bytes by a slower path than str.decode
-        text = line.decode("utf-8") if isinstance(line, bytes) else line
-        return convert(json.loads(text))
-    except RECORD_ERRORS as exc:
-        raise placed(where, exc, error) from None
-
-
-# the failures of a record that parse_record reports at the record's place
-RECORD_ERRORS = (ValidationError, KeyError, TypeError, ValueError)
-
-
-def placed(
-    where: str, exc: Exception, error: type[ValidationError] = ValidationError
-) -> ValidationError:
-    """exc as the failure of the record at `where` (path:line)."""
-    return error(f"{where}: {type(exc).__name__}: {exc}")
+        return convert(json.loads(line.decode("utf-8")))
+    except (ValidationError, KeyError, TypeError, ValueError) as exc:
+        raise error(f"{where}: {type(exc).__name__}: {exc}") from None
 
 
 def read_records(
@@ -328,8 +316,10 @@ def read_records(
     error: type[ValidationError] = ValidationError,
 ) -> Iterator[T]:
     """convert(record) per non-blank line of a JSONL file, through
-    parse_record."""
-    with Path(path).open("r", encoding="utf-8") as handle:
+    parse_record. The file is read as bytes, split at newline bytes only,
+    and parse_record decodes each line, so a line that is not UTF-8 is
+    named by path:line as any other bad record is."""
+    with Path(path).open("rb") as handle:
         for lineno, line in enumerate(handle, 1):
             if line.strip():
                 yield parse_record(line, convert, f"{path}:{lineno}", error)

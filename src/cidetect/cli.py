@@ -131,8 +131,12 @@ def _config_fields(opts: Sequence[Opt], resolved: dict) -> dict:
 def _read_config_file(path: Path) -> dict[str, str]:
     if not path.is_file():
         raise ValidationError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8: {exc}") from None
     values: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -485,7 +489,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
     det = detector.load_bundle(opts["bundle"])
     query = _load_single_graph(opts["query"], opts["query_name"])
     target = _load_single_graph(opts["target"], opts["target_name"])
-    verdict = detector.detect(query, target, det)
+    names = (
+        f"{opts['query']}: {query.function_name!r}",
+        f"{opts['target']}: {target.function_name!r}",
+    )
+    verdict = detector.detect(query, target, det, names)
     if not all(math.isfinite(s) for s in verdict.similarities.values()):
         raise NumericError("non-finite similarity while scoring the pair")
     payload = {
@@ -520,11 +528,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     corpus = synth.load_corpus(opts["corpus"])
     if not opts["pairs"].is_file():
         raise ValidationError(f"pairs file not found: {opts['pairs']}")
-    pairs, places = pairgen.read_pairs(opts["pairs"], corpus.graphs)
+    pairs = pairgen.read_pairs(opts["pairs"], corpus.graphs)
     if not pairs:
         raise ValidationError(f"{opts['pairs']} holds no pairs")
 
-    finals = detector.score_pairs(det, pairs, corpus.graphs, places)
+    finals = detector.score_pairs(det, pairs, corpus.graphs)
     scored = list(zip(finals, (p.label for p in pairs)))
     if not all(np.isfinite(s) for s, _ in scored):
         raise NumericError("non-finite similarity while scoring pairs")

@@ -17,7 +17,7 @@ in the calling process, every other share in a child made with os.fork,
 which sends its embeddings back through a pipe. When a share does not
 return its rows (a bad input, or a child that ends without sending
 them), the calling process embeds every graph itself, one share as on
-one CPU, and so raises the failure the serial order meets first. The
+one CPU, and so raises the failure of the first ref that fails. The
 scores come out the same, bit for bit, at any share count. A single
 share forks nothing, so detect, which prepares its two graphs and makes
 one gnn.pair_distances call, never does. An eval scores its pair file
@@ -65,14 +65,12 @@ from .gnn import (
     embed_graphs,
     load_checkpoint,
     pair_distances,
-    prepare_graph,
+    prepare_named,
     row_distances,
     save_checkpoint,
 )
 from .labeling import CROSS_PATTERNS
-from .pairgen import (
-    FunctionPair, GraphRef, GraphStore, PairRef, at_place, build_refs, first_refs
-)
+from .pairgen import FunctionPair, GraphRef, GraphStore, PairRef
 
 logger = logging.getLogger(__name__)
 
@@ -135,10 +133,17 @@ class Verdict:
 
 
 def detect(
-    query: AttributedCFG, target: AttributedCFG, detector: EnsembleDetector
+    query: AttributedCFG,
+    target: AttributedCFG,
+    detector: EnsembleDetector,
+    names: tuple[str, str] = ("query", "target"),
 ) -> Verdict:
-    """Score one pair with every model and keep the maximum similarity."""
-    pair = [prepare_graph(g, detector.vocab, detector.config) for g in (query, target)]
+    """Score one pair with every model and keep the maximum similarity. A
+    graph over the node cap is named by its entry of names."""
+    pair = [
+        prepare_named(name, graph, detector.vocab, detector.config)
+        for name, graph in zip(names, (query, target))
+    ]
     sims = {key: float(s[0]) for key, s in _similarities(detector, [pair]).items()}
     final = max(sims.values())
     return Verdict(similarities=sims, final=final, label=final >= detector.threshold)
@@ -148,21 +153,18 @@ def score_pairs(
     detector: EnsembleDetector,
     pairs: Sequence[PairRef],
     graphs: GraphStore | None = None,
-    places: Sequence[str] | None = None,
 ) -> list[float]:
     """Ensemble similarity per pair. The pairs' graphs come from graphs,
     or, without it, from the pairs themselves, which are then
     FunctionPairs.
 
-    The distinct refs are split into shares by graph file (_shares). Each
-    share builds its graphs, prepares them and embeds them under every
+    The distinct refs, in the order they first appear (query before
+    target), are split into shares by graph file (_shares). Each share
+    builds (graphs[ref]), prepares and embeds its graphs under every
     model; share 0 runs here and every other share in a forked process
     (_run_shares). When a share does not return its rows, every ref is
-    embedded here, in the serial order, which raises the failure that
-    order meets first: every graph is built before any is prepared, and a
-    failure to build a graph is raised as it is, or, given each pair's
-    place (path:line), at the place of the first pair of its ref
-    (pairgen.at_place)."""
+    embedded here, in that order, which raises the first failure of the
+    first ref that fails, as the graph store or prepare_named raised it."""
     if not pairs:
         return []
     if graphs is None:
@@ -170,18 +172,17 @@ def score_pairs(
         for pair in pairs:
             graphs.setdefault(pair.query_ref, pair.query)
             graphs.setdefault(pair.target_ref, pair.target)
-    first = first_refs(pairs)
-    refs = list(first)
+    refs = list(dict.fromkeys(
+        ref for pair in pairs for ref in (pair.query_ref, pair.target_ref)
+    ))
     models = [detector.models[key] for key in sorted(detector.models)]
 
     def embed(share: list[GraphRef]) -> np.ndarray:
         """The embeddings of the share's graphs under every model."""
-        built, failure = build_refs(graphs, share)
-        if failure is not None:
-            if places is None:
-                raise failure
-            raise at_place(places[first[share[len(built)]]], failure)
-        prepared = [prepare_graph(g, detector.vocab, detector.config) for g in built]
+        prepared = [
+            prepare_named(ref, graphs[ref], detector.vocab, detector.config)
+            for ref in share
+        ]
         return embed_graphs(prepared, models, detector.config)
 
     shares = _shares(refs)

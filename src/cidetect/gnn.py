@@ -281,6 +281,17 @@ def prepare_graph(
     return PreparedGraph(features=features, src=src, dst=dst)
 
 
+def prepare_named(
+    name: object, graph: AttributedCFG, vocab: OpcodeVocabulary, config: ModelConfig
+) -> PreparedGraph:
+    """prepare_graph, whose GraphTooLarge names the graph by name (its ref,
+    or its file and function): a training graph holds no function name."""
+    try:
+        return prepare_graph(graph, vocab, config)
+    except GraphTooLarge as exc:
+        raise GraphTooLarge(f"{name}: {exc}") from None
+
+
 def _stack(graphs: Sequence[PreparedGraph]) -> PreparedGraph:
     """Graphs of one node count n as one (len(graphs), n, k) bucket."""
     n = graphs[0].n_nodes
@@ -731,7 +742,7 @@ def prepare_pairs(
 
     def prep(ref, graph):
         if ref not in cache:
-            cache[ref] = prepare_graph(graph, vocab, config)
+            cache[ref] = prepare_named(ref, graph, vocab, config)
         return cache[ref]
 
     return [

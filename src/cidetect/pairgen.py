@@ -10,8 +10,8 @@ of symbol names. No name reaches a model either way: a graph reaches one
 only through gnn.prepare_graph, whose PreparedGraph holds features and
 edges and no name, so the named corpus graphs that eval and detect
 prepare embed exactly as their stripped copies do. read_pairs gives a pair
-file's PairRefs, checked against the corpus, and builds no graph: the
-scorer builds them (build_refs), each process the graphs of its own share.
+file's PairRefs, checked against the corpus before any graph is built:
+the scorer builds them, each process the graphs of its own share.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .acfg import (
-    RECORD_ERRORS, AttributedCFG, parse_record, placed, strip_name, write_records
-)
-from .errors import Exhausted, TooFewProjects, ValidationError
+from .acfg import AttributedCFG, read_records, strip_name, write_records
+from .errors import Exhausted, TooFewProjects
 from .labeling import (
     DATASET_INLINE, DATASET_NOINLINE, BinaryFunctionRef, BridgeIndex, Pattern
 )
@@ -304,86 +302,28 @@ def write_pairs(pairs: Iterable[PairRef], path: Path | str) -> None:
     write_records(path, map(_pair_record, pairs))
 
 
-def _record_pair(record: dict) -> PairRef:
-    """The pair of a record; a field of the wrong type raises ValueError."""
-    refs = record["query_ref"], record["target_ref"]
-    label, bridge = record["label"], record.get("bridge")
-    for ref in refs:
-        if type(ref) is not list or len(ref) != 3 or not all(
-            type(part) is str for part in ref
-        ):
-            raise ValueError(f"a ref must be [dataset, binary, name], got {ref!r}")
-    if type(label) is not int:
-        raise ValueError(f"label must be -1 or +1, got {label!r}")
-    if bridge is not None and type(bridge) is not str:
-        raise ValueError(f"bridge must be a string, got {bridge!r}")
-    return PairRef(
-        tuple(refs[0]), tuple(refs[1]), label, Pattern(record["pattern"]), bridge
-    )
-
-
-def read_pairs(
-    path: Path | str, graphs: GraphStore
-) -> tuple[list[PairRef], list[str]]:
-    """The pairs of a pair file, and the place (path:line) of each. Every
-    ref is checked against graphs, but no graph is built. A bad record, or
-    a ref graphs lacks, raises ValidationError naming path:line, unless a
-    graph of an earlier pair fails to build: the refs of the pairs before
-    it are built first, in the order they first appear, and the first
-    failure is raised at the place of its ref's first pair (at_place)."""
+def read_pairs(path: Path | str, graphs: GraphStore) -> list[PairRef]:
+    """The pairs of a pair file, every ref checked against graphs, but no
+    graph built. A bad record (a missing key, a field of the wrong type or
+    value), or a ref graphs lacks, raises ValidationError naming path:line
+    (acfg.read_records)."""
 
     def pair_of(record: dict) -> PairRef:
-        pair = _record_pair(record)
+        refs = record["query_ref"], record["target_ref"]
+        label, bridge = record["label"], record.get("bridge")
+        for ref in refs:
+            if type(ref) is not list or len(ref) != 3 or not all(
+                type(part) is str for part in ref
+            ):
+                raise ValueError(f"a ref must be [dataset, binary, name], got {ref!r}")
+        if type(label) is not int:
+            raise ValueError(f"label must be -1 or +1, got {label!r}")
+        if bridge is not None and type(bridge) is not str:
+            raise ValueError(f"bridge must be a string, got {bridge!r}")
+        pair = PairRef(
+            tuple(refs[0]), tuple(refs[1]), label, Pattern(record["pattern"]), bridge
+        )
         check_refs([pair], graphs)
         return pair
 
-    pairs: list[PairRef] = []
-    places: list[str] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if line.strip():
-                where = f"{path}:{lineno}"
-                try:
-                    pairs.append(parse_record(line, pair_of, where))
-                except ValidationError:
-                    first = first_refs(pairs)
-                    refs = list(first)
-                    built, failure = build_refs(graphs, refs)
-                    if failure is not None:
-                        place = places[first[refs[len(built)]]]
-                        raise at_place(place, failure) from None
-                    raise
-                places.append(where)
-    return pairs, places
-
-
-def first_refs(pairs: Iterable[PairRef]) -> dict[GraphRef, int]:
-    """Each distinct ref of the pairs, in the order refs first appear
-    (query before target), mapped to the index of the pair it first
-    appears in."""
-    first: dict[GraphRef, int] = {}
-    for i, pair in enumerate(pairs):
-        first.setdefault(pair.query_ref, i)
-        first.setdefault(pair.target_ref, i)
-    return first
-
-
-def build_refs(
-    graphs: GraphStore, refs: Sequence[GraphRef]
-) -> tuple[list[AttributedCFG], Exception | None]:
-    """The graphs of refs, in order, up to the first that fails to build,
-    and that failure (None when every one builds)."""
-    built: list[AttributedCFG] = []
-    try:
-        for ref in refs:
-            built.append(graphs[ref])
-    except Exception as exc:  # raised by the caller, at the failing ref's place
-        return built, exc
-    return built, None
-
-
-def at_place(place: str, failure: Exception) -> Exception:
-    """A ref's failure to build as the failure of the pair at place
-    (path:line), as parse_record reports a bad record; a failure of
-    another kind, such as an OSError, as it is."""
-    return placed(place, failure) if isinstance(failure, RECORD_ERRORS) else failure
+    return list(read_records(path, pair_of))

@@ -4,10 +4,12 @@ subcommand once, then the error paths are poked individually."""
 import gc
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -235,7 +237,7 @@ def test_eval_scores_once(pipeline, tmp_path, monkeypatch):
     _one_share(monkeypatch)
     det = detector.load_bundle(pipeline["bundle"])
     graphs = synth.load_corpus(pipeline["corpus"]).graphs
-    pairs, _ = pairgen.read_pairs(pipeline["pairs"], graphs)
+    pairs = pairgen.read_pairs(pipeline["pairs"], graphs)
     finals = detector.score_pairs(det, pairs, graphs)
     reference = tmp_path / "reference.json"
     evaluation.write_reports(
@@ -352,6 +354,16 @@ def test_unknown_config_key_fails(tmp_path):
     assert rc == 2
 
 
+def test_config_file_not_utf8_names_the_file(tmp_path, caplog):
+    config = tmp_path / "synth.cfg"
+    config.write_bytes(b"seed = \xff\n")
+    with caplog.at_level("ERROR", logger="cidetect.cli"):
+        rc = main(["synth", "--config", str(config), "--out", str(tmp_path / "c")])
+    assert rc == 2
+    _assert_names(caplog, f"{config}: not UTF-8: ")
+    assert not (tmp_path / "c").exists()
+
+
 def test_missing_required_option_fails():
     assert main(["synth", "--seed", "3"]) == 2
 
@@ -394,10 +406,23 @@ def _one_element_edge(record):
     return json.dumps(record)
 
 
+def _not_utf8(line):
+    """line behind a 0xff byte, which no UTF-8 text holds."""
+    return "\udcff" + line
+
+
+def _write_escaped(path, text):
+    """text as UTF-8, each lone surrogate as the byte it escapes."""
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_drop_block_id, _one_element_edge, lambda record: "{not json"],
-    ids=["block-without-id", "one-element-edge", "not-json"],
+    [
+        _drop_block_id, _one_element_edge, lambda record: "{not json",
+        lambda record: _not_utf8(json.dumps(record)),
+    ],
+    ids=["block-without-id", "one-element-edge", "not-json", "not-utf-8"],
 )
 def test_detect_malformed_record_names_file_and_line(
     pipeline, tmp_path, caplog, corrupt
@@ -408,7 +433,7 @@ def test_detect_malformed_record_names_file_and_line(
     source = corpus / "graphs" / "noinline" / "p000-noinline.jsonl"
     good, second = source.read_text().splitlines()[:2]
     query = tmp_path / "query.jsonl"
-    query.write_text(good + "\n\n" + corrupt(json.loads(second)) + "\n")
+    _write_escaped(query, good + "\n\n" + corrupt(json.loads(second)) + "\n")
     with caplog.at_level("ERROR", logger="cidetect.cli"):
         rc = main([
             "detect", "--bundle", str(bundle),
@@ -495,6 +520,53 @@ def _train(pipeline, pattern, bundle, *extra):
         "train", "--corpus", str(pipeline["corpus"]), "--index", str(pipeline["index"]),
         "--pattern", pattern, "--out", str(bundle),
     ] + _TRAIN_ARGS + list(extra))
+
+
+def test_train_names_a_graph_over_the_node_cap_by_its_ref(pipeline, tmp_path, caplog):
+    """A training graph holds no name, so one over --max-nodes exits 2
+    naming its corpus ref."""
+    out = tmp_path / "bundle"
+    with caplog.at_level("ERROR", logger="cidetect.cli"):
+        assert _train(pipeline, "leaf", out, "--max-nodes", "2") == 2
+    (message,) = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
+    match = re.fullmatch(
+        r"\('(\w+)', '([\w-]+)', '(\w+)'\): (\d+) nodes exceeds the cap of 2", message
+    )
+    assert match, message
+    graph = synth.load_corpus(pipeline["corpus"]).graphs[match.groups()[:3]]
+    assert int(match[4]) == len(graph.block_ids) > 2
+    assert not out.exists()
+
+
+def _capped(monkeypatch, cap):
+    """Load every bundle with its node cap set to cap."""
+    load_bundle = detector.load_bundle
+
+    def capped(directory):
+        det = load_bundle(directory)
+        return replace(det, config=replace(det.config, max_nodes=cap))
+
+    monkeypatch.setattr(detector, "load_bundle", capped)
+
+
+def test_detect_names_a_graph_over_the_node_cap_by_its_file(
+    pipeline, monkeypatch, caplog
+):
+    graphs = pipeline["corpus"] / "graphs"
+    query = graphs / "noinline" / "p000-noinline.jsonl"
+    graph = next(g for g in acfg.read_graphs(query) if g.function_name == "p000_f00")
+    nodes = len(graph.block_ids)
+    _capped(monkeypatch, nodes - 1)
+    with caplog.at_level("ERROR", logger="cidetect.cli"):
+        assert main([
+            "detect", "--bundle", str(pipeline["bundle"]), "--query", str(query),
+            "--query-name", "p000_f00",
+            "--target", str(graphs / "inline" / "p000-inline.jsonl"),
+            "--target-name", "p000_f00",
+        ]) == 2
+    _assert_names(
+        caplog, f"{query}: 'p000_f00': {nodes} nodes exceeds the cap of {nodes - 1}"
+    )
 
 
 def test_train_rejects_models_with_different_configs(pipeline, tmp_path, caplog):
@@ -868,9 +940,10 @@ def _bad_record(line, edit):
 
 def _with_bad_second_record(source, path, corrupt):
     """source's first record, a blank line, then corrupt(second record),
-    which is line 3 of path."""
+    which is line 3 of path; a lone surrogate in it stands for the byte it
+    escapes (_not_utf8)."""
     first, second = source.read_text().splitlines()[:2]
-    path.write_text(first + "\n\n" + corrupt(second) + "\n")
+    _write_escaped(path, first + "\n\n" + corrupt(second) + "\n")
 
 
 def _assert_names(caplog, place):
@@ -881,6 +954,7 @@ def _assert_names(caplog, place):
 
 _BAD_PAIR_RECORDS = {
     "not-json": lambda line: "{not json",
+    "not-utf-8": _not_utf8,
     "missing-key": lambda line: _bad_record(line, lambda r: r.pop("query_ref")),
     "bad-label": lambda line: _bad_record(line, lambda r: r.update(label="abc")),
     "bad-pattern": lambda line: _bad_record(line, lambda r: r.update(pattern="equal")),
@@ -907,6 +981,7 @@ def test_eval_bad_pair_record_names_file_and_line(
     "corrupt",
     [
         lambda line: "{not json",
+        _not_utf8,
         lambda line: _bad_record(line, lambda r: r.pop("score")),
         lambda line: _bad_record(line, lambda r: r.update(score="abc")),
         lambda line: _bad_record(line, lambda r: r.update(label=0)),
@@ -915,7 +990,7 @@ def test_eval_bad_pair_record_names_file_and_line(
         lambda line: _bad_record(line, lambda r: r.update(score=float("inf"))),
     ],
     ids=[
-        "not-json", "missing-key", "bad-score", "bad-label",
+        "not-json", "not-utf-8", "missing-key", "bad-score", "bad-label",
         "label-infinity", "score-nan", "score-infinity",
     ],
 )
@@ -1494,13 +1569,24 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _first_refs(pairs):
+    """Each distinct ref of the pairs, in the order refs first appear
+    (query before target), mapped to the index of the pair it first
+    appears in."""
+    first = {}
+    for i, pair in enumerate(pairs):
+        first.setdefault(pair.query_ref, i)
+        first.setdefault(pair.target_ref, i)
+    return first
+
+
 def _shares_of(pipeline, count, monkeypatch):
     """The refs of the pipeline's pair file in shares, as count shares
     split them."""
     graphs = synth.load_corpus(pipeline["corpus"]).graphs
-    pairs, _ = pairgen.read_pairs(pipeline["pairs"], graphs)
+    pairs = pairgen.read_pairs(pipeline["pairs"], graphs)
     monkeypatch.setattr(detector, "_share_count", lambda files, graphs: count)
-    return detector._shares(list(pairgen.first_refs(pairs))), pairs
+    return detector._shares(list(_first_refs(pairs))), pairs
 
 
 def _spoil(corpus, ref):
@@ -1572,32 +1658,42 @@ def _functions_of_another_length_case(pipeline, tmp_path, monkeypatch):
 
 
 def _bad_graph_of_a_child_case(pipeline, tmp_path, monkeypatch):
-    """A bad record whose graph file the last of 3 shares, a child, reads."""
-    shares, pairs = _shares_of(pipeline, 3, monkeypatch)
+    """A bad record whose graph file the last of 3 shares, a child, reads:
+    it is named at its graph file's line."""
+    shares, _ = _shares_of(pipeline, 3, monkeypatch)
     assert len(shares) == 3
-    ref = shares[-1][0]
-    line = 1 + pairgen.first_refs(pairs)[ref]
     corpus = tmp_path / "corpus"
     shutil.copytree(pipeline["corpus"], corpus)
-    place = _spoil(corpus, ref)
-    expected = f"{pipeline['pairs']}:{line}: MalformedGraph: {place}:"
-    return corpus, pipeline["pairs"], expected
+    place = _spoil(corpus, shares[-1][0])
+    return corpus, pipeline["pairs"], f"{place}: MalformedGraph: "
 
 
 def _bad_graphs_of_two_shares_case(pipeline, tmp_path, monkeypatch):
     """Bad records in the calling process's share and in a child's, the
-    child's named on an earlier pair line: the child's fails eval."""
+    child's ref appearing first in the pair file: the child's fails eval."""
     shares, pairs = _shares_of(pipeline, 3, monkeypatch)
-    refs = list(pairgen.first_refs(pairs))
+    refs = list(_first_refs(pairs))
     early, late = shares[-1][0], shares[0][-1]
     assert refs.index(early) < refs.index(late)
     corpus = tmp_path / "corpus"
     shutil.copytree(pipeline["corpus"], corpus)
     place = _spoil(corpus, early)
     _spoil(corpus, late)
-    line = 1 + pairgen.first_refs(pairs)[early]
-    expected = f"{pipeline['pairs']}:{line}: MalformedGraph: {place}:"
-    return corpus, pipeline["pairs"], expected
+    return corpus, pipeline["pairs"], f"{place}: MalformedGraph: "
+
+
+def _graph_over_the_node_cap_case(pipeline, tmp_path, monkeypatch):
+    """A bundle whose node cap the largest graph of the pair file exceeds:
+    the first such graph, in the order refs first appear, is named by its
+    ref."""
+    graphs = synth.load_corpus(pipeline["corpus"]).graphs
+    pairs = pairgen.read_pairs(pipeline["pairs"], graphs)
+    nodes = {ref: len(graphs[ref].block_ids) for ref in _first_refs(pairs)}
+    cap = max(nodes.values()) - 1
+    ref = next(ref for ref, n in nodes.items() if n > cap)
+    _capped(monkeypatch, cap)
+    expected = f"{ref}: {nodes[ref]} nodes exceeds the cap of {cap}"
+    return pipeline["corpus"], pipeline["pairs"], expected
 
 
 def _first_seen_at_line(pairs, line):
@@ -1609,19 +1705,19 @@ def _first_seen_at_line(pairs, line):
 
 def _bad_lines_case(graph_line, record_line):
     """A bad graph first named at graph_line and a pair record that is not
-    JSON at record_line: the earlier line fails."""
+    JSON at record_line: the pair record fails, on either side of the
+    graph, since every pair record is read and checked before any graph
+    is built."""
 
     def case(pipeline, tmp_path, monkeypatch):
         _, pairs = _shares_of(pipeline, 1, monkeypatch)
         corpus = tmp_path / "corpus"
         shutil.copytree(pipeline["corpus"], corpus)
-        place = _spoil(corpus, _first_seen_at_line(pairs, graph_line))
+        _spoil(corpus, _first_seen_at_line(pairs, graph_line))
         path = tmp_path / "pairs.jsonl"
         lines = pipeline["pairs"].read_text().splitlines()
         lines[record_line - 1] = "{not json"
         path.write_text("\n".join(lines) + "\n")
-        if graph_line < record_line:
-            return corpus, path, f"{path}:{graph_line}: MalformedGraph: {place}:"
         return corpus, path, f"{path}:{record_line}: JSONDecodeError"
 
     return case
@@ -1639,6 +1735,7 @@ _EVAL_FAILURES = {
     "graph-records-of-two-shares": _bad_graphs_of_two_shares_case,
     "graph-at-line-2-record-at-line-5": _bad_lines_case(2, 5),
     "record-at-line-2-graph-at-line-5": _bad_lines_case(5, 2),
+    "graph-over-the-node-cap": _graph_over_the_node_cap_case,
 }
 
 
@@ -1646,9 +1743,10 @@ _EVAL_FAILURES = {
 def test_eval_fails_alike_at_any_share_count(
     pipeline, tmp_path, monkeypatch, caplog, case
 ):
-    """A bad input fails eval with exit 2 and the same message, that of the
-    earliest pair line, whether 1 or 3 processes score; nothing is
-    written and no process is left."""
+    """A bad input fails eval with exit 2 and the same message, which
+    starts with the place of the input (a pair record, a graph file or a
+    graph record), whether 1 or 3 processes score; nothing is written and
+    no process is left."""
     corpus, pairs, expected = case(pipeline, tmp_path, monkeypatch)
     outcomes = []
     for shares in (1, 3):
@@ -1659,7 +1757,9 @@ def test_eval_fails_alike_at_any_share_count(
         assert not out.exists()
     assert outcomes[0] == outcomes[1]
     rc, messages = outcomes[0]
-    assert rc == 2 and len(messages) == 1 and expected in messages[0], messages
+    assert rc == 2 and len(messages) == 1 and messages[0].startswith(expected), (
+        messages
+    )
 
 
 def test_eval_scores_here_the_pairs_of_a_process_that_ends_without_its_result(
@@ -1691,14 +1791,14 @@ def test_an_interrupted_eval_leaves_no_process(pipeline, tmp_path, monkeypatch):
     """A KeyboardInterrupt in the calling process's own share ends eval
     with every child killed and waited for."""
     parent = os.getpid()
-    build_refs = pairgen.build_refs
+    prepare_named = detector.prepare_named
 
-    def interrupted(graphs, refs):
+    def interrupted(*args):
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        return build_refs(graphs, refs)
+        return prepare_named(*args)
 
-    monkeypatch.setattr(detector, "build_refs", interrupted)
+    monkeypatch.setattr(detector, "prepare_named", interrupted)
     monkeypatch.setattr(detector, "_share_count", lambda files, graphs: 3)
     with pytest.raises(KeyboardInterrupt):
         _eval(pipeline, pipeline["pairs"], tmp_path / "report")
